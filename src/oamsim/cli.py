@@ -1,10 +1,12 @@
 """Command-line interface.
 
     oamsim constants | freeze | moments | simulate | scan | verify
-           [--config PATH] [--out PATH] [--format csv|json]
+           [--config PATH] [--out PATH] [--format FORMAT]
 
-Exit codes: 0 success, 1 verification/numerical failure, 2 configuration error.
-The OAMSIM_THREADS environment variable caps scan parallelism (0 = auto).
+FORMAT is json|text for constants, freeze, moments and verify (default text),
+csv|json for simulate (default: the config's output.format, else csv) and csv
+for scan.  Exit codes: 0 success, 1 verification/numerical failure,
+2 configuration or usage error.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import sys
 
 from . import config as cfg
 from . import dynamics, moments, ring_config, verify
-from .constants import E_CHARGE
+from .constants import E_CHARGE, M_E_C2_EV
 from .errors import ConfigError, ConvergenceError, DomainError
 
 
@@ -64,13 +66,6 @@ def _ring_for(doc, mode):
     raise ConfigError("ring section must provide R0_m+n or B0_T")
 
 
-def _beam_qs(doc):
-    beam = doc["beam"]
-    L = beam["L"]
-    q0 = E_CHARGE * (0.5 * moments.beam_diameter(L)) ** 2
-    return moments.spectroscopic_eqm(q0, L, L)
-
-
 def scenario_from_config(doc):
     """Assemble a DynamicsScenario from a validated simulate/scan config.
 
@@ -109,7 +104,8 @@ def scenario_from_config(doc):
             _, _, setup = ring()
             if setup is None:
                 raise ConfigError("frozen mode requires ring.R0_m and ring.n")
-            fields["A"] = dynamics.quadrupole_coefficient_frozen(_beam_qs(doc), L, setup)
+            fields["A"] = dynamics.quadrupole_coefficient_frozen(
+                moments.beam_model_eqm(L)[2], L, setup)
     else:
         fields["Omega"] = scn.get("Omega_rad_s", None)
         if fields["Omega"] is None:
@@ -118,7 +114,7 @@ def scenario_from_config(doc):
             fields["A"] = scn["A_rad_s"]
         elif "grad_amplitude_V_m2" in scn:
             fields["A"] = dynamics.quadrupole_coefficient_resonance(
-                _beam_qs(doc), L, scn["grad_amplitude_V_m2"])
+                moments.beam_model_eqm(L)[2], L, scn["grad_amplitude_V_m2"])
         else:
             raise ConfigError(
                 "resonance mode requires scenario.grad_amplitude_V_m2 or scenario.A_rad_s")
@@ -180,7 +176,7 @@ def cmd_moments(args):
         q0, qs, w_m, mean_r2 = ms.Q0_Cm2, ms.Qs_Cm2, ms.w_m, ms.mean_r2
     r0 = doc.get("ring", {}).get("R0_m", setup.R0 if setup else None)
     ecqm_zz = moments.ecqm([0.0, 0.0, L], [0.0, 0.0, 0.5],
-                           kin.gamma * 510998.95).components[2, 2]
+                           kin.gamma * M_E_C2_EV).components[2, 2]
     report = {
         "L": L,
         "B_T": b0,
@@ -228,13 +224,12 @@ def cmd_simulate(args):
     if oracle_cfg.get("enabled", False):
         rtol = oracle_cfg.get("tolerance", 1e-9)
         report = dynamics.oracle_vs_closed_form(scn, oracle_rtol=rtol)
-        oracle_series = dynamics.evolve_oracle(scn, rtol=rtol)
         if path:
             base, ext = os.path.splitext(path)
-            _write_series(oracle_series, fmt, f"{base}_oracle{ext}")
+            _write_series(report.oracle, fmt, f"{base}_oracle{ext}")
             cmp_path = f"{base}_comparison.json"
         else:
-            _write_series(oracle_series, fmt, None)
+            _write_series(report.oracle, fmt, None)
             cmp_path = None
         cmp_doc = {
             "mode": report.mode, "L": report.L, "kind": report.kind,
@@ -247,7 +242,7 @@ def cmd_simulate(args):
             "freq_closed_rel_err": report.freq_closed_rel_err,
             "amplitude_factor": report.amplitude_factor,
             "rwa_amplitude_bound": report.rwa_amplitude_bound,
-            "oracle_diagnostics": report.oracle_diagnostics,
+            "oracle_diagnostics": report.oracle.diagnostics,
         }
         text = json.dumps(_sanitize(cmp_doc), indent=2, sort_keys=True) + "\n"
         _emit(text, cmp_path)
@@ -260,9 +255,7 @@ def cmd_scan(args):
     if scn.mode != "resonance":
         raise ConfigError("scan requires scenario.mode = 'resonance'")
     omegas = cfg.scan_omegas(doc)
-    threads = int(os.environ.get("OAMSIM_THREADS", "0") or 0)
-    workers = (os.cpu_count() or 1) if threads == 0 else threads
-    result = dynamics.resonance_scan(scn, omegas, max_workers=workers)
+    result = dynamics.resonance_scan(scn, omegas)
     target = 2.0 * scn.Omega
     if not (min(omegas) <= target <= max(omegas)):
         sys.stderr.write(f"warning: frequency grid does not bracket 2*Omega = {target}\n")
@@ -297,14 +290,19 @@ def build_parser():
         prog="oamsim",
         description="Twisted-electron moments and intrinsic-OAM ring dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("constants", False), ("freeze", True),
-                               ("moments", True), ("simulate", True),
-                               ("scan", True), ("verify", False)):
+    reports = ("json", "text")
+    for name, needs_config, formats in (("constants", False, reports),
+                                        ("freeze", True, reports),
+                                        ("moments", True, reports),
+                                        ("simulate", True, ("csv", "json")),
+                                        ("scan", True, ("csv",)),
+                                        ("verify", False, reports)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=needs_config,
                        help="path to a JSON run configuration")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", default=None, choices=("csv", "json", "text"),
+        p.add_argument("--format", choices=formats,
+                       default="text" if "text" in formats else None,
                        help="output format")
     return parser
 
@@ -321,8 +319,6 @@ _HANDLERS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.format is None and args.command in ("constants", "freeze", "moments", "verify"):
-        args.format = "text"
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:

@@ -12,19 +12,23 @@ The resonance drive comes in two models: ``linear``, the physical oscillation
     (A/2) [ (Lx^2 - Ly^2) cos(omega t + phi) + {Lx, Ly} sin(omega t + phi) ],
 
 whose rotating-frame dynamics matches the closed-form solutions without any
-rotating-wave truncation.  The verification oracle is a time-ordered
+rotating-wave truncation.  Every mode is one instance of
+
+    H(t) = H0 + sum_k a_k f_k(omega t + phi) H_k,
+
+built once by ``hamiltonian_terms``; ``tmp`` and ``frozen`` have no drive
+terms.  The verification oracle is a time-ordered
 piecewise-constant-Hamiltonian propagator refined by substep halving.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .am_core import (build_operators, coherent_state, expi_hermitian,
-                      polarization_tensor, polarization_vector,
+from .am_core import (QuantumState, build_operators, coherent_state,
+                      expi_hermitian, polarization_tensor, polarization_vector,
                       tensor_mixture)
 from .constants import HBAR
 from .errors import ConvergenceError, DomainError
@@ -139,7 +143,7 @@ class ComparisonReport:
     freq_closed_rel_err: float
     amplitude_factor: float      # oracle/closed peak amplitude (informational for L > 1)
     rwa_amplitude_bound: Optional[float]
-    oracle_diagnostics: dict
+    oracle: PolarizationSeries   # the series compared; its diagnostics carry the refinement
 
 
 @dataclass(frozen=True)
@@ -175,22 +179,33 @@ def quadrupole_coefficient_resonance(Qs, L, grad_amplitude):
     return -Qs * grad_amplitude / (8.0 * L**2 * HBAR)
 
 
-def build_hamiltonian(scn, ops, t):
-    """Effective Hamiltonian matrix (units of rad/s) at time t."""
+def hamiltonian_terms(scn, ops):
+    """Decompose the scenario Hamiltonian (units of rad/s) into (H0, drive terms).
+
+    Returns (H0, ((a_k, f_k, H_k), ...)) with H(t) = H0 + sum_k a_k f_k(phase) H_k
+    and phase = omega_drive t + phi; an empty tuple means H is time-independent.
+    """
     if ops.L != scn.L:
         raise DomainError(f"operators are for L={ops.L}, scenario has L={scn.L}")
     if scn.mode == "tmp":
-        return scn.Omega * ops.Lz + scn.b * (ops.Lz @ ops.Lz)
+        return scn.Omega * ops.Lz + scn.b * (ops.Lz @ ops.Lz), ()
+    lxx = ops.Lx @ ops.Lx
     if scn.mode == "frozen":
-        return 2.0 * scn.A * (ops.Lx @ ops.Lx)
-    phase = scn.omega_drive * t + scn.phi
+        return 2.0 * scn.A * lxx, ()
+    h0 = scn.Omega * ops.Lz
     if scn.drive == "linear":
-        drive = 2.0 * scn.A * math.cos(phase) * (ops.Lx @ ops.Lx)
-    else:
-        t1 = ops.Lx @ ops.Lx - ops.Ly @ ops.Ly
-        t2 = ops.Lx @ ops.Ly + ops.Ly @ ops.Lx
-        drive = 0.5 * scn.A * (math.cos(phase) * t1 + math.sin(phase) * t2)
-    return scn.Omega * ops.Lz + drive
+        return h0, ((2.0 * scn.A, np.cos, lxx),)
+    return h0, ((0.5 * scn.A, np.cos, lxx - ops.Ly @ ops.Ly),
+                (0.5 * scn.A, np.sin, ops.Lx @ ops.Ly + ops.Ly @ ops.Lx))
+
+
+def build_hamiltonian(scn, ops, t):
+    """Effective Hamiltonian at time t; an array of n times gives an (n, dim, dim) stack."""
+    h, terms = hamiltonian_terms(scn, ops)
+    phase = scn.omega_drive * t + scn.phi
+    for a, f, hk in terms:
+        h = h + np.asarray(a * f(phase))[..., None, None] * hk
+    return h
 
 
 def initial_state(scn, ops):
@@ -198,28 +213,6 @@ def initial_state(scn, ops):
     if scn.kind == "vector":
         return coherent_state(ops, scn.theta, scn.psi)
     return tensor_mixture(ops, scn.theta, scn.psi)
-
-
-def _is_time_dependent(scn):
-    return scn.mode == "resonance"
-
-
-def _batched_unitaries(scn, ops, t_mid, dt):
-    """exp(-i H(t_mid) dt) for a batch of midpoint times (resonance mode)."""
-    phase = scn.omega_drive * t_mid + scn.phi
-    lzz = scn.Omega * ops.Lz
-    if scn.drive == "linear":
-        lxx = ops.Lx @ ops.Lx
-        h = lzz[None, :, :] + (2.0 * scn.A * np.cos(phase))[:, None, None] * lxx
-    else:
-        t1 = ops.Lx @ ops.Lx - ops.Ly @ ops.Ly
-        t2 = ops.Lx @ ops.Ly + ops.Ly @ ops.Lx
-        h = (lzz[None, :, :]
-             + (0.5 * scn.A * np.cos(phase))[:, None, None] * t1
-             + (0.5 * scn.A * np.sin(phase))[:, None, None] * t2)
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * dt * w)
-    return np.einsum("nik,nk,njk->nij", v, phases, v.conj())
 
 
 def _interval_unitaries(scn, ops, n_sub):
@@ -234,7 +227,9 @@ def _interval_unitaries(scn, ops, n_sub):
     chunk = max(1, 262144 // max(1, n_sub)) * n_sub
     blocks = []
     for start in range(0, t_mid.size, chunk):
-        blocks.append(_batched_unitaries(scn, ops, t_mid[start:start + chunk], dt_sub))
+        w, v = np.linalg.eigh(build_hamiltonian(scn, ops, t_mid[start:start + chunk]))
+        phases = np.exp(-1j * dt_sub * w)
+        blocks.append(np.einsum("nik,nk,njk->nij", v, phases, v.conj()))
     u = np.concatenate(blocks, axis=0) if len(blocks) > 1 else blocks[0]
     u = u.reshape(n_out, n_sub, ops.dim, ops.dim)
     # pairwise time-ordered reduction along the substep axis
@@ -260,13 +255,12 @@ def _propagate(scn, ops, n_sub):
     times = scn.times()
     state0 = initial_state(scn, ops)
     pure = state0.kind == "pure"
-    if _is_time_dependent(scn):
+    h0, terms = hamiltonian_terms(scn, ops)
+    if terms:
         us = _interval_unitaries(scn, ops, n_sub)
     else:
-        h = build_hamiltonian(scn, ops, 0.0)
         dt_sub = (times[1] - times[0]) / n_sub
-        u_sub = expi_hermitian(h, dt_sub)
-        u = np.linalg.matrix_power(u_sub, n_sub)
+        u = np.linalg.matrix_power(expi_hermitian(h0, dt_sub), n_sub)
         us = None
     out = np.empty((len(times),) + state0.data.shape, dtype=complex)
     cur = state0.data
@@ -283,7 +277,6 @@ def _propagate(scn, ops, n_sub):
 
 
 def _series_from_states(scn, ops, times, data, diagnostics):
-    from .am_core import QuantumState
     n = len(times)
     p = np.empty((n, 3))
     pt = np.empty((n, 3, 3))
@@ -325,18 +318,13 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
     """
     if ops is None:
         ops = build_operators(scn.L)
-    if fixed_substeps is not None:
-        times, data = _propagate(scn, ops, fixed_substeps)
-        diag = _state_diagnostics(data)
-        diag.update(n_substeps=fixed_substeps, refinement_delta=None)
-        series = _series_from_states(scn, ops, times, data, diag).validate()
-        return (series, data) if return_states else series
-
     prev = None
-    n_sub = 1
+    n_sub = 1 if fixed_substeps is None else fixed_substeps
     for level in range(max_halvings + 1):
         times, data = _propagate(scn, ops, n_sub)
-        from .am_core import QuantumState
+        if fixed_substeps is not None:
+            accepted = dict(n_substeps=n_sub, refinement_delta=None)
+            break
         kind = "pure" if data.ndim == 2 else "mixed"
         final = QuantumState(kind=kind, data=data[-1])
         p_final = polarization_vector(final, ops)
@@ -345,15 +333,18 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
             delta = max(np.max(np.abs(p_final - prev[0])),
                         np.max(np.abs(pt_final - prev[1])))
             if delta < rtol:
-                diag = _state_diagnostics(data)
-                diag.update(n_substeps=n_sub, refinement_delta=float(delta),
-                            refinement_levels=level)
-                series = _series_from_states(scn, ops, times, data, diag).validate()
-                return (series, data) if return_states else series
+                accepted = dict(n_substeps=n_sub, refinement_delta=float(delta),
+                                refinement_levels=level)
+                break
         prev = (p_final, pt_final)
         n_sub *= 2
-    raise ConvergenceError(
-        f"oracle did not converge to {rtol} after {max_halvings} substep halvings")
+    else:
+        raise ConvergenceError(
+            f"oracle did not converge to {rtol} after {max_halvings} substep halvings")
+    diag = _state_diagnostics(data)
+    diag.update(accepted)
+    series = _series_from_states(scn, ops, times, data, diag).validate()
+    return (series, data) if return_states else series
 
 
 def _nan_series(scn):
@@ -441,12 +432,10 @@ def closed_form(scn):
     return closed_form_resonance(scn)
 
 
-def resonance_scan(base, omega_values, with_oracle=False, max_workers=None,
-                   oracle_rtol=1e-7):
+def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
     """Peak |P_z| of the resonance closed form over a drive-frequency grid.
 
-    max_workers: None or 1 runs serially, 0 uses the CPU count, k > 1 uses a
-    thread pool of size k.  Results are deterministic regardless of schedule.
+    with_oracle adds the oracle's peak per frequency, at tolerance oracle_rtol.
     """
     omegas = np.asarray(list(omega_values), dtype=float)
     if omegas.size == 0:
@@ -464,18 +453,8 @@ def resonance_scan(base, omega_values, with_oracle=False, max_workers=None,
         series = evolve_oracle(scn, rtol=oracle_rtol)
         return float(np.max(np.abs(series.P[:, 2])))
 
-    if max_workers == 0:
-        import os
-        max_workers = os.cpu_count() or 1
-    if max_workers is None or max_workers <= 1:
-        peaks = np.array([peak(w) for w in omegas])
-        oracle_peaks = (np.array([oracle_peak(w) for w in omegas])
-                        if with_oracle else None)
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            peaks = np.array(list(pool.map(peak, omegas)))
-            oracle_peaks = (np.array(list(pool.map(oracle_peak, omegas)))
-                            if with_oracle else None)
+    peaks = np.array([peak(w) for w in omegas])
+    oracle_peaks = np.array([oracle_peak(w) for w in omegas]) if with_oracle else None
     return ScanResult(omegas=omegas, peaks=peaks,
                       argmax_index=int(np.argmax(peaks)),
                       oracle_peaks=oracle_peaks)
@@ -606,8 +585,7 @@ def oracle_vs_closed_form(scn, ops=None, oracle_rtol=1e-9):
         freq_oracle=f_or, freq_closed=f_cl,
         freq_oracle_rel_err=abs(f_or - expected) / expected if expected else math.nan,
         freq_closed_rel_err=abs(f_cl - expected) / expected if expected else math.nan,
-        amplitude_factor=factor, rwa_amplitude_bound=rwa,
-        oracle_diagnostics=oracle.diagnostics or {})
+        amplitude_factor=factor, rwa_amplitude_bound=rwa, oracle=oracle)
 
 
 def _fmt(x):

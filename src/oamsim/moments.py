@@ -12,7 +12,6 @@ already folded in, so the intrinsic EQM Q0 = -e <r^2> comes out positive.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .constants import (ALPHA, E_SIGNED, FM, GAUSSIAN_B2_J_PER_M3, HBAR,
                         HBAR_C_EV_M, LAMBDA_BAR_C)
@@ -102,6 +101,7 @@ def load_radial_density(path):
 
 def mean_square_radius(r, rho):
     """<r^2> = int(rho r^3 dr) / int(rho r dr) by composite Simpson quadrature."""
+    from scipy.integrate import simpson   # deferred: scipy is slow to import
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if r.shape != rho.shape or r.ndim != 1 or r.size < 3:
@@ -216,6 +216,16 @@ def eqm_scale_check(L, R0):
     return radius**2 / R0
 
 
+def beam_model_eqm(L):
+    """(<r^2>, Q0, Qs) of the diameter-model beam, with <r^2> = (d(L)/2)^2.
+
+    Qs is evaluated in the stretched configuration j = K = L.
+    """
+    mean_r2 = (0.5 * beam_diameter(L)) ** 2
+    q0 = -E_SIGNED * mean_r2
+    return mean_r2, q0, spectroscopic_eqm(q0, L, L)
+
+
 def moment_set(L, B, n_r=0):
     """Assemble the MomentSet for OAM L in a vertical field B [T].
 
@@ -224,8 +234,6 @@ def moment_set(L, B, n_r=0):
     evaluated in the stretched configuration j = K = L.
     """
     geo = landau_geometry(B, n_r, L)
-    mean_r2_model = (0.5 * beam_diameter(L)) ** 2
-    q0 = -E_SIGNED * mean_r2_model
-    qs = spectroscopic_eqm(q0, L, L)
+    mean_r2_model, q0, qs = beam_model_eqm(L)
     return MomentSet(beta_T_fm3=tmp_electron(), Q0_Cm2=q0, Qs_Cm2=qs,
                      w_m=geo.w_m, mean_r2=mean_r2_model)

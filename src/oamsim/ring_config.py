@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C, E_CHARGE, HBAR, M_E, M_E_C2_EV
+from .constants import C, E_CHARGE, HBAR, M_E, gamma_from_kinetic_energy
 from .errors import DomainError
 
 
@@ -52,7 +52,7 @@ def kinematics(kinetic_energy_ev):
     """Relativistic kinematics of an electron with the given kinetic energy."""
     if kinetic_energy_ev < 0:
         raise DomainError(f"kinetic energy must be >= 0 eV, got {kinetic_energy_ev}")
-    gamma = 1.0 + kinetic_energy_ev / M_E_C2_EV
+    gamma = gamma_from_kinetic_energy(kinetic_energy_ev)
     beta = np.sqrt(1.0 - 1.0 / gamma**2)
     return Kinematics(kinetic_energy_ev=float(kinetic_energy_ev), gamma=gamma,
                       beta_tilde=beta, velocity=beta * C)

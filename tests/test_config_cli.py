@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from pathlib import Path
@@ -188,6 +189,31 @@ class TestSimulateCommand:
         assert report["max_abs_deviation"] < 1e-6
         assert report["freq_oracle_rel_err"] < 1e-2
 
+    def test_oracle_runs_once(self, tmp_path, capsys, monkeypatch):
+        doc = {"beam": {"kinetic_energy_eV": 3e5, "L": 1, "theta": 1.1, "psi": 0.7,
+                        "kind": "tensor"},
+               "scenario": {"mode": "resonance", "t_end_s": math.pi, "steps": 33,
+                            "Omega_rad_s": 2.0, "A_rad_s": 0.2, "drive": "corotating"},
+               "oracle": {"enabled": True, "tolerance": 1e-7}}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(doc))
+        original = dy.evolve_oracle
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dy, "evolve_oracle", counting)
+        code, _, _ = run_cli(["simulate", "--config", str(path),
+                              "--out", str(tmp_path / "sim.csv")], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        scn = cli.scenario_from_config(cfg.load_config(path, "simulate"))
+        expected = io.StringIO()
+        dy.write_series_csv(original(scn, rtol=1e-7), expected)
+        assert (tmp_path / "sim_oracle.csv").read_text() == expected.getvalue()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"beam": {"badkey": 1.0}}))
@@ -220,13 +246,16 @@ class TestScanCommand:
         assert code == 0
         assert "does not bracket" in err
 
-    def test_thread_env_cap(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("OAMSIM_THREADS", "2")
-        out_path = tmp_path / "scan.csv"
-        code, _, _ = run_cli(["scan", "--config",
-                              str(CONFIG_DIR / "resonance_scan.json"),
-                              "--out", str(out_path)], capsys)
-        assert code == 0
+
+@pytest.mark.parametrize("command, fmt", [
+    ("constants", "csv"), ("freeze", "csv"), ("moments", "csv"), ("verify", "csv"),
+    ("simulate", "text"), ("scan", "json"), ("scan", "text"),
+])
+def test_unsupported_format_rejected(command, fmt, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", "unused.json", "--format", fmt])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestVerifyHarness:

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oamsim
 from oamsim import am_core as am
 from oamsim import moments as mo
 from oamsim import ring_config as rc
@@ -109,6 +114,16 @@ class TestIntrinsicEqm:
         nonmono.write_text("1.0 1.0\n0.5 1.0\n2.0 1.0\n")
         with pytest.raises(DomainError):
             mo.load_radial_density(nonmono)
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is imported only when a sampled density is integrated
+        src = str(Path(oamsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, oamsim.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSpectroscopicEqm:
