@@ -7,6 +7,7 @@ co-moving beam description, so (rho, phi, z) map onto Cartesian (x, y, z).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from .errors import DomainError
 _HERM_TOL = 1e-12
 _NORM_TOL = 1e-12
 _EIG_TOL = 1e-10
+# tensor components in the order of AmOperators.observables[3:]
+_TENSOR_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,13 @@ class AmOperators:
     @property
     def dim(self):
         return 2 * self.L + 1
+
+    @cached_property
+    def observables(self):
+        """(9, dim, dim) stack: Lx, Ly, Lz, then {Li, Lj} for ij = xx, yy, zz, xy, xz, yz."""
+        comps = (self.Lx, self.Ly, self.Lz)
+        anti = [comps[i] @ comps[j] + comps[j] @ comps[i] for i, j in _TENSOR_PAIRS]
+        return np.stack(list(comps) + anti)
 
     def component(self, axis):
         """Return the operator for axis 'rho'/'x', 'phi'/'y' or 'z'."""
@@ -161,51 +171,60 @@ def tensor_mixture(ops, theta, psi):
     return mixed_state(rho)
 
 
-def _check_dims(state, ops):
-    if state.dim != ops.dim:
+def polarization_batch(data, ops, traceless=False):
+    """Vector and tensor polarization of a stack of states, in one contraction.
+
+    data is an (n, dim) stack of state vectors or an (n, dim, dim) stack of
+    density matrices.  Returns P of shape (n, 3), P_i = <L_i>/L in cylindrical
+    axes (rho, phi, z), and Pt of shape (n, 3, 3), the rank-2 tensor
+
+        T_ij = (3 <L_i L_j + L_j L_i> - 2 L(L+1) delta_ij) / (2L(2L-1)),
+
+    which is traceless by construction.  The default convention adds
+    delta_ij/3 so that the tensor has unit trace (the maximally mixed state
+    then maps to diag(1/3, 1/3, 1/3)); pass traceless=True for the bare form.
+    Only the real part of each expectation is kept: the imaginary residue of
+    a Hermitian observable is rounding.
+    """
+    data = np.asarray(data)
+    n, dim = data.shape[:2]
+    if dim != ops.dim:
         raise DomainError(
-            f"state dimension {state.dim} does not match operators for L={ops.L}")
+            f"state dimension {dim} does not match operators for L={ops.L}")
+    obs = ops.observables
+    if data.ndim == 2:
+        # <psi|O|psi> = sum_ij conj(psi_i) O_ij psi_j
+        ev = np.einsum("nkj,nj->nk", np.tensordot(data.conj(), obs, axes=(1, 1)), data).real
+    else:
+        # Tr(rho O) = sum_ij rho_ij O_ji = sum_ij rho_ij conj(O_ij) for Hermitian O
+        ev = (data.reshape(n, dim * dim) @ obs.reshape(len(obs), dim * dim).conj().T).real
+    L = ops.L
+    p = ev[:, :3] / L
+    vals = 3.0 * ev[:, 3:]
+    vals[:, :3] -= 2.0 * L * (L + 1.0)
+    vals /= 2.0 * L * (2.0 * L - 1.0)
+    pt = np.empty((n, 3, 3))
+    for k, (i, j) in enumerate(_TENSOR_PAIRS):
+        pt[:, i, j] = pt[:, j, i] = vals[:, k]
+    if not traceless:
+        pt[:, (0, 1, 2), (0, 1, 2)] += 1.0 / 3.0
+    return p, pt
 
 
 def polarization_vector(state, ops):
-    """P_i = <L_i>/L in cylindrical axes (rho, phi, z)."""
-    _check_dims(state, ops)
-    return np.array([state.expectation(op) / ops.L
-                     for op in (ops.Lx, ops.Ly, ops.Lz)])
+    """P_i = <L_i>/L in cylindrical axes (rho, phi, z); see polarization_batch."""
+    return polarization_batch(state.data[None], ops)[0][0]
 
 
 def polarization_tensor(state, ops, traceless=False):
-    """Rank-2 polarization tensor of the state.
-
-    The bare quadrupole form
-
-        T_ij = (3 <L_i L_j + L_j L_i> - 2 L(L+1) delta_ij) / (2L(2L-1))
-
-    is traceless by construction.  The default convention adds delta_ij/3 so
-    that the returned tensor has unit trace (the maximally mixed state then
-    maps to diag(1/3, 1/3, 1/3)); pass traceless=True for the bare form.
-    """
-    _check_dims(state, ops)
-    if ops.L < 1:
-        raise DomainError("polarization tensor requires L >= 1")
-    comps = (ops.Lx, ops.Ly, ops.Lz)
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            anti = comps[i] @ comps[j] + comps[j] @ comps[i]
-            val = 3.0 * state.expectation(anti)
-            if i == j:
-                val -= 2.0 * ops.L * (ops.L + 1.0)
-            t[i, j] = t[j, i] = val / (2.0 * ops.L * (2.0 * ops.L - 1.0))
-    if not traceless:
-        t = t + np.eye(3) / 3.0
-    return t
+    """Rank-2 polarization tensor of one state; see polarization_batch."""
+    return polarization_batch(state.data[None], ops, traceless)[1][0]
 
 
 def polarization_state(state, ops):
     """Bundle vector and (unit-trace) tensor polarization of a state."""
-    return PolarizationState(P=polarization_vector(state, ops),
-                             Pt=polarization_tensor(state, ops))
+    p, pt = polarization_batch(state.data[None], ops)
+    return PolarizationState(P=p[0], Pt=pt[0])
 
 
 def initial_polarization_closed(theta, psi, kind, published_zz=False):

@@ -218,19 +218,17 @@ def cmd_simulate(args):
     out = doc.get("output", {})
     fmt = args.format or out.get("format", "csv")
     path = args.out or out.get("path")
+    oracle_cfg = doc.get("oracle", {})
+    if oracle_cfg.get("enabled", False) and not path:
+        raise ConfigError("simulate with oracle.enabled writes three files; "
+                          "give --out or output.path")
     closed = dynamics.closed_form(scn)
     _write_series(closed, fmt, path)
-    oracle_cfg = doc.get("oracle", {})
     if oracle_cfg.get("enabled", False):
         rtol = oracle_cfg.get("tolerance", 1e-9)
         report = dynamics.oracle_vs_closed_form(scn, oracle_rtol=rtol)
-        if path:
-            base, ext = os.path.splitext(path)
-            _write_series(report.oracle, fmt, f"{base}_oracle{ext}")
-            cmp_path = f"{base}_comparison.json"
-        else:
-            _write_series(report.oracle, fmt, None)
-            cmp_path = None
+        base, ext = os.path.splitext(path)
+        _write_series(report.oracle, fmt, f"{base}_oracle{ext}")
         cmp_doc = {
             "mode": report.mode, "L": report.L, "kind": report.kind,
             "drive": report.drive,
@@ -245,7 +243,7 @@ def cmd_simulate(args):
             "oracle_diagnostics": report.oracle.diagnostics,
         }
         text = json.dumps(_sanitize(cmp_doc), indent=2, sort_keys=True) + "\n"
-        _emit(text, cmp_path)
+        _emit(text, f"{base}_comparison.json")
     return 0
 
 

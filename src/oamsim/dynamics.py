@@ -17,7 +17,9 @@ rotating-wave truncation.  Every mode is one instance of
     H(t) = H0 + sum_k a_k f_k(omega t + phi) H_k,
 
 built once by ``hamiltonian_terms``; ``tmp`` and ``frozen`` have no drive
-terms.  The verification oracle is a time-ordered
+terms.  The verification oracle propagates these exactly from one
+eigendecomposition, the corotating drive in the frame rotating at
+omega/2 where it is static; only the linear drive uses a time-ordered
 piecewise-constant-Hamiltonian propagator refined by substep halving.
 """
 
@@ -27,9 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from .am_core import (QuantumState, build_operators, coherent_state,
-                      expi_hermitian, polarization_tensor, polarization_vector,
+from .am_core import (build_operators, coherent_state, polarization_batch,
                       tensor_mixture)
+# kept importable from dynamics: perfbench's tracer self-test patches it here
+from .am_core import polarization_tensor  # noqa: F401
 from .constants import HBAR
 from .errors import ConvergenceError, DomainError
 from .ring_config import field_gradients
@@ -39,6 +42,9 @@ SERIES_CSV_HEADER = "t,P_rho,P_phi,P_z,P_rr,P_pp,P_zz,P_rp,P_rz,P_pz,source"
 _MODES = ("tmp", "frozen", "resonance")
 _KINDS = ("vector", "tensor")
 _DRIVES = ("corotating", "linear")
+_BLOCK_BYTES = 2 * 2**20           # states the oracle holds per streamed block
+_INTERVAL_BUDGET_BYTES = 2**30     # unitaries _interval_unitaries may allocate
+_CSV_BLOCK_ROWS = 4096             # rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -218,9 +224,14 @@ def initial_state(scn, ops):
 def _interval_unitaries(scn, ops, n_sub):
     """Time-ordered unitaries for each output interval, n_sub substeps each."""
     times = scn.times()
+    n_out = len(times) - 1
+    need = n_out * n_sub * ops.dim**2 * 16
+    if need > _INTERVAL_BUDGET_BYTES:
+        raise ConvergenceError(
+            f"{n_sub} substeps over {n_out} intervals need {need / 2**30:.3g} GiB of "
+            f"unitaries, over the {_INTERVAL_BUDGET_BYTES / 2**30:g} GiB budget")
     dt_out = times[1] - times[0]
     dt_sub = dt_out / n_sub
-    n_out = len(times) - 1
     # midpoint sampling of H within each substep
     offsets = (np.arange(n_sub) + 0.5) * dt_sub
     t_mid = (times[:-1, None] + offsets[None, :]).ravel()
@@ -247,50 +258,97 @@ def _interval_unitaries(scn, ops, n_sub):
 
 
 def _propagate(scn, ops, n_sub):
-    """Evolve the initial state across the output grid with n_sub substeps per interval.
+    """Piecewise-constant propagation across the output grid, n_sub substeps per interval.
 
-    Returns (times, data) where data is an (n, dim) array of state vectors or
-    an (n, dim, dim) array of density matrices.
+    Returns an (n, dim) array of state vectors or an (n, dim, dim) array of
+    density matrices.
     """
-    times = scn.times()
-    state0 = initial_state(scn, ops)
-    pure = state0.kind == "pure"
-    h0, terms = hamiltonian_terms(scn, ops)
-    if terms:
-        us = _interval_unitaries(scn, ops, n_sub)
-    else:
-        dt_sub = (times[1] - times[0]) / n_sub
-        u = np.linalg.matrix_power(expi_hermitian(h0, dt_sub), n_sub)
-        us = None
-    out = np.empty((len(times),) + state0.data.shape, dtype=complex)
-    cur = state0.data
-    out[0] = cur
-    for k in range(len(times) - 1):
-        uk = us[k] if us is not None else u
-        if pure:
-            cur = uk @ cur
+    data = initial_state(scn, ops).data
+    us = _interval_unitaries(scn, ops, n_sub)
+    out = np.empty((len(us) + 1,) + data.shape, dtype=complex)
+    out[0] = data
+    for k, uk in enumerate(us):
+        if data.ndim == 1:
+            data = uk @ data
         else:
-            cur = uk @ cur @ uk.conj().T
-            cur = 0.5 * (cur + cur.conj().T)   # keep rounding off the Hermiticity
-        out[k + 1] = cur
-    return times, out
+            data = uk @ data @ uk.conj().T
+            data = 0.5 * (data + data.conj().T)   # keep rounding off the Hermiticity
+        out[k + 1] = data
+    return out
 
 
-def _series_from_states(scn, ops, times, data, diagnostics):
-    n = len(times)
-    p = np.empty((n, 3))
-    pt = np.empty((n, 3, 3))
-    kind = "pure" if data.ndim == 2 else "mixed"
-    for i in range(n):
-        st = QuantumState(kind=kind, data=data[i])
-        p[i] = polarization_vector(st, ops)
-        pt[i] = polarization_tensor(st, ops)
-    return PolarizationSeries(times=times, P=p, Pt=pt, source="oracle",
-                              diagnostics=diagnostics)
+def _refine(scn, ops, rtol, max_halvings, fixed_substeps):
+    """Piecewise propagation, substeps doubled until the final state converges.
+
+    Returns the states and the refinement record.
+    """
+    prev = None
+    n_sub = 1 if fixed_substeps is None else fixed_substeps
+    for level in range(max_halvings + 1):
+        data = _propagate(scn, ops, n_sub)
+        if fixed_substeps is not None:
+            return data, dict(n_substeps=n_sub, refinement_delta=None)
+        p_final, pt_final = polarization_batch(data[-1:], ops)
+        if prev is not None:
+            delta = max(np.max(np.abs(p_final - prev[0])),
+                        np.max(np.abs(pt_final - prev[1])))
+            if delta < rtol:
+                return data, dict(n_substeps=n_sub, refinement_delta=float(delta),
+                                  refinement_levels=level)
+        prev = (p_final, pt_final)
+        n_sub *= 2
+    raise ConvergenceError(
+        f"oracle did not converge to {rtol} after {max_halvings} substep halvings")
+
+
+def _spectral_states(times, state0, ops, h, frame, n_block):
+    """Exact states U(t) state0 U(t)^dagger (or U(t) state0 for a vector), with
+    U(t) = exp(-i frame t Lz) exp(-i h t), on the grid times.
+
+    One eigendecomposition of the time-independent h; the states are then
+    built n_block samples at a time.  The frame rotation is an elementwise
+    phase because Lz is diagonal.
+    """
+    w, v = np.linalg.eigh(h)
+    m = ops.Lz.diagonal().real
+    if state0.ndim == 1:
+        c0 = v.conj().T @ state0
+    else:
+        r0 = v.conj().T @ state0 @ v
+    for start in range(0, len(times), n_block):
+        t = times[start:start + n_block, None]
+        ph = np.exp(-1j * t * w)
+        frame_ph = np.exp(-1j * (frame * t) * m)
+        if state0.ndim == 1:
+            yield frame_ph * ((ph * c0) @ v.T)
+        else:
+            rho = v @ (ph[:, :, None] * r0 * ph.conj()[:, None, :]) @ v.conj().T
+            yield frame_ph[:, :, None] * rho * frame_ph.conj()[:, None, :]
+
+
+def _series_from_states(scn, ops, blocks, diagnostics, keep_states):
+    """Extract P/Pt and merge the invariant diagnostics, one block of states at a time."""
+    times = scn.times()
+    p = np.empty((len(times), 3))
+    pt = np.empty((len(times), 3, 3))
+    kept = []
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        p[start:stop], pt[start:stop] = polarization_batch(block, ops)
+        for key, value in _state_diagnostics(block).items():
+            merge = min if key == "min_eigenvalue" else max
+            diagnostics[key] = merge(diagnostics.get(key, value), value)
+        if keep_states:
+            kept.append(block)
+        start = stop
+    series = PolarizationSeries(times=times, P=p, Pt=pt, source="oracle",
+                                diagnostics=diagnostics).validate()
+    return series, (np.concatenate(kept) if keep_states else None)
 
 
 def _state_diagnostics(data):
-    """Unitarity bookkeeping: norm/trace/Hermiticity/positivity over the run."""
+    """Unitarity bookkeeping: norm/trace/Hermiticity/positivity over a stack of states."""
     diag = {}
     if data.ndim == 2:
         norms = np.linalg.norm(data, axis=1)
@@ -307,44 +365,46 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
                   return_states=False):
     """Matrix-propagator oracle for a dynamics scenario.
 
-    Piecewise-constant-Hamiltonian propagation with midpoint sampling; the
-    substep count per output interval is doubled until the final-time
-    polarization (vector and tensor) changes by less than rtol, up to
-    max_halvings doublings.  fixed_substeps disables the refinement (used
-    for convergence-order studies).
+    Each Hamiltonian class has one propagator, named by
+    diagnostics["propagator"]:
 
-    Returns a PolarizationSeries (and the raw state array when
-    return_states=True); diagnostics carry unitarity and refinement info.
+    * "spectral" (tmp, frozen, corotating drive): H is constant in the lab
+      frame or in the frame rotating about z at omega_drive/2, so
+      U(t) = exp(-i (omega_drive t/2) Lz) exp(-i H_rot t) is evaluated
+      exactly from one eigendecomposition; rtol and max_halvings do not
+      apply and fixed_substeps is rejected.
+    * "piecewise" (linear drive): piecewise-constant-Hamiltonian
+      propagation with midpoint sampling; the substep count per output
+      interval is doubled until the final-time polarization (vector and
+      tensor) changes by less than rtol, up to max_halvings doublings.
+      fixed_substeps disables the refinement (used for convergence-order
+      studies).  The diagnostics add the refinement record.
+
+    States are processed in blocks of about 2 MB.  Returns a
+    PolarizationSeries (and the raw state array when return_states=True);
+    diagnostics carry the norm or trace, Hermiticity and positivity checks
+    over every sample.
     """
     if ops is None:
         ops = build_operators(scn.L)
-    prev = None
-    n_sub = 1 if fixed_substeps is None else fixed_substeps
-    for level in range(max_halvings + 1):
-        times, data = _propagate(scn, ops, n_sub)
+    h0, terms = hamiltonian_terms(scn, ops)
+    state0 = initial_state(scn, ops).data
+    n_block = max(1, _BLOCK_BYTES // state0.nbytes)
+    if not terms or scn.drive == "corotating":
         if fixed_substeps is not None:
-            accepted = dict(n_substeps=n_sub, refinement_delta=None)
-            break
-        kind = "pure" if data.ndim == 2 else "mixed"
-        final = QuantumState(kind=kind, data=data[-1])
-        p_final = polarization_vector(final, ops)
-        pt_final = polarization_tensor(final, ops)
-        if prev is not None:
-            delta = max(np.max(np.abs(p_final - prev[0])),
-                        np.max(np.abs(pt_final - prev[1])))
-            if delta < rtol:
-                accepted = dict(n_substeps=n_sub, refinement_delta=float(delta),
-                                refinement_levels=level)
-                break
-        prev = (p_final, pt_final)
-        n_sub *= 2
+            raise DomainError("fixed_substeps applies only to the piecewise "
+                              "propagator of the linear drive")
+        # the corotating drive is static in the frame rotating at omega_drive/2
+        frame = 0.5 * scn.omega_drive if terms else 0.0
+        h = build_hamiltonian(scn, ops, 0.0) - frame * ops.Lz if terms else h0
+        blocks = _spectral_states(scn.times(), state0, ops, h, frame, n_block)
+        diag = {"propagator": "spectral"}
     else:
-        raise ConvergenceError(
-            f"oracle did not converge to {rtol} after {max_halvings} substep halvings")
-    diag = _state_diagnostics(data)
-    diag.update(accepted)
-    series = _series_from_states(scn, ops, times, data, diag).validate()
-    return (series, data) if return_states else series
+        data, diag = _refine(scn, ops, rtol, max_halvings, fixed_substeps)
+        diag["propagator"] = "piecewise"
+        blocks = (data[i:i + n_block] for i in range(0, len(data), n_block))
+    series, states = _series_from_states(scn, ops, blocks, diag, return_states)
+    return (series, states) if return_states else series
 
 
 def _nan_series(scn):
@@ -588,31 +648,31 @@ def oracle_vs_closed_form(scn, ops=None, oracle_rtol=1e-9):
         amplitude_factor=factor, rwa_amplitude_bound=rwa, oracle=oracle)
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def _series_columns(series):
+    """The ten numeric CSV/JSON columns as (name, array) pairs, in layout order."""
+    pt = series.Pt
+    return (("t", series.times), ("P_rho", series.P[:, 0]), ("P_phi", series.P[:, 1]),
+            ("P_z", series.P[:, 2]), ("P_rr", pt[:, 0, 0]), ("P_pp", pt[:, 1, 1]),
+            ("P_zz", pt[:, 2, 2]), ("P_rp", pt[:, 0, 1]), ("P_rz", pt[:, 0, 2]),
+            ("P_pz", pt[:, 1, 2]))
 
 
 def write_series_csv(series, fileobj):
-    """Write a PolarizationSeries as CSV with the canonical column layout."""
+    """Write a PolarizationSeries as CSV with the canonical column layout.
+
+    Every value is printed with 17 significant digits, so it reads back exactly.
+    """
     fileobj.write(SERIES_CSV_HEADER + "\n")
-    for i in range(len(series)):
-        p = series.P[i]
-        t = series.Pt[i]
-        row = [series.times[i], p[0], p[1], p[2],
-               t[0, 0], t[1, 1], t[2, 2], t[0, 1], t[0, 2], t[1, 2]]
-        fileobj.write(",".join(_fmt(x) for x in row) + f",{series.source}\n")
+    row = ",".join(["{:.17g}"] * 10) + ",{}\n"
+    table = np.column_stack([col for _, col in _series_columns(series)])
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        fileobj.write("".join(row.format(*values, series.source)
+                              for values in table[start:start + _CSV_BLOCK_ROWS].tolist()))
 
 
 def series_to_dict(series):
     """Column-oriented dict mirroring the CSV layout (JSON-serializable)."""
-    cols = {
-        "t": series.times, "P_rho": series.P[:, 0], "P_phi": series.P[:, 1],
-        "P_z": series.P[:, 2], "P_rr": series.Pt[:, 0, 0],
-        "P_pp": series.Pt[:, 1, 1], "P_zz": series.Pt[:, 2, 2],
-        "P_rp": series.Pt[:, 0, 1], "P_rz": series.Pt[:, 0, 2],
-        "P_pz": series.Pt[:, 1, 2],
-    }
     out = {k: [None if math.isnan(x) else x for x in map(float, v)]
-           for k, v in cols.items()}
+           for k, v in _series_columns(series)}
     out["source"] = series.source
     return out

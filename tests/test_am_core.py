@@ -152,6 +152,52 @@ class TestPolarizationExtraction:
             assert np.linalg.norm(am.polarization_vector(st, ops)) <= 1.0 + 1e-10
 
 
+def _per_state_polarization(state, ops):
+    """Reference: one expectation per observable, anticommutators rebuilt."""
+    comps = (ops.Lx, ops.Ly, ops.Lz)
+    p = np.array([state.expectation(op) / ops.L for op in comps])
+    t = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            val = 3.0 * state.expectation(comps[i] @ comps[j] + comps[j] @ comps[i])
+            if i == j:
+                val -= 2.0 * ops.L * (ops.L + 1.0)
+            t[i, j] = val / (2.0 * ops.L * (2.0 * ops.L - 1.0))
+    return p, t + np.eye(3) / 3.0
+
+
+class TestBatchedExtraction:
+    @pytest.mark.parametrize("L", [1, 2, 7, 20])
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_matches_per_state_formula(self, L, kind):
+        rng = np.random.default_rng(L)
+        ops = am.build_operators(L)
+        states = []
+        for _ in range(9):
+            if kind == "pure":
+                vec = rng.normal(size=ops.dim) + 1j * rng.normal(size=ops.dim)
+                states.append(am.pure_state(vec / np.linalg.norm(vec)))
+            else:
+                raw = rng.normal(size=(ops.dim, 3)) + 1j * rng.normal(size=(ops.dim, 3))
+                rho = raw @ raw.conj().T
+                states.append(am.mixed_state(rho / np.trace(rho).real))
+        p, pt = am.polarization_batch(np.array([st.data for st in states]), ops)
+        for k, st in enumerate(states):
+            p_ref, pt_ref = _per_state_polarization(st, ops)
+            assert np.max(np.abs(p[k] - p_ref)) < 1e-12
+            assert np.max(np.abs(pt[k] - pt_ref)) < 1e-12
+            assert np.max(np.abs(am.polarization_vector(st, ops) - p_ref)) < 1e-12
+            assert np.max(np.abs(am.polarization_tensor(st, ops) - pt_ref)) < 1e-12
+
+    def test_observable_stack(self):
+        ops = am.build_operators(3)
+        obs = ops.observables
+        assert obs.shape == (9, 7, 7)
+        assert np.array_equal(obs[2], ops.Lz)
+        assert np.allclose(obs[6], ops.Lx @ ops.Ly + ops.Ly @ ops.Lx, atol=0)
+        assert ops.observables is obs
+
+
 class TestInitialPolarizationClosed:
     def test_equatorial_vector(self):
         pol = am.initial_polarization_closed(np.pi / 2, 0.0, "vector")

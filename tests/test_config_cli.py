@@ -214,6 +214,18 @@ class TestSimulateCommand:
         dy.write_series_csv(original(scn, rtol=1e-7), expected)
         assert (tmp_path / "sim_oracle.csv").read_text() == expected.getvalue()
 
+    def test_oracle_needs_output_path(self, tmp_path, capsys):
+        doc = {"beam": {"kinetic_energy_eV": 3e5, "L": 1, "theta": 1.1, "psi": 0.7,
+                        "kind": "tensor"},
+               "scenario": {"mode": "frozen", "t_end_s": 1.0, "steps": 3, "A_rad_s": 0.5},
+               "oracle": {"enabled": True}}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--out" in json.loads(err)["message"]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"beam": {"badkey": 1.0}}))

@@ -187,7 +187,28 @@ class TestOracleBasics:
 
     def test_convergence_budget_error(self):
         with pytest.raises(ConvergenceError):
-            dy.evolve_oracle(resonance_scn(steps=64), max_halvings=0)
+            dy.evolve_oracle(resonance_scn(steps=64, drive="linear"), max_halvings=0)
+
+    def test_interval_memory_budget(self):
+        scn = resonance_scn(steps=2001, drive="linear")
+        with pytest.raises(ConvergenceError, match="GiB budget"):
+            dy.evolve_oracle(scn, fixed_substeps=2**20)
+
+    def test_fixed_substeps_rejected_on_spectral_class(self):
+        for scn in (frozen_scn(steps=8), resonance_scn(steps=8)):
+            with pytest.raises(DomainError):
+                dy.evolve_oracle(scn, fixed_substeps=4)
+
+    @pytest.mark.parametrize("scn, propagator", [
+        (frozen_scn(steps=8), "spectral"),
+        (tmp_scn(steps=8), "spectral"),
+        (resonance_scn(steps=8), "spectral"),
+        (resonance_scn(steps=8, drive="linear"), "piecewise"),
+    ])
+    def test_propagator_named(self, scn, propagator):
+        d = dy.evolve_oracle(scn, rtol=1e-6).diagnostics
+        assert d["propagator"] == propagator
+        assert ("n_substeps" in d) == (propagator == "piecewise")
 
     def test_convergence_order(self):
         scn = dy.DynamicsScenario(mode="resonance", L=1, Omega=2.0, A=0.5,
@@ -201,6 +222,80 @@ class TestOracleBasics:
         d1 = np.max(np.abs(finals[0] - finals[1]))
         d2 = np.max(np.abs(finals[1] - finals[2]))
         assert math.log2(d1 / d2) > 1.9
+
+
+def _expm_reference(series, scn, ops, generator):
+    """P/Pt of U(t) state0 (U(t)^dagger) with U(t) = generator(t) from scipy's expm."""
+    state0 = dy.initial_state(scn, ops)
+    states = []
+    for t in series.times:
+        u = generator(t)
+        data = state0.data
+        states.append(u @ data if data.ndim == 1 else u @ data @ u.conj().T)
+    return am.polarization_batch(np.array(states), ops)
+
+
+class TestSpectralOracle:
+    @pytest.mark.parametrize("scn", [
+        frozen_scn(L=20, A=-0.7, theta=1.1, psi=2.3, t_end=1.0, steps=41),
+        tmp_scn(L=2, kind="vector", theta=0.9, psi=0.4, t_end=5.0, steps=301),
+    ], ids=["frozen-L20-tensor", "tmp-L2-vector"])
+    def test_static_matches_expm(self, scn):
+        from scipy.linalg import expm
+        ops = am.build_operators(scn.L)
+        h = dy.build_hamiltonian(scn, ops, 0.0)
+        series = dy.evolve_oracle(scn, ops=ops)
+        p, pt = _expm_reference(series, scn, ops, lambda t: expm(-1j * t * h))
+        assert np.max(np.abs(series.P - p)) < 1e-10
+        assert np.max(np.abs(series.Pt - pt)) < 1e-10
+
+    @pytest.mark.parametrize("L", [1, 3])
+    @pytest.mark.parametrize("kind", ["vector", "tensor"])
+    def test_corotating_matches_rotating_frame_expm(self, L, kind):
+        # U(t) = exp(-i (omega t/2) Lz) exp(-i H_rot t), each factor from expm
+        from scipy.linalg import expm
+        scn = resonance_scn(L=L, kind=kind, Omega=1.8, A=0.4, omega_drive=3.3,
+                            phi=0.35, theta=1.2, psi=0.6, t_end=3 * np.pi, steps=97)
+        ops = am.build_operators(L)
+        h_rot = dy.build_hamiltonian(scn, ops, 0.0) - 0.5 * scn.omega_drive * ops.Lz
+        series = dy.evolve_oracle(scn, ops=ops)
+        p, pt = _expm_reference(
+            series, scn, ops,
+            lambda t: expm(-0.5j * scn.omega_drive * t * ops.Lz) @ expm(-1j * t * h_rot))
+        assert np.max(np.abs(series.P - p)) < 1e-10
+        assert np.max(np.abs(series.Pt - pt)) < 1e-10
+
+    def test_corotating_frame_solves_lab_equation(self):
+        # independent of the frame reduction: i d(rho)/dt = [H(t), rho] with the lab H(t)
+        scn = resonance_scn(L=2, phi=0.4, omega_drive=0.6, t_end=3.0, steps=30001)
+        ops = am.build_operators(2)
+        _, states = dy.evolve_oracle(scn, ops=ops, return_states=True)
+        times = scn.times()
+        dt = times[1]
+        for k in (1, 7700, 29000):
+            h = dy.build_hamiltonian(scn, ops, times[k])
+            lhs = (states[k + 1] - states[k - 1]) / (2 * dt)
+            rhs = -1j * (h @ states[k] - states[k] @ h)
+            assert np.max(np.abs(lhs - rhs)) < 1e-7
+
+    @pytest.mark.parametrize("scn", [
+        frozen_scn(L=3, steps=1003),
+        tmp_scn(L=3, kind="vector", steps=1003),
+        resonance_scn(L=2, steps=1003),
+        resonance_scn(L=1, steps=257, drive="linear"),
+    ], ids=["frozen", "tmp-vector", "corotating", "linear"])
+    def test_block_split_invariant(self, scn, monkeypatch):
+        # 1003 and 257 samples are not multiples of 2, 7 or 64.  A one-sample
+        # block goes through BLAS's matrix-vector kernel, whose rounding may
+        # differ in the last bit from the matrix-matrix kernel's.
+        whole = dy.evolve_oracle(scn, rtol=1e-6)
+        state_bytes = dy.initial_state(scn, am.build_operators(scn.L)).data.nbytes
+        for per_block in (1, 2, 7, 64):
+            monkeypatch.setattr(dy, "_BLOCK_BYTES", per_block * state_bytes)
+            split = dy.evolve_oracle(scn, rtol=1e-6)
+            assert np.max(np.abs(split.P - whole.P)) <= 1e-14
+            assert np.max(np.abs(split.Pt - whole.Pt)) <= 1e-14
+            assert split.diagnostics == whole.diagnostics
 
 
 class TestClosedFormTmp:
@@ -414,6 +509,29 @@ class TestSeriesSerialization:
         dy.write_series_csv(dy.evolve_oracle(frozen_scn(steps=33)), a)
         dy.write_series_csv(dy.evolve_oracle(frozen_scn(steps=33)), b)
         assert a.getvalue() == b.getvalue()
+
+    def test_csv_bytes_match_per_cell_format(self):
+        def per_cell(series):
+            lines = [dy.SERIES_CSV_HEADER + "\n"]
+            for i in range(len(series)):
+                p, t = series.P[i], series.Pt[i]
+                row = [series.times[i], p[0], p[1], p[2],
+                       t[0, 0], t[1, 1], t[2, 2], t[0, 1], t[0, 2], t[1, 2]]
+                lines.append(",".join(f"{x:.17g}" for x in row) + f",{series.source}\n")
+            return "".join(lines)
+
+        # frozen and resonance closed forms carry NaN columns; tmp at theta = 0
+        # carries -0.0; 9000 rows span three write blocks
+        closed_tmp = dy.closed_form_tmp(tmp_scn(theta=0.0, steps=9000))
+        assert np.any(np.signbit(closed_tmp.P) & (closed_tmp.P == 0.0))
+        for series in (closed_tmp,
+                       dy.closed_form_frozen(frozen_scn(steps=4099)),
+                       dy.closed_form_resonance(resonance_scn(steps=300)),
+                       dy.evolve_oracle(frozen_scn(L=2, steps=300)),
+                       dy.evolve_oracle(resonance_scn(steps=65, drive="linear"), rtol=1e-6)):
+            buf = io.StringIO()
+            dy.write_series_csv(series, buf)
+            assert buf.getvalue() == per_cell(series)
 
     def test_json_dict_nan_handling(self):
         doc = dy.series_to_dict(dy.closed_form_frozen(frozen_scn(steps=4)))
