@@ -158,10 +158,7 @@ def check_oracle_vs_closed_form():
     ok &= _assert(details, "tmp beat frequency = b within 0.1%",
                   rep_t.freq_oracle_rel_err < 1e-3,
                   f"rel err {rep_t.freq_oracle_rel_err:.2e}")
-    # the corotating-drive run is time dependent; a looser refinement target
-    # keeps it cheap without touching the extracted frequency
-    rep_r = dynamics.oracle_vs_closed_form(_resonance_scenario(24, 2048),
-                                           oracle_rtol=1e-6)
+    rep_r = dynamics.oracle_vs_closed_form(_resonance_scenario(24, 2048))
     ok &= _assert(details, "resonance (corotating, omega=2*Omega) frequency = A within 0.1%",
                   rep_r.freq_oracle_rel_err < 1e-3,
                   f"rel err {rep_r.freq_oracle_rel_err:.2e}")
