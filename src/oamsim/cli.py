@@ -201,15 +201,12 @@ def cmd_moments(args):
 
 
 def _write_series(series, fmt, path):
-    if fmt == "csv":
-        if path:
-            with open(path, "w", newline="") as f:
-                dynamics.write_series_csv(series, f)
-        else:
-            dynamics.write_series_csv(series, sys.stdout)
+    write = dynamics.write_series_csv if fmt == "csv" else dynamics.write_series_json
+    if path:
+        with open(path, "w", newline="") as f:
+            write(series, f)
     else:
-        text = json.dumps(dynamics.series_to_dict(series), indent=2) + "\n"
-        _emit(text, path)
+        write(series, sys.stdout)
 
 
 def cmd_simulate(args):

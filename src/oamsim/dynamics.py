@@ -23,6 +23,7 @@ omega/2 where it is static; only the linear drive uses a time-ordered
 fourth-order commutator-free Magnus propagator refined by substep halving.
 """
 
+import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -42,7 +43,7 @@ SERIES_CSV_HEADER = "t,P_rho,P_phi,P_z,P_rr,P_pp,P_zz,P_rp,P_rz,P_pz,source"
 _MODES = ("tmp", "frozen", "resonance")
 _KINDS = ("vector", "tensor")
 _DRIVES = ("corotating", "linear")
-_BLOCK_BYTES = 2 * 2**20           # states the oracle holds per streamed block
+_BLOCK_BYTES = 2 * 2**20           # oracle states, or scan kernel arrays, per streamed block
 _INTERVAL_BUDGET_BYTES = 2**30     # unitaries _interval_unitaries may compute
 _CHUNK_BYTES = 32 * 2**20          # substep unitaries it holds per streamed chunk
 # fourth-order commutator-free Magnus step: Gauss-Legendre nodes within a
@@ -50,6 +51,9 @@ _CHUNK_BYTES = 32 * 2**20          # substep unitaries it holds per streamed chu
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _CF4_WEIGHTS = (0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0)
 _CSV_BLOCK_ROWS = 4096             # rows formatted per write
+_SCAN_ARRAYS = 8                   # arrays of the block's shape _resonance_pz holds at once
+# how json writes the floats float.__repr__ spells nan, inf and -inf
+_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True)
@@ -486,21 +490,34 @@ def closed_form_resonance(scn):
     """
     if scn.mode != "resonance":
         raise DomainError("closed_form_resonance requires mode='resonance'")
-    detuning = 2.0 * scn.Omega - scn.omega_drive
-    omega_p = math.hypot(detuning, scn.A)
-    if omega_p == 0.0:
-        raise DomainError("resonance closed form undefined for A = 0 at zero detuning")
     times, p, pt = _nan_series(scn)
+    p[:, 2] = _resonance_pz(scn, [scn.omega_drive], times)[0]
+    return PolarizationSeries(times=times, P=p, Pt=pt, source="closed_form")
+
+
+def _resonance_pz(scn, omegas, times):
+    """Resonance closed-form P_z, one row per drive frequency in the list omegas.
+
+    The per-frequency factors are Python floats, so each row has the bits
+    of a one-frequency evaluation.
+    """
+    factors = []
+    for omega in omegas:
+        detuning = 2.0 * scn.Omega - omega
+        omega_p = math.hypot(detuning, scn.A)
+        if omega_p == 0.0:
+            raise DomainError("resonance closed form undefined for A = 0 at zero detuning")
+        factors.append((omega_p, scn.A / omega_p, detuning / omega_p,
+                        2.0 * (scn.A / omega_p)**2))
+    omega_p, amp, tilt, depth = np.array(factors).T[:, :, None]
     half = 0.5 * omega_p * times
     s_half, c_half = np.sin(half), np.cos(half)
     alpha = 2.0 * scn.psi - scn.phi
     s2 = np.sin(scn.theta) ** 2
-    pz = (scn.A / omega_p) * s2 * s_half * (
-        (detuning / omega_p) * s_half * np.cos(alpha) + c_half * np.sin(alpha))
+    pz = amp * s2 * s_half * (tilt * s_half * np.cos(alpha) + c_half * np.sin(alpha))
     if scn.kind == "vector":
-        pz = pz + (1.0 - 2.0 * (scn.A / omega_p)**2 * s_half**2) * np.cos(scn.theta)
-    p[:, 2] = pz
-    return PolarizationSeries(times=times, P=p, Pt=pt, source="closed_form")
+        pz = pz + (1.0 - depth * s_half**2) * np.cos(scn.theta)
+    return pz
 
 
 def closed_form(scn):
@@ -523,17 +540,19 @@ def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
     if base.mode != "resonance":
         raise DomainError("resonance scan requires a resonance-mode scenario")
 
-    def peak(omega):
-        scn = replace(base, omega_drive=float(omega))
-        series = closed_form_resonance(scn)
-        return float(np.nanmax(np.abs(series.P[:, 2])))
-
     def oracle_peak(omega):
         scn = replace(base, omega_drive=float(omega))
         series = evolve_oracle(scn, rtol=oracle_rtol)
         return float(np.max(np.abs(series.P[:, 2])))
 
-    peaks = np.array([peak(w) for w in omegas])
+    # the closed form is evaluated over (frequencies, times) blocks; the
+    # kernel's arrays of the block's shape together hold about _BLOCK_BYTES
+    times = base.times()
+    rows = max(1, _BLOCK_BYTES // (_SCAN_ARRAYS * times.nbytes))
+    peaks = np.empty(len(omegas))
+    for start in range(0, len(omegas), rows):
+        pz = _resonance_pz(base, omegas[start:start + rows].tolist(), times)
+        peaks[start:start + rows] = np.nanmax(np.abs(pz), axis=1)
     oracle_peaks = np.array([oracle_peak(w) for w in omegas]) if with_oracle else None
     return ScanResult(omegas=omegas, peaks=peaks,
                       argmax_index=int(np.argmax(peaks)),
@@ -677,22 +696,43 @@ def _series_columns(series):
             ("P_pz", pt[:, 1, 2]))
 
 
+def _all_nan(col):
+    return len(col) > 0 and bool(np.isnan(col).all())
+
+
 def write_series_csv(series, fileobj):
     """Write a PolarizationSeries as CSV with the canonical column layout.
 
-    Every value is printed with 17 significant digits, so it reads back exactly.
+    Every value is printed with 17 significant digits, so it reads back
+    exactly; a column that is NaN in every row is written as the literal nan
+    without formatting its values.
     """
     fileobj.write(SERIES_CSV_HEADER + "\n")
-    row = ",".join(["{:.17g}"] * 10) + ",{}\n"
-    table = np.column_stack([col for _, col in _series_columns(series)])
+    columns = [col for _, col in _series_columns(series)]
+    undefined = [_all_nan(col) for col in columns]
+    row = ",".join("nan" if u else "%.17g" for u in undefined)
+    row += "," + series.source.replace("%", "%%") + "\n"
+    table = np.column_stack([col for col, u in zip(columns, undefined) if not u])
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        fileobj.write("".join(row.format(*values, series.source)
-                              for values in table[start:start + _CSV_BLOCK_ROWS].tolist()))
+        block = table[start:start + _CSV_BLOCK_ROWS]
+        fileobj.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def series_to_dict(series):
-    """Column-oriented dict mirroring the CSV layout (JSON-serializable)."""
-    out = {k: [None if math.isnan(x) else x for x in map(float, v)]
-           for k, v in _series_columns(series)}
-    out["source"] = series.source
-    return out
+def write_series_json(series, fileobj):
+    """Write a PolarizationSeries as one JSON object of columns plus "source".
+
+    The bytes are those of json.dumps(doc, indent=2) + "\n" for the dict of
+    the CSV columns as lists: one value per line, null for NaN, float repr
+    for finite values, Infinity and -Infinity for infinities.
+    """
+    fileobj.write("{\n")
+    for name, col in _series_columns(series):
+        if _all_nan(col):
+            text = ["null"] * len(col)
+        else:
+            text = map(float.__repr__, col.tolist())
+            if not np.isfinite(col).all():
+                text = (_JSON_NONFINITE.get(v, v) for v in text)
+        values = "[\n    " + ",\n    ".join(text) + "\n  ]" if len(col) else "[]"
+        fileobj.write(f"  {json.dumps(name)}: {values},\n")
+    fileobj.write(f"  \"source\": {json.dumps(series.source)}\n}}\n")

@@ -43,7 +43,7 @@ class CheckResult:
 
 def _assert(details, name, ok, measured):
     details.append(f"{'ok ' if ok else 'BAD'} {name}: {measured}")
-    return ok
+    return bool(ok)
 
 
 def _rel(measured, reference):

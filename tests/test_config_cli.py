@@ -271,6 +271,13 @@ def test_unsupported_format_rejected(command, fmt, capsys):
 
 
 class TestVerifyHarness:
+    def test_json_output_parses(self, capsys):
+        code, out, _ = run_cli(["verify", "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc) == 10
+        assert all(entry["passed"] is True for entry in doc)
+
     def test_perturbed_constant_fails_named_criterion(self):
         from oamsim import verify
         result = verify.check_tmp_constant(beta_t_fm3=6.0e4)

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,22 @@ def frozen_scn(**kw):
                 kind="tensor", t_end=10 * 2 * np.pi, steps=2048)
     base.update(kw)
     return dy.DynamicsScenario(**base)
+
+
+def partly_defined_series():
+    """A hand-built series with -0.0, +-inf and NaN in some rows of a column only."""
+    times = np.linspace(0.0, 1.0, 7)
+    p = np.full((7, 3), np.nan)
+    p[:, 0] = [0.25, np.nan, -0.0, np.inf, np.nan, -np.inf, 1e-300]
+    p[:, 2] = np.sin(times)
+    pt = np.full((7, 3, 3), np.nan)
+    pt[::2, 1, 1] = 1.0 / 3.0
+    return dy.PolarizationSeries(times=times, P=p, Pt=pt, source="closed_form")
+
+
+def empty_series():
+    return dy.PolarizationSeries(times=np.empty(0), P=np.empty((0, 3)),
+                                 Pt=np.empty((0, 3, 3)), source="oracle")
 
 
 def resonance_scn(**kw):
@@ -468,6 +486,26 @@ class TestResonanceScan:
         with pytest.raises(DomainError):
             dy.resonance_scan(resonance_scn(), [])
 
+    @pytest.mark.parametrize("kind", ["vector", "tensor"])
+    def test_blocks_match_per_frequency_closed_form(self, kind, monkeypatch):
+        # 23 frequencies, with 2 Omega among them, in blocks of 1, 4 (with a
+        # 3-row remainder) and all at once
+        base = resonance_scn(kind=kind, Omega=50.0, phi=0.4, theta=1.1, psi=0.3,
+                             t_end=np.pi, steps=1001)
+        grid = np.linspace(89.0, 111.0, 23)
+        expected = [np.nanmax(np.abs(dy.closed_form_resonance(
+            replace(base, omega_drive=w)).P[:, 2])) for w in grid]
+        row_bytes = dy._SCAN_ARRAYS * base.times().nbytes
+        for rows in (1, 4, len(grid)):
+            monkeypatch.setattr(dy, "_BLOCK_BYTES", rows * row_bytes)
+            assert np.array_equal(dy.resonance_scan(base, grid).peaks, expected)
+
+    def test_zero_coupling_on_resonance_raises(self, monkeypatch):
+        base = resonance_scn(A=0.0, t_end=np.pi, steps=64)
+        monkeypatch.setattr(dy, "_BLOCK_BYTES", 2 * dy._SCAN_ARRAYS * base.times().nbytes)
+        with pytest.raises(DomainError, match="A = 0 at zero detuning"):
+            dy.resonance_scan(base, [0.3, 0.4, 0.5, 0.6])
+
     def test_with_oracle(self):
         base = resonance_scn(t_end=np.pi / 2, steps=128)
         grid = [0.4, 0.5, 0.6]
@@ -560,10 +598,11 @@ class TestSeriesSerialization:
             return "".join(lines)
 
         # frozen and resonance closed forms carry NaN columns; tmp at theta = 0
-        # carries -0.0; 9000 rows span three write blocks
+        # carries -0.0; 9000 rows span three write blocks; the hand-built
+        # series has columns that are NaN or infinite in some rows only
         closed_tmp = dy.closed_form_tmp(tmp_scn(theta=0.0, steps=9000))
         assert np.any(np.signbit(closed_tmp.P) & (closed_tmp.P == 0.0))
-        for series in (closed_tmp,
+        for series in (closed_tmp, partly_defined_series(), empty_series(),
                        dy.closed_form_frozen(frozen_scn(steps=4099)),
                        dy.closed_form_resonance(resonance_scn(steps=300)),
                        dy.evolve_oracle(frozen_scn(L=2, steps=300)),
@@ -572,8 +611,30 @@ class TestSeriesSerialization:
             dy.write_series_csv(series, buf)
             assert buf.getvalue() == per_cell(series)
 
+    @pytest.mark.parametrize("series", [
+        dy.closed_form_tmp(tmp_scn(theta=0.0, steps=301)),
+        dy.closed_form_frozen(frozen_scn(steps=301)),
+        dy.closed_form_resonance(resonance_scn(kind="vector", steps=301)),
+        dy.evolve_oracle(frozen_scn(L=2, steps=301)),
+        partly_defined_series(),
+        empty_series(),
+    ], ids=["tmp", "frozen", "resonance", "oracle", "partly-defined", "empty"])
+    def test_json_bytes_match_json_dumps(self, series):
+        pt = series.Pt
+        doc = {"t": series.times, "P_rho": series.P[:, 0], "P_phi": series.P[:, 1],
+               "P_z": series.P[:, 2], "P_rr": pt[:, 0, 0], "P_pp": pt[:, 1, 1],
+               "P_zz": pt[:, 2, 2], "P_rp": pt[:, 0, 1], "P_rz": pt[:, 0, 2],
+               "P_pz": pt[:, 1, 2]}
+        doc = {k: [None if math.isnan(x) else x for x in v.tolist()] for k, v in doc.items()}
+        doc["source"] = series.source
+        buf = io.StringIO()
+        dy.write_series_json(series, buf)
+        assert buf.getvalue() == json.dumps(doc, indent=2) + "\n"
+
     def test_json_dict_nan_handling(self):
-        doc = dy.series_to_dict(dy.closed_form_frozen(frozen_scn(steps=4)))
+        buf = io.StringIO()
+        dy.write_series_json(dy.closed_form_frozen(frozen_scn(steps=4)), buf)
+        doc = json.loads(buf.getvalue())
         assert doc["source"] == "closed_form"
         assert doc["P_rho"][0] is None
         assert doc["P_z"][0] == 0.0
