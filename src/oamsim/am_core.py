@@ -109,23 +109,25 @@ def build_operators(L):
 
 
 def expi_hermitian(matrix, scale=1.0):
-    """exp(-1j * scale * matrix) for a Hermitian matrix, via eigendecomposition."""
+    """exp(-1j * scale * matrix) for a Hermitian matrix, or a stack of them, via eigh."""
     w, v = np.linalg.eigh(matrix)
     phase = np.exp(-1j * scale * w)
-    return (v * phase) @ v.conj().T
+    return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _validate_pure(vec):
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > _NORM_TOL:
+    if not abs(norm - 1.0) <= _NORM_TOL:    # written so that a NaN norm fails too
         raise DomainError(f"pure state norm {norm} deviates from 1 beyond {_NORM_TOL}")
 
 
 def _validate_mixed(rho):
-    if np.max(np.abs(rho - rho.conj().T)) > _HERM_TOL:
+    if not np.isfinite(rho).all():
+        raise DomainError("density matrix has non-finite entries")
+    if not np.max(np.abs(rho - rho.conj().T)) <= _HERM_TOL:
         raise DomainError("density matrix is not Hermitian")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > _NORM_TOL:
+    if not abs(tr - 1.0) <= _NORM_TOL:
         raise DomainError(f"density matrix trace {tr} deviates from 1 beyond {_NORM_TOL}")
     if np.min(np.linalg.eigvalsh(rho)) < -_EIG_TOL:
         raise DomainError("density matrix has an eigenvalue below the positivity tolerance")
@@ -159,14 +161,18 @@ def coherent_state(ops, theta, psi):
     return pure_state(vec)
 
 
+def antiparallel_pair(ops, theta, psi):
+    """Coherent states with direction (theta, psi) and its antipode (pi - theta, psi + pi)."""
+    return coherent_state(ops, theta, psi), coherent_state(ops, np.pi - theta, psi + np.pi)
+
+
 def tensor_mixture(ops, theta, psi):
     """Equal mixture of coherent states with antiparallel mean directions.
 
     The result has zero vector polarization; its polarization tensor matches
     the single coherent state with direction (theta, psi).
     """
-    a = coherent_state(ops, theta, psi)
-    b = coherent_state(ops, np.pi - theta, psi + np.pi)
+    a, b = antiparallel_pair(ops, theta, psi)
     rho = 0.5 * (a.density_matrix() + b.density_matrix())
     return mixed_state(rho)
 

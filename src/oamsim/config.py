@@ -6,6 +6,7 @@ typo can never silently change the physics.
 """
 
 import json
+import math
 
 from .errors import ConfigError
 
@@ -69,6 +70,17 @@ REQUIRED = {
 }
 
 
+def _finite_float(section, key, x):
+    """x as a float; json's NaN and Infinity literals, or an integer beyond the float range, fail."""
+    try:
+        x = float(x)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got {x!r}")
+    return x
+
+
 def _check_value(section, key, value):
     typ, constraint = SCHEMA[section][key]
     if isinstance(typ, tuple):
@@ -78,7 +90,7 @@ def _check_value(section, key, value):
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
-        value = float(value)
+        value = _finite_float(section, key, value)
     elif typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{section}.{key}: expected an integer, got {value!r}")
@@ -92,7 +104,7 @@ def _check_value(section, key, value):
         if not isinstance(value, list) or not all(
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
             raise ConfigError(f"{section}.{key}: expected a list of numbers, got {value!r}")
-        value = [float(x) for x in value]
+        value = [_finite_float(section, key, x) for x in value]
     if constraint is not None:
         message, ok = constraint
         if not ok(value):

@@ -25,13 +25,13 @@ fourth-order commutator-free Magnus propagator refined by substep halving.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .am_core import (build_operators, coherent_state, polarization_batch,
-                      tensor_mixture)
+from .am_core import (antiparallel_pair, build_operators, coherent_state,
+                      expi_hermitian, polarization_batch)
 # kept importable from dynamics: perfbench's tracer self-test patches it here
 from .am_core import polarization_tensor  # noqa: F401
 from .constants import HBAR
@@ -43,7 +43,8 @@ SERIES_CSV_HEADER = "t,P_rho,P_phi,P_z,P_rr,P_pp,P_zz,P_rp,P_rz,P_pz,source"
 _MODES = ("tmp", "frozen", "resonance")
 _KINDS = ("vector", "tensor")
 _DRIVES = ("corotating", "linear")
-_BLOCK_BYTES = 2 * 2**20           # oracle states, or scan kernel arrays, per streamed block
+_BLOCK_BYTES = 2 * 2**20           # oracle members, or scan kernel arrays, per streamed block
+_RHO_SAMPLES = 64                  # samples at which tensor diagnostics rebuild rho
 _INTERVAL_BUDGET_BYTES = 2**30     # unitaries _interval_unitaries may compute
 _CHUNK_BYTES = 32 * 2**20          # substep unitaries it holds per streamed chunk
 # fourth-order commutator-free Magnus step: Gauss-Legendre nodes within a
@@ -75,6 +76,10 @@ class DynamicsScenario:
     drive: str = "corotating"   # resonance drive model
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in (int, float) and not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value}")
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.kind not in _KINDS:
@@ -224,16 +229,21 @@ def build_hamiltonian(scn, ops, t):
 
 
 def initial_state(scn, ops):
-    """Initial beam state: coherent (vector kind) or antiparallel mixture (tensor kind)."""
+    """Initial beam as an ensemble (weights, members) of pure states.
+
+    The vector kind is its coherent state with weight 1; the tensor kind is
+    that state and its antipode with weight 1/2 each, the members of
+    am_core.tensor_mixture.  members is a (k, dim) stack.
+    """
     if scn.kind == "vector":
-        return coherent_state(ops, scn.theta, scn.psi)
-    return tensor_mixture(ops, scn.theta, scn.psi)
+        return np.ones(1), coherent_state(ops, scn.theta, scn.psi).data[None]
+    a, b = antiparallel_pair(ops, scn.theta, scn.psi)
+    return np.full(2, 0.5), np.stack([a.data, b.data])
 
 
-def _expi_batch(h, dt):
-    """exp(-i dt h) for a stack of Hermitian matrices, from one batched eigh."""
-    w, v = np.linalg.eigh(h)
-    return np.einsum("nik,nk,njk->nij", v, np.exp(-1j * dt * w), v.conj())
+def _density_matrices(weights, members):
+    """rho = sum_k w_k |m_k><m_k| for each sample of an (n, k, dim) member stack."""
+    return (members.swapaxes(1, 2) * weights) @ members.conj()
 
 
 def _interval_unitaries(scn, ops, n_sub):
@@ -264,8 +274,8 @@ def _interval_unitaries(scn, ops, n_sub):
         s = (times[:-1][start:start + per_chunk, None] + sub_starts).ravel()
         h1, h2 = (build_hamiltonian(scn, ops, s + c * dt_sub) for c in _GAUSS_NODES)
         # the later exponential acts on the left
-        u = np.matmul(_expi_batch(a2 * h1 + a1 * h2, dt_sub),
-                      _expi_batch(a1 * h1 + a2 * h2, dt_sub))
+        u = np.matmul(expi_hermitian(a2 * h1 + a1 * h2, dt_sub),
+                      expi_hermitian(a1 * h1 + a2 * h2, dt_sub))
         u = u.reshape(-1, n_sub, dim, dim)
         # pairwise time-ordered reduction along the substep axis
         while u.shape[1] > 1:
@@ -281,38 +291,38 @@ def _interval_unitaries(scn, ops, n_sub):
     return np.matmul(w, vh)
 
 
-def _propagate(scn, ops, n_sub):
-    """Piecewise propagation across the output grid, n_sub substeps per interval.
-
-    Returns an (n, dim) array of state vectors or an (n, dim, dim) array of
-    density matrices.
+def _propagate(scn, ops, members, n_sub):
+    """Piecewise propagation of a (k, dim) member stack across the output grid,
+    n_sub substeps per interval; returns the (n, k, dim) members at every sample.
     """
-    data = initial_state(scn, ops).data
     us = _interval_unitaries(scn, ops, n_sub)
-    out = np.empty((len(us) + 1,) + data.shape, dtype=complex)
-    out[0] = data
-    for k, uk in enumerate(us):
-        if data.ndim == 1:
-            data = uk @ data
-        else:
-            data = uk @ data @ uk.conj().T
-            data = 0.5 * (data + data.conj().T)   # keep rounding off the Hermiticity
-        out[k + 1] = data
+    out = np.empty((len(us) + 1,) + members.shape, dtype=complex)
+    out[0] = members
+    for i, u in enumerate(us):
+        members = members @ u.T
+        out[i + 1] = members
     return out
 
 
-def _refine(scn, ops, rtol, max_halvings, fixed_substeps):
+def _ensemble_polarization(weights, members, ops):
+    """Weighted P and Pt of an (n, k, dim) member stack, from one polarization_batch."""
+    n, k, dim = members.shape
+    p, pt = polarization_batch(members.reshape(n * k, dim), ops)
+    return weights @ p.reshape(n, k, 3), (weights @ pt.reshape(n, k, 9)).reshape(n, 3, 3)
+
+
+def _refine(scn, ops, weights, members, rtol, max_halvings, fixed_substeps):
     """Piecewise propagation, substeps doubled until the final state converges.
 
-    Returns the states and the refinement record.
+    Returns the (n, k, dim) members and the refinement record.
     """
     prev = None
     n_sub = 1 if fixed_substeps is None else fixed_substeps
     for level in range(max_halvings + 1):
-        data = _propagate(scn, ops, n_sub)
+        data = _propagate(scn, ops, members, n_sub)
         if fixed_substeps is not None:
             return data, dict(n_substeps=n_sub, refinement_delta=None)
-        p_final, pt_final = polarization_batch(data[-1:], ops)
+        p_final, pt_final = _ensemble_polarization(weights, data[-1:], ops)
         if prev is not None:
             delta = max(np.max(np.abs(p_final - prev[0])),
                         np.max(np.abs(pt_final - prev[1])))
@@ -325,42 +335,42 @@ def _refine(scn, ops, rtol, max_halvings, fixed_substeps):
         f"oracle did not converge to {rtol} after {max_halvings} substep halvings")
 
 
-def _spectral_states(times, state0, ops, h, frame, n_block):
-    """Exact states U(t) state0 U(t)^dagger (or U(t) state0 for a vector), with
-    U(t) = exp(-i frame t Lz) exp(-i h t), on the grid times.
+def _spectral_states(times, members, ops, h, frame, n_block):
+    """Exact members U(t) m_k, U(t) = exp(-i frame t Lz) exp(-i h t), on the grid times.
 
-    One eigendecomposition of the time-independent h; the states are then
-    built n_block samples at a time.  The frame rotation is an elementwise
-    phase because Lz is diagonal.
+    One eigendecomposition of the time-independent h; the (n, k, dim)
+    members are then built n_block samples at a time.  The frame rotation
+    is an elementwise phase because Lz is diagonal.
     """
     w, v = np.linalg.eigh(h)
     m = ops.Lz.diagonal().real
-    if state0.ndim == 1:
-        c0 = v.conj().T @ state0
-    else:
-        r0 = v.conj().T @ state0 @ v
+    k, dim = members.shape
+    c0 = members @ v.conj()
     for start in range(0, len(times), n_block):
-        t = times[start:start + n_block, None]
+        t = times[start:start + n_block, None, None]
         ph = np.exp(-1j * t * w)
         frame_ph = np.exp(-1j * (frame * t) * m)
-        if state0.ndim == 1:
-            yield frame_ph * ((ph * c0) @ v.T)
-        else:
-            rho = v @ (ph[:, :, None] * r0 * ph.conj()[:, None, :]) @ v.conj().T
-            yield frame_ph[:, :, None] * rho * frame_ph.conj()[:, None, :]
+        yield frame_ph * ((ph * c0).reshape(-1, dim) @ v.T).reshape(-1, k, dim)
 
 
-def _series_from_states(scn, ops, blocks, diagnostics, keep_states):
-    """Extract P/Pt and merge the invariant diagnostics, one block of states at a time."""
+def _series_from_states(scn, ops, weights, blocks, diagnostics, keep_states):
+    """Extract P/Pt and merge the invariant diagnostics, one block of members at a time.
+
+    rho is rebuilt for the diagnostics at _RHO_SAMPLES evenly spaced samples
+    of the whole grid, first and last included, whatever the block split.
+    """
     times = scn.times()
-    p = np.empty((len(times), 3))
-    pt = np.empty((len(times), 3, 3))
+    n = len(times)
+    p = np.empty((n, 3))
+    pt = np.empty((n, 3, 3))
+    rebuilt = np.linspace(0, n - 1, min(n, _RHO_SAMPLES)).round().astype(int)
     kept = []
     start = 0
     for block in blocks:
         stop = start + len(block)
-        p[start:stop], pt[start:stop] = polarization_batch(block, ops)
-        for key, value in _state_diagnostics(block).items():
+        p[start:stop], pt[start:stop] = _ensemble_polarization(weights, block, ops)
+        local = rebuilt[(rebuilt >= start) & (rebuilt < stop)] - start
+        for key, value in _state_diagnostics(weights, block, local).items():
             merge = min if key == "min_eigenvalue" else max
             diagnostics[key] = merge(diagnostics.get(key, value), value)
         if keep_states:
@@ -371,17 +381,22 @@ def _series_from_states(scn, ops, blocks, diagnostics, keep_states):
     return series, (np.concatenate(kept) if keep_states else None)
 
 
-def _state_diagnostics(data):
-    """Unitarity bookkeeping: norm/trace/Hermiticity/positivity over a stack of states."""
-    diag = {}
-    if data.ndim == 2:
-        norms = np.linalg.norm(data, axis=1)
-        diag["max_norm_dev"] = float(np.max(np.abs(norms - 1.0)))
-    else:
-        traces = np.trace(data, axis1=1, axis2=2).real
-        diag["max_trace_dev"] = float(np.max(np.abs(traces - 1.0)))
-        diag["max_herm_dev"] = float(np.max(np.abs(data - data.conj().transpose(0, 2, 1))))
-        diag["min_eigenvalue"] = float(np.min(np.linalg.eigvalsh(data)))
+def _state_diagnostics(weights, members, rebuilt):
+    """Unitarity bookkeeping over an (n, k, dim) block of members.
+
+    Every member's norm, and for a mixture the trace sum_k w_k |m_k|^2, is
+    checked at every sample.  With fixed positive weights rho is Hermitian
+    and positive by construction, so those two are checked on rho rebuilt
+    at the block-local samples rebuilt only.
+    """
+    norms = np.linalg.norm(members, axis=2)
+    diag = {"max_norm_dev": float(np.max(np.abs(norms - 1.0)))}
+    if len(weights) > 1:
+        diag["max_trace_dev"] = float(np.max(np.abs(norms**2 @ weights - 1.0)))
+        if len(rebuilt):
+            rho = _density_matrices(weights, members[rebuilt])
+            diag["max_herm_dev"] = float(np.max(np.abs(rho - rho.conj().swapaxes(1, 2))))
+            diag["min_eigenvalue"] = float(np.min(np.linalg.eigvalsh(rho)))
     return diag
 
 
@@ -389,7 +404,11 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
                   return_states=False):
     """Matrix-propagator oracle for a dynamics scenario.
 
-    Each Hamiltonian class has one propagator, named by
+    The beam is an ensemble of pure members with fixed weights (see
+    initial_state): one coherent state for the vector kind, a coherent state
+    and its antipode at 1/2 each for the tensor kind.  Each member is
+    propagated as a state vector and P, Pt are the weighted sums over
+    members.  Each Hamiltonian class has one propagator, named by
     diagnostics["propagator"]:
 
     * "spectral" (tmp, frozen, corotating drive): H is constant in the lab
@@ -404,16 +423,19 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
       fixed_substeps disables the refinement (used for convergence-order
       studies).  The diagnostics add the refinement record.
 
-    States are processed in blocks of about 2 MB.  Returns a
-    PolarizationSeries (and the raw state array when return_states=True);
-    diagnostics carry the norm or trace, Hermiticity and positivity checks
-    over every sample.
+    Members are processed in blocks of about 2 MB.  Returns a
+    PolarizationSeries, and with return_states=True also the states: an
+    (n, dim) array of state vectors for the vector kind, an (n, dim, dim)
+    array of density matrices rho(t) for the tensor kind.  The diagnostics
+    carry max_norm_dev over every member at every sample; tensor runs add
+    max_trace_dev at every sample, and max_herm_dev and min_eigenvalue of
+    rho rebuilt at _RHO_SAMPLES evenly spaced samples.
     """
     if ops is None:
         ops = build_operators(scn.L)
     h0, terms = hamiltonian_terms(scn, ops)
-    state0 = initial_state(scn, ops).data
-    n_block = max(1, _BLOCK_BYTES // state0.nbytes)
+    weights, members = initial_state(scn, ops)
+    n_block = max(1, _BLOCK_BYTES // members.nbytes)
     if not terms or scn.drive == "corotating":
         if fixed_substeps is not None:
             raise DomainError("fixed_substeps applies only to the piecewise "
@@ -421,14 +443,17 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
         # the corotating drive is static in the frame rotating at omega_drive/2
         frame = 0.5 * scn.omega_drive if terms else 0.0
         h = build_hamiltonian(scn, ops, 0.0) - frame * ops.Lz if terms else h0
-        blocks = _spectral_states(scn.times(), state0, ops, h, frame, n_block)
+        blocks = _spectral_states(scn.times(), members, ops, h, frame, n_block)
         diag = {"propagator": "spectral"}
     else:
-        data, diag = _refine(scn, ops, rtol, max_halvings, fixed_substeps)
+        data, diag = _refine(scn, ops, weights, members, rtol, max_halvings,
+                             fixed_substeps)
         diag["propagator"] = "piecewise"
         blocks = (data[i:i + n_block] for i in range(0, len(data), n_block))
-    series, states = _series_from_states(scn, ops, blocks, diag, return_states)
-    return (series, states) if return_states else series
+    series, states = _series_from_states(scn, ops, weights, blocks, diag, return_states)
+    if not return_states:
+        return series
+    return series, (states[:, 0] if len(weights) == 1 else _density_matrices(weights, states))
 
 
 def _nan_series(scn):

@@ -338,11 +338,15 @@ def check_oracle_properties():
     for name, scn in runs.items():
         series = dynamics.evolve_oracle(scn, rtol=1e-9)
         d = series.diagnostics
-        trace_ok = d.get("max_trace_dev", d.get("max_norm_dev", 1.0)) < 1e-10
-        herm_ok = d.get("max_herm_dev", 0.0) < 1e-10
-        pos_ok = d.get("min_eigenvalue", 0.0) > -1e-10
-        ok &= _assert(details, f"{name} trace/norm, Hermiticity, positivity at 1e-10",
-                      trace_ok and herm_ok and pos_ok, f"{d}")
+        # every key must be present: a dropped diagnostic fails, it does not pass
+        keys = ["max_norm_dev"]
+        if scn.kind == "tensor":
+            keys += ["max_trace_dev", "max_herm_dev", "min_eigenvalue"]
+        missing = [k for k in keys if k not in d]
+        within = not missing and all(
+            d[k] > -1e-10 if k == "min_eigenvalue" else d[k] < 1e-10 for k in keys)
+        ok &= _assert(details, f"{name} norm, trace, Hermiticity, positivity at 1e-10",
+                      within, f"missing {missing}" if missing else f"{d}")
 
     # energy conservation for time-independent H
     scn = dynamics.DynamicsScenario(mode="tmp", L=2, Omega=3.0, b=0.7, theta=0.9,

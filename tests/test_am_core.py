@@ -258,3 +258,10 @@ class TestStateValidation:
         rho = np.diag([0.7, 0.5, -0.2])
         with pytest.raises(DomainError):
             am.mixed_state(rho)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            am.pure_state([bad, 0.0, 0.0])
+        with pytest.raises(DomainError):
+            am.mixed_state(np.diag([bad, 0.5, 0.5]))

@@ -44,6 +44,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="0 < n < 1"):
             cfg.validate_config({"ring": {"n": 1.5}}, "freeze")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("beam", "theta", math.nan), ("scenario", "t_end_s", math.inf),
+        ("scenario", "A_rad_s", -math.inf), ("scan", "omega_values_rad_s", [1.0, math.nan]),
+        ("ring", "B0_T", 10**400), ("scan", "omega_values_rad_s", [1.0, -10**400])],
+        ids=["nan", "inf", "-inf", "nan-entry", "int-beyond-float", "int-entry-beyond-float"])
+    def test_non_finite_numbers_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match="finite"):
+            cfg.validate_config({section: {key: value}}, "scan")
+
     def test_round_trip_identity(self):
         doc = {"beam": {"kinetic_energy_eV": 3e5, "L": 10},
                "ring": {"R0_m": 0.5, "n": 0.25}}
@@ -231,6 +240,20 @@ class TestSimulateCommand:
         path.write_text(json.dumps({"beam": {"badkey": 1.0}}))
         code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
         assert code == 2
+        assert json.loads(err)["error"] == "config"
+
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("beam", "theta", math.nan), ("scenario", "t_end_s", math.inf)])
+    def test_non_finite_literal_exit_code(self, section, key, value, tmp_path, capsys):
+        # json reads the NaN and Infinity literals that json.dumps writes here
+        doc = json.loads((CONFIG_DIR / "frozen_sim.json").read_text())
+        doc[section][key] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
         assert json.loads(err)["error"] == "config"
 
 

@@ -73,6 +73,17 @@ class TestScenarioValidation:
         with pytest.raises(DomainError):
             dy.DynamicsScenario(mode="tmp", L=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", math.inf), ("theta", math.nan), ("psi", -math.inf), ("b", math.nan),
+        ("steps", math.inf), ("L", math.nan)])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            tmp_scn(**{field: value})
+
+    def test_non_finite_coefficient_rejected_before_the_oracle(self):
+        with pytest.raises(DomainError, match="finite"):
+            dy.evolve_oracle(frozen_scn(A=math.nan))
+
 
 class TestBuildHamiltonian:
     def test_all_zero(self):
@@ -251,13 +262,19 @@ def _linear_drive_order():
     return math.log2(d1 / d2)
 
 
+def _reference_state(scn, ops):
+    """The scenario's initial state built from am_core alone: a vector or a density matrix."""
+    if scn.kind == "vector":
+        return am.coherent_state(ops, scn.theta, scn.psi).data
+    return am.tensor_mixture(ops, scn.theta, scn.psi).data
+
+
 def _expm_reference(series, scn, ops, generator):
     """P/Pt of U(t) state0 (U(t)^dagger) with U(t) = generator(t) from scipy's expm."""
-    state0 = dy.initial_state(scn, ops)
+    data = _reference_state(scn, ops)
     states = []
     for t in series.times:
         u = generator(t)
-        data = state0.data
         states.append(u @ data if data.ndim == 1 else u @ data @ u.conj().T)
     return am.polarization_batch(np.array(states), ops)
 
@@ -316,7 +333,8 @@ class TestSpectralOracle:
         # block goes through BLAS's matrix-vector kernel, whose rounding may
         # differ in the last bit from the matrix-matrix kernel's.
         whole = dy.evolve_oracle(scn, rtol=1e-6)
-        state_bytes = dy.initial_state(scn, am.build_operators(scn.L)).data.nbytes
+        _, members = dy.initial_state(scn, am.build_operators(scn.L))
+        state_bytes = members.nbytes
         for per_block in (1, 2, 7, 64):
             monkeypatch.setattr(dy, "_BLOCK_BYTES", per_block * state_bytes)
             split = dy.evolve_oracle(scn, rtol=1e-6)
@@ -326,20 +344,32 @@ class TestSpectralOracle:
 
 
 class TestPiecewiseOracle:
-    @pytest.mark.parametrize("L", [1, 2])
-    def test_linear_drive_matches_ode_solver(self, L):
-        # an independent integrator of i d(psi)/dt = H(t) psi: a propagator that
+    @pytest.mark.parametrize("L, kind", [(1, "vector"), (2, "vector"),
+                                         (1, "tensor"), (2, "tensor")],
+                             ids=["1", "2", "tensor-1", "tensor-2"])
+    def test_linear_drive_matches_ode_solver(self, L, kind):
+        # an independent integrator of i d(psi)/dt = H(t) psi, or of
+        # i d(rho)/dt = [H(t), rho] on the flattened rho: a propagator that
         # samples H(t) at shifted times still self-converges, but not to this
         from scipy.integrate import solve_ivp
-        scn = resonance_scn(L=L, kind="vector", Omega=2.0, A=0.4, omega_drive=4.3,
+        scn = resonance_scn(L=L, kind=kind, Omega=2.0, A=0.4, omega_drive=4.3,
                             phi=0.3, theta=1.1, psi=0.5, t_end=2 * np.pi, steps=97,
                             drive="linear")
         ops = am.build_operators(L)
         series = dy.evolve_oracle(scn, ops=ops, rtol=1e-10)
-        sol = solve_ivp(lambda t, y: -1j * (dy.build_hamiltonian(scn, ops, t) @ y),
-                        (0.0, scn.t_end), dy.initial_state(scn, ops).data,
-                        method="DOP853", t_eval=series.times, rtol=1e-12, atol=1e-13)
-        p, pt = am.polarization_batch(sol.y.T, ops)
+        state0 = _reference_state(scn, ops)
+        shape = state0.shape
+
+        def rhs(t, y):
+            h = dy.build_hamiltonian(scn, ops, t)
+            if len(shape) == 1:
+                return -1j * (h @ y)
+            rho = y.reshape(shape)
+            return (-1j * (h @ rho - rho @ h)).ravel()
+
+        sol = solve_ivp(rhs, (0.0, scn.t_end), state0.ravel(), method="DOP853",
+                        t_eval=series.times, rtol=1e-12, atol=1e-13)
+        p, pt = am.polarization_batch(sol.y.T.reshape((-1,) + shape), ops)
         assert np.max(np.abs(series.P - p)) < 1e-9
         assert np.max(np.abs(series.Pt - pt)) < 1e-9
 
