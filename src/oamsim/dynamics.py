@@ -25,6 +25,7 @@ fourth-order commutator-free Magnus propagator refined by substep halving.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -45,7 +46,7 @@ _KINDS = ("vector", "tensor")
 _DRIVES = ("corotating", "linear")
 _BLOCK_BYTES = 2 * 2**20           # oracle members, or scan kernel arrays, per streamed block
 _RHO_SAMPLES = 64                  # samples at which tensor diagnostics rebuild rho
-_INTERVAL_BUDGET_BYTES = 2**30     # unitaries _interval_unitaries may compute
+_INTERVAL_BUDGET_BYTES = 2**30     # substep unitaries one _propagate run may compute
 _CHUNK_BYTES = 32 * 2**20          # substep unitaries it holds per streamed chunk
 # fourth-order commutator-free Magnus step: Gauss-Legendre nodes within a
 # substep and the weights of H at those nodes in the two exponentials
@@ -55,6 +56,11 @@ _CSV_BLOCK_ROWS = 4096             # rows formatted per write
 _SCAN_ARRAYS = 8                   # arrays of the block's shape _resonance_pz holds at once
 # how json writes the floats float.__repr__ spells nan, inf and -inf
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _is_int(value):
+    """True for an integer, numpy's included, but not for a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,8 @@ class DynamicsScenario:
             raise DomainError(f"drive must be one of {_DRIVES}, got {self.drive!r}")
         if int(self.L) != self.L or self.L < 1:
             raise DomainError(f"L must be an integer >= 1, got {self.L}")
-        if self.steps < 2:
-            raise DomainError(f"steps must be >= 2, got {self.steps}")
+        if not _is_int(self.steps) or self.steps < 2:
+            raise DomainError(f"steps must be an integer >= 2, got {self.steps}")
         if not self.t_end > 0:
             raise DomainError(f"t_end must be positive, got {self.t_end}")
         # each mode keeps exactly one bilinear term
@@ -246,16 +252,16 @@ def _density_matrices(weights, members):
     return (members.swapaxes(1, 2) * weights) @ members.conj()
 
 
-def _interval_unitaries(scn, ops, n_sub):
-    """Time-ordered unitaries for each output interval, n_sub substeps each.
+def _propagate(scn, ops, members, n_sub):
+    """Propagate a (k, dim) member stack; returns the (n, k, dim) members at every sample.
 
-    Each substep [s, s + h] is one fourth-order commutator-free Magnus step
-    (Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519):
-    exp(-i h (a2 H1 + a1 H2)) exp(-i h (a1 H1 + a2 H2)), with H1, H2 sampled
-    at the Gauss-Legendre nodes s + c1 h, s + c2 h.  Whole intervals are
-    computed and reduced one chunk of about _CHUNK_BYTES of substep
-    unitaries (at least one interval) at a time, so only the
-    (n_out, dim, dim) result is kept.
+    Each output interval takes n_sub fourth-order commutator-free Magnus
+    substeps (Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519): on [s, s + h],
+    exp(-i h (a2 H1 + a1 H2)) exp(-i h (a1 H1 + a2 H2)) with H1, H2 sampled at
+    the Gauss-Legendre nodes s + c1 h, s + c2 h.  Per chunk of whole intervals
+    (about _CHUNK_BYTES of substep unitaries, at least one interval) the
+    substeps are multiplied in time order, and the interval products are
+    projected onto the unitary group and applied to the members.
     """
     times = scn.times()
     n_out = len(times) - 1
@@ -269,38 +275,24 @@ def _interval_unitaries(scn, ops, n_sub):
     sub_starts = np.arange(n_sub) * dt_sub
     per_chunk = max(1, _CHUNK_BYTES // (n_sub * dim**2 * 16))
     a1, a2 = _CF4_WEIGHTS
-    out = np.empty((n_out, dim, dim), dtype=complex)
+    out = np.empty((n_out + 1,) + members.shape, dtype=complex)
+    out[0] = members
     for start in range(0, n_out, per_chunk):
-        s = (times[:-1][start:start + per_chunk, None] + sub_starts).ravel()
+        # substep-major, so each substep's unitaries over the chunk are contiguous
+        s = (sub_starts[:, None] + times[:-1][start:start + per_chunk]).ravel()
         h1, h2 = (build_hamiltonian(scn, ops, s + c * dt_sub) for c in _GAUSS_NODES)
         # the later exponential acts on the left
         u = np.matmul(expi_hermitian(a2 * h1 + a1 * h2, dt_sub),
-                      expi_hermitian(a1 * h1 + a2 * h2, dt_sub))
-        u = u.reshape(-1, n_sub, dim, dim)
-        # pairwise time-ordered reduction along the substep axis
-        while u.shape[1] > 1:
-            if u.shape[1] % 2:
-                tail = u[:, -1:]
-                u = np.concatenate([np.matmul(u[:, 1::2], u[:, 0:-1:2]), tail], axis=1)
-            else:
-                u = np.matmul(u[:, 1::2], u[:, 0::2])
-        out[start:start + len(u)] = u[:, 0]
-    # project the accumulated products back onto the unitary group so rounding
-    # drift does not leak into trace/norm preservation over long runs
-    w, _, vh = np.linalg.svd(out)
-    return np.matmul(w, vh)
-
-
-def _propagate(scn, ops, members, n_sub):
-    """Piecewise propagation of a (k, dim) member stack across the output grid,
-    n_sub substeps per interval; returns the (n, k, dim) members at every sample.
-    """
-    us = _interval_unitaries(scn, ops, n_sub)
-    out = np.empty((len(us) + 1,) + members.shape, dtype=complex)
-    out[0] = members
-    for i, u in enumerate(us):
-        members = members @ u.T
-        out[i + 1] = members
+                      expi_hermitian(a1 * h1 + a2 * h2, dt_sub)).reshape(n_sub, -1, dim, dim)
+        interval = u[0]
+        for substep in u[1:]:
+            interval = substep @ interval
+        # project the products back onto the unitary group so rounding drift
+        # does not leak into norm and trace preservation over long runs
+        w, _, vh = np.linalg.svd(interval)
+        for i, step in enumerate(w @ vh, start=start + 1):
+            members = members @ step.T
+            out[i] = members
     return out
 
 
@@ -420,8 +412,8 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
       propagation, two exponentials per substep; the substep count per output
       interval is doubled until the final-time polarization (vector and
       tensor) changes by less than rtol, up to max_halvings doublings.
-      fixed_substeps disables the refinement (used for convergence-order
-      studies).  The diagnostics add the refinement record.
+      fixed_substeps, an integer >= 1, disables the refinement (used for
+      convergence-order studies).  The diagnostics add the refinement record.
 
     Members are processed in blocks of about 2 MB.  Returns a
     PolarizationSeries, and with return_states=True also the states: an
@@ -431,6 +423,10 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
     max_trace_dev at every sample, and max_herm_dev and min_eigenvalue of
     rho rebuilt at _RHO_SAMPLES evenly spaced samples.
     """
+    if not rtol > 0:
+        raise DomainError(f"rtol must be positive, got {rtol}")
+    if fixed_substeps is not None and (not _is_int(fixed_substeps) or fixed_substeps < 1):
+        raise DomainError(f"fixed_substeps must be an integer >= 1, got {fixed_substeps!r}")
     if ops is None:
         ops = build_operators(scn.L)
     h0, terms = hamiltonian_terms(scn, ops)
@@ -619,6 +615,8 @@ def dominant_frequencies(times, values, n_peaks=1, pad=8):
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if times.size < 2:
+        raise DomainError(f"frequency extraction needs at least 2 samples, got {times.size}")
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0.0):
         raise DomainError("frequency extraction needs a uniform time grid")

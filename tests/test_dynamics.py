@@ -80,6 +80,11 @@ class TestScenarioValidation:
         with pytest.raises(DomainError, match="finite"):
             tmp_scn(**{field: value})
 
+    @pytest.mark.parametrize("steps", [2.5, 2.0, True])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(DomainError, match="integer"):
+            dy.DynamicsScenario(mode="tmp", L=1, steps=steps)
+
     def test_non_finite_coefficient_rejected_before_the_oracle(self):
         with pytest.raises(DomainError, match="finite"):
             dy.evolve_oracle(frozen_scn(A=math.nan))
@@ -222,6 +227,17 @@ class TestOracleBasics:
         scn = resonance_scn(steps=2001, drive="linear")
         with pytest.raises(ConvergenceError, match="GiB budget"):
             dy.evolve_oracle(scn, fixed_substeps=2**20)
+
+    @pytest.mark.parametrize("kw", [
+        dict(fixed_substeps=0), dict(fixed_substeps=-1), dict(fixed_substeps=2.5),
+        dict(fixed_substeps=True), dict(rtol=0.0), dict(rtol=-1e-9), dict(rtol=math.nan),
+    ], ids=["sub-0", "sub-neg", "sub-float", "sub-bool", "rtol-0", "rtol-neg", "rtol-nan"])
+    def test_piecewise_arguments_rejected_before_work(self, kw, monkeypatch):
+        def no_work(L):
+            raise AssertionError("operators built before the arguments were checked")
+        monkeypatch.setattr(dy, "build_operators", no_work)
+        with pytest.raises(DomainError):
+            dy.evolve_oracle(resonance_scn(steps=64, drive="linear"), **kw)
 
     def test_fixed_substeps_rejected_on_spectral_class(self):
         for scn in (frozen_scn(steps=8), resonance_scn(steps=8)):
@@ -373,15 +389,25 @@ class TestPiecewiseOracle:
         assert np.max(np.abs(series.P - p)) < 1e-9
         assert np.max(np.abs(series.Pt - pt)) < 1e-9
 
+    def test_long_run_preserves_norm_and_trace(self):
+        # 500 intervals of 64 substeps each: the products of the substep
+        # unitaries drift off the unitary group unless they are projected back
+        scn = resonance_scn(Omega=2.0, A=0.1, omega_drive=4.3, phi=0.1, t_end=5.0,
+                            steps=501, drive="linear")
+        d = dy.evolve_oracle(scn, fixed_substeps=64).diagnostics
+        assert d["max_norm_dev"] < 1e-13
+        assert d["max_trace_dev"] < 1e-13
+
     @pytest.mark.parametrize("intervals_per_chunk", [1, 5])
     def test_chunk_split_invariant(self, intervals_per_chunk, monkeypatch):
         # 63 intervals of 8 substeps: one per chunk, or 5 per chunk with a
         # 3-interval remainder
         scn = resonance_scn(steps=64, drive="linear")
         ops = am.build_operators(1)
-        whole = dy._interval_unitaries(scn, ops, 8)
+        _, members = dy.initial_state(scn, ops)
+        whole = dy._propagate(scn, ops, members, 8)
         monkeypatch.setattr(dy, "_CHUNK_BYTES", intervals_per_chunk * 8 * ops.dim**2 * 16)
-        split = dy._interval_unitaries(scn, ops, 8)
+        split = dy._propagate(scn, ops, members, 8)
         assert np.max(np.abs(split - whole)) <= 1e-15
 
 
@@ -586,6 +612,11 @@ class TestSpectralEstimator:
         freqs = sorted(p[0] for p in peaks)
         assert freqs[0] == pytest.approx(7.3, rel=5e-4)
         assert freqs[1] == pytest.approx(9.1, rel=5e-4)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_samples(self, n):
+        with pytest.raises(DomainError, match="2 samples"):
+            dy.dominant_frequencies(np.zeros(n), np.ones(n))
 
     def test_needs_uniform_grid(self):
         t = np.array([0.0, 0.1, 0.3, 0.4])
