@@ -16,9 +16,13 @@ import os
 import sys
 
 from . import config as cfg
-from . import dynamics, moments, ring_config, verify
+from . import moments, ring_config
 from .constants import E_CHARGE, M_E_C2_EV
 from .errors import ConfigError, ConvergenceError, DomainError
+from .reference import constants_report
+
+# dynamics and verify import numpy, so the commands that need them import
+# them where they run: constants, freeze and moments start without numpy.
 
 
 def _emit(text, out_path):
@@ -73,6 +77,7 @@ def scenario_from_config(doc):
     *_rad_s scenario keys override the derived values, in which case the
     ring section may be omitted.
     """
+    from . import dynamics
     beam, scn = doc["beam"], doc["scenario"]
     mode = scn["mode"]
     L = beam["L"]
@@ -123,7 +128,7 @@ def scenario_from_config(doc):
 
 
 def cmd_constants(args):
-    rows = verify.constants_report()
+    rows = constants_report()
     if args.format == "json":
         _emit(json.dumps(rows, indent=2) + "\n", args.out)
     else:
@@ -176,7 +181,7 @@ def cmd_moments(args):
         q0, qs, w_m, mean_r2 = ms.Q0_Cm2, ms.Qs_Cm2, ms.w_m, ms.mean_r2
     r0 = doc.get("ring", {}).get("R0_m", setup.R0 if setup else None)
     ecqm_zz = moments.ecqm([0.0, 0.0, L], [0.0, 0.0, 0.5],
-                           kin.gamma * M_E_C2_EV).components[2, 2]
+                           kin.gamma * M_E_C2_EV).rows[2][2]
     report = {
         "L": L,
         "B_T": b0,
@@ -201,6 +206,7 @@ def cmd_moments(args):
 
 
 def _write_series(series, fmt, path):
+    from . import dynamics
     write = dynamics.write_series_csv if fmt == "csv" else dynamics.write_series_json
     if path:
         with open(path, "w", newline="") as f:
@@ -210,6 +216,7 @@ def _write_series(series, fmt, path):
 
 
 def cmd_simulate(args):
+    from . import dynamics
     doc = cfg.load_config(args.config, "simulate")
     scn = scenario_from_config(doc)
     out = doc.get("output", {})
@@ -245,6 +252,7 @@ def cmd_simulate(args):
 
 
 def cmd_scan(args):
+    from . import dynamics
     doc = cfg.load_config(args.config, "scan")
     scn = scenario_from_config(doc)
     if scn.mode != "resonance":
@@ -262,6 +270,7 @@ def cmd_scan(args):
 
 
 def cmd_verify(args):
+    from . import verify
     results = verify.run_all()
     if args.format == "json":
         doc = [{"criterion": r.criterion, "label": r.label, "passed": r.passed,

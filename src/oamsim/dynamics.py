@@ -411,7 +411,8 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
     * "piecewise" (linear drive): fourth-order commutator-free Magnus
       propagation, two exponentials per substep; the substep count per output
       interval is doubled until the final-time polarization (vector and
-      tensor) changes by less than rtol, up to max_halvings doublings.
+      tensor) changes by less than rtol, up to max_halvings (an integer
+      >= 0) doublings.
       fixed_substeps, an integer >= 1, disables the refinement (used for
       convergence-order studies).  The diagnostics add the refinement record.
 
@@ -425,6 +426,8 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
     """
     if not rtol > 0:
         raise DomainError(f"rtol must be positive, got {rtol}")
+    if not _is_int(max_halvings) or max_halvings < 0:
+        raise DomainError(f"max_halvings must be an integer >= 0, got {max_halvings!r}")
     if fixed_substeps is not None and (not _is_int(fixed_substeps) or fixed_substeps < 1):
         raise DomainError(f"fixed_substeps must be an integer >= 1, got {fixed_substeps!r}")
     if ops is None:

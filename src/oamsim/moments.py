@@ -7,11 +7,13 @@ order-of-magnitude scale estimates used for ring experiments.
 
 Charges are stored in coulombs with the electron sign convention e = -|e|
 already folded in, so the intrinsic EQM Q0 = -e <r^2> comes out positive.
+
+numpy is imported inside the functions that take or return arrays, so the
+scalar moments behind the report commands load no numpy.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import (ALPHA, E_SIGNED, FM, GAUSSIAN_B2_J_PER_M3, HBAR,
                         HBAR_C_EV_M, LAMBDA_BAR_C)
@@ -32,9 +34,18 @@ class MomentSet:
 
 @dataclass(frozen=True)
 class EcqmTensor:
-    """Current quadrupole moment tensor, traceless symmetric, in C m^2."""
+    """Current quadrupole moment tensor, traceless symmetric, in C m^2.
 
-    components: np.ndarray
+    rows holds the components as three tuples of floats; components is the
+    same tensor as a (3, 3) ndarray.
+    """
+
+    rows: tuple
+
+    @property
+    def components(self):
+        import numpy as np
+        return np.array(self.rows)
 
 
 def tmp_electron(mass_ratio=1.0):
@@ -69,7 +80,7 @@ def tmp_energy_shift(beta_T_fm3, L, B, angle):
     if B < 0:
         raise DomainError(f"B must be >= 0, got {B}")
     beta_t_m3 = beta_T_fm3 * FM**3
-    proj_sq = (L * B * np.cos(angle)) ** 2
+    proj_sq = (L * B * math.cos(angle)) ** 2
     return -beta_t_m3 * GAUSSIAN_B2_J_PER_M3 * proj_sq / HBAR
 
 
@@ -78,6 +89,7 @@ def load_radial_density(path):
 
     Lines starting with '#' are comments.  Returns (r, rho) arrays.
     """
+    import numpy as np
     rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -101,6 +113,7 @@ def load_radial_density(path):
 
 def mean_square_radius(r, rho):
     """<r^2> = int(rho r^3 dr) / int(rho r dr) by composite Simpson quadrature."""
+    import numpy as np
     from scipy.integrate import simpson   # deferred: scipy is slow to import
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -156,6 +169,7 @@ def quadrupole_tensor_operator(ops, Qs, j=None):
         j = ops.L
     if j < 1:
         raise DomainError(f"quadrupole operator requires j >= 1, got {j}")
+    import numpy as np
     comps = (ops.Lx, ops.Ly, ops.Lz)
     eye = np.eye(ops.dim)
     pref = 3.0 * Qs / (2.0 * j * (2.0 * j - 1.0))
@@ -179,12 +193,16 @@ def ecqm(L_vec, s_vec, epsilon_ev):
     """
     if epsilon_ev <= 0:
         raise DomainError(f"total energy must be positive, got {epsilon_ev}")
-    lv = np.asarray(L_vec, dtype=float)
-    sv = np.asarray(s_vec, dtype=float)
+    lv = [float(x) for x in L_vec]
+    sv = [float(x) for x in s_vec]
+    if len(lv) != 3 or len(sv) != 3:
+        raise DomainError("L_vec and s_vec must have three components each")
     scale = -0.5 * E_SIGNED * (HBAR_C_EV_M / epsilon_ev) ** 2
-    dot = float(lv @ sv)
-    t = 3.0 * (np.outer(lv, sv) + np.outer(sv, lv)) - 2.0 * dot * np.eye(3)
-    return EcqmTensor(components=scale * t)
+    dot = lv[0] * sv[0] + lv[1] * sv[1] + lv[2] * sv[2]
+    t = [[3.0 * (lv[i] * sv[j] + sv[i] * lv[j]) for j in range(3)] for i in range(3)]
+    for i in range(3):
+        t[i][i] -= 2.0 * dot
+    return EcqmTensor(rows=tuple(tuple(scale * x for x in row) for row in t))
 
 
 def delta_omega_estimate(L, grad_E):

@@ -6,9 +6,8 @@ stored radial electric field component E is negative (pointing inward), so
 electric and magnetic forces on the electron are oppositely directed.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import C, E_CHARGE, HBAR, M_E, gamma_from_kinetic_energy
 from .errors import DomainError
@@ -53,7 +52,7 @@ def kinematics(kinetic_energy_ev):
     if kinetic_energy_ev < 0:
         raise DomainError(f"kinetic energy must be >= 0 eV, got {kinetic_energy_ev}")
     gamma = gamma_from_kinetic_energy(kinetic_energy_ev)
-    beta = np.sqrt(1.0 - 1.0 / gamma**2)
+    beta = math.sqrt(1.0 - 1.0 / gamma**2)
     return Kinematics(kinetic_energy_ev=float(kinetic_energy_ev), gamma=gamma,
                       beta_tilde=beta, velocity=beta * C)
 
@@ -126,7 +125,7 @@ def landau_geometry(B, n_r, l_z):
         raise DomainError(f"radial quantum number must be an integer >= 0, got {n_r}")
     if int(l_z) != l_z:
         raise DomainError(f"l_z must be an integer, got {l_z}")
-    w_m = 2.0 * np.sqrt(HBAR / (E_CHARGE * abs(B)))
+    w_m = 2.0 * math.sqrt(HBAR / (E_CHARGE * abs(B)))
     mean_r2 = 0.5 * w_m**2 * (2 * int(n_r) + abs(int(l_z)) + 1)
     return LandauGeometry(B=float(B), w_m=w_m, mean_r2=mean_r2,
                           n_r=int(n_r), l_z=int(l_z))

@@ -1,6 +1,10 @@
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,21 @@ def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# runs cli.main on its argv in a fresh interpreter and prints which of
+# numpy and scipy it left loaded
+FRESH_CLI = ("import sys; from oamsim import cli; rc = cli.main(sys.argv[1:]); "
+             "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})); "
+             "sys.exit(rc)")
+
+
+def fresh_cli(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
 
 
 class TestConfigValidation:
@@ -149,6 +168,37 @@ class TestMomentsCommand:
         doc = json.loads(out)
         assert code == 0
         assert doc["beam_mean_r2_m2"] == pytest.approx(a**2 / 2, rel=1e-5)
+
+
+class TestReportCommandsStartWithoutNumpy:
+    """constants, freeze and moments print closed-form floats and import no numpy."""
+
+    @pytest.mark.parametrize("argv", [
+        ["constants"],
+        ["freeze", "--config", str(CONFIG_DIR / "ring300kev.json")],
+        ["moments", "--config", str(CONFIG_DIR / "moments100.json")],
+    ], ids=["constants", "freeze", "moments"])
+    def test_fresh_run_leaves_numpy_and_scipy_unloaded(self, argv, tmp_path):
+        # importing oamsim.cli and running the command both stay numpy-free
+        out = tmp_path / "report.txt"
+        assert fresh_cli([*argv, "--out", str(out)]) == "[]"
+        assert out.read_text()
+
+    def test_density_route_loads_numpy_and_scipy_on_demand(self, tmp_path):
+        a = 2.0e-9
+        density = tmp_path / "disc.txt"
+        density.write_text("\n".join(f"{a * i / 1000:.17g} 1.0" for i in range(1, 1001)) + "\n")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "beam": {"kinetic_energy_eV": 3e5, "L": 10, "density_path": str(density)},
+            "ring": {"R0_m": 0.5, "n": 0.5}}))
+        out = tmp_path / "report.json"
+        loaded = fresh_cli(["moments", "--config", str(path), "--format", "json",
+                            "--out", str(out)])
+        assert loaded == "['numpy', 'scipy']"
+        # SHA-256 of the same report before the numerical imports were deferred
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "6b125616c278a7afc840ca276aab76a743e15d94c5d32a2e4f3a8df3d3d4d49f")
 
 
 class TestSimulateCommand:

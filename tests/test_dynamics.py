@@ -231,7 +231,10 @@ class TestOracleBasics:
     @pytest.mark.parametrize("kw", [
         dict(fixed_substeps=0), dict(fixed_substeps=-1), dict(fixed_substeps=2.5),
         dict(fixed_substeps=True), dict(rtol=0.0), dict(rtol=-1e-9), dict(rtol=math.nan),
-    ], ids=["sub-0", "sub-neg", "sub-float", "sub-bool", "rtol-0", "rtol-neg", "rtol-nan"])
+        dict(max_halvings=-1), dict(max_halvings=2.5), dict(max_halvings=True),
+        dict(max_halvings=-1, fixed_substeps=4),
+    ], ids=["sub-0", "sub-neg", "sub-float", "sub-bool", "rtol-0", "rtol-neg", "rtol-nan",
+            "halvings-neg", "halvings-float", "halvings-bool", "halvings-neg-fixed"])
     def test_piecewise_arguments_rejected_before_work(self, kw, monkeypatch):
         def no_work(L):
             raise AssertionError("operators built before the arguments were checked")

@@ -1,8 +1,9 @@
 """Golden-output guard: SHA-256 of the bytes the CLI writes for fixed inputs.
 
-The digests pin the serialization (CSV and JSON series, scan CSV) and the
-closed forms bit for bit.  A change that alters any of these bytes on
-purpose must update the digest here and say why in CHANGES.md.
+The digests pin the serialization (CSV and JSON series, scan CSV, the text
+and JSON reports) and the closed forms bit for bit.  A change that alters
+any of these bytes on purpose must update the digest here and say why in
+CHANGES.md.
 """
 
 import hashlib
@@ -37,8 +38,20 @@ WIDE_SCAN_DOC = {
     "scan": {"omega_min_rad_s": 60.0, "omega_max_rad_s": 140.0, "points": 401},
 }
 
-# case: (command, config file or document, --format, SHA-256 of stdout)
+# case: (command, config file, document or None, --format, SHA-256 of stdout)
 CASES = {
+    "constants-text": ("constants", None, "text",
+                       "41154331f3d82d055d3df50d4439cf3439c3567dc6cb5bb2079525299eeedb25"),
+    "constants-json": ("constants", None, "json",
+                       "8b47dd91a6cd433e3893a781d1122bc1a131a0ee0bf5b2da744909178d1a448f"),
+    "freeze-text": ("freeze", "ring300kev.json", "text",
+                    "0783591d6abff66516c7daaeb4754c3ca7a9489331534297ebe5623b3f406ee6"),
+    "freeze-json": ("freeze", "ring300kev.json", "json",
+                    "7890bcfe44bc43775333fadce7fead89b62d0ec2ff9a435185390ae8ac6eab3d"),
+    "moments-text": ("moments", "moments100.json", "text",
+                     "29be2f54de7e5d411f8643ff888cc4a04339f227694e3f589e96f308a39f1715"),
+    "moments-json": ("moments", "moments100.json", "json",
+                     "2e8d11c0c7467b93a2b85320c170e6b4b599f6969f19c3ae550b26e401940695"),
     "frozen-csv": ("simulate", "frozen_sim.json", "csv",
                    "0338e525506223b9ade7f82004b236014928a06c20943f1888d09986cba0530d"),
     "frozen-json": ("simulate", "frozen_sim.json", "json",
@@ -57,12 +70,14 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_bytes_pinned(case, tmp_path, capsys):
     command, config, fmt, digest = CASES[case]
+    argv = [command, "--format", fmt]
     if isinstance(config, dict):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-    else:
-        path = CONFIG_DIR / config
-    assert cli.main([command, "--config", str(path), "--format", fmt]) == 0
+        argv += ["--config", str(path)]
+    elif config is not None:
+        argv += ["--config", str(CONFIG_DIR / config)]
+    assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert case != "tmp-csv" or ",-0," in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
