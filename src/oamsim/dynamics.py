@@ -54,6 +54,10 @@ _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _CF4_WEIGHTS = (0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0)
 _CSV_BLOCK_ROWS = 4096             # rows formatted per write
 _SCAN_ARRAYS = 8                   # arrays of the block's shape _resonance_pz holds at once
+# the scan's peak search needs its margin above this share of |K0| + R + 1 +
+# R omega' t_end (4096 ulp); rounding in P_z and in the sample phases is
+# estimated at about 20 ulp of that scale
+_SCAN_ROUNDING = 2.0**-40
 # how json writes the floats float.__repr__ spells nan, inf and -inf
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -522,8 +526,10 @@ def closed_form_resonance(scn):
 def _resonance_pz(scn, omegas, times):
     """Resonance closed-form P_z, one row per drive frequency in the list omegas.
 
-    The per-frequency factors are Python floats, so each row has the bits
-    of a one-frequency evaluation.
+    times is either one grid (m,) shared by every row or one set of times per
+    row, (rows, m).  The per-frequency factors are Python floats and every
+    operation is elementwise, so each value has the bits of a one-frequency
+    evaluation at that time, whichever form times takes.
     """
     factors = []
     for omega in omegas:
@@ -553,14 +559,67 @@ def closed_form(scn):
     return closed_form_resonance(scn)
 
 
+def _peak_samples(scn, omegas, n):
+    """Per-row indices of the samples that can hold |P_z|'s maximum, or None.
+
+    One row per drive frequency, over the scenario's n-point time grid.  With
+    sin^2 x = (1 - cos 2x)/2 and sin x cos x = sin 2x / 2 the closed form
+    is P_z = K0 + R cos(omega' t - delta), with extrema at omega' t = delta +
+    pi k.  With h = omega' dt, the indices are j - 1 ... j + 2 for j =
+    floor((delta + pi k)/h) at each extremum in [0, omega' t_end], and the
+    first and last three samples.  P_z is monotone between extrema, so in
+    exact arithmetic every other sample lies below one of these in |P_z| by
+    at least R min(cos(h/2) - cos 2h, 2 sin^2(1.5 h)).  None means that some
+    row has h >= pi/2 or a gap within _SCAN_ROUNDING of its scale, or that
+    the rows need as many indices as the grid has samples.
+    """
+    # omega' = 0 or an overflow leaves NaN or inf here, and such a row fails the test
+    with np.errstate(all="ignore"):
+        detuning = 2.0 * scn.Omega - omegas
+        omega_p = np.hypot(detuning, scn.A)
+        amp = scn.A / omega_p
+        s2 = math.sin(scn.theta) ** 2
+        alpha = 2.0 * scn.psi - scn.phi
+        k0 = 0.5 * amp * s2 * (detuning / omega_p) * math.cos(alpha)
+        k1, k2 = -k0, 0.5 * amp * s2 * math.sin(alpha)
+        if scn.kind == "vector":
+            k0 = k0 + (1.0 - amp**2) * math.cos(scn.theta)
+            k1 = k1 + amp**2 * math.cos(scn.theta)
+        r = np.hypot(k1, k2)
+        h = omega_p * (scn.t_end / (n - 1))
+        span = omega_p * scn.t_end
+        # cos(h/2) - cos 2h = 2 sin(1.25 h) sin(0.75 h), without cancellation
+        gap = 2.0 * r * np.minimum(np.sin(1.25 * h) * np.sin(0.75 * h), np.sin(1.5 * h)**2)
+        trusted = (h < 0.5 * math.pi) & (gap > _SCAN_ROUNDING * (np.abs(k0) + r + 1.0 + r * span))
+    if not trusted.all():
+        return None
+    delta = np.arctan2(k2, k1)
+    first = np.ceil(-delta / math.pi)
+    count = int(np.max(np.floor((span - delta) / math.pi) - first)) + 1
+    if 4 * count + 6 >= n:
+        return None
+    extrema = delta[:, None] + math.pi * (first[:, None] + np.arange(count))
+    near = np.floor(extrema / h[:, None])[:, :, None] + np.arange(-1.0, 3.0)
+    ends = np.broadcast_to([0.0, 1.0, 2.0, n - 3.0, n - 2.0, n - 1.0], (len(omegas), 6))
+    return np.clip(np.hstack([ends, near.reshape(len(omegas), -1)]), 0, n - 1).astype(np.intp)
+
+
 def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
     """Peak |P_z| of the resonance closed form over a drive-frequency grid.
 
-    with_oracle adds the oracle's peak per frequency, at tolerance oracle_rtol.
+    Each peak is the exact maximum over the time grid, found from the samples
+    next to each analytic extremum of P_z and at the ends (_peak_samples).  A
+    block of frequencies evaluates every sample instead when some frequency
+    has h = omega' dt >= pi/2 or a margin not far above rounding, or when the
+    search would not evaluate fewer samples.  Either way each evaluated sample
+    has the bits of the whole-grid closed form.  with_oracle adds the oracle's
+    peak per frequency, at tolerance oracle_rtol.
     """
     omegas = np.asarray(list(omega_values), dtype=float)
     if omegas.size == 0:
         raise DomainError("resonance scan needs a nonempty frequency grid")
+    if not np.all(np.isfinite(omegas)):
+        raise DomainError("resonance scan frequencies must be finite")
     if base.mode != "resonance":
         raise DomainError("resonance scan requires a resonance-mode scenario")
 
@@ -570,12 +629,15 @@ def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
         return float(np.max(np.abs(series.P[:, 2])))
 
     # the closed form is evaluated over (frequencies, times) blocks; the
-    # kernel's arrays of the block's shape together hold about _BLOCK_BYTES
+    # kernel's arrays of the block's shape together hold about _BLOCK_BYTES,
+    # less where the search gathers fewer samples than the grid has
     times = base.times()
     rows = max(1, _BLOCK_BYTES // (_SCAN_ARRAYS * times.nbytes))
     peaks = np.empty(len(omegas))
     for start in range(0, len(omegas), rows):
-        pz = _resonance_pz(base, omegas[start:start + rows].tolist(), times)
+        block = omegas[start:start + rows]
+        idx = _peak_samples(base, block, len(times))
+        pz = _resonance_pz(base, block.tolist(), times if idx is None else times[idx])
         peaks[start:start + rows] = np.nanmax(np.abs(pz), axis=1)
     oracle_peaks = np.array([oracle_peak(w) for w in omegas]) if with_oracle else None
     return ScanResult(omegas=omegas, peaks=peaks,

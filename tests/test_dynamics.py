@@ -559,6 +559,65 @@ class TestResonanceScan:
             monkeypatch.setattr(dy, "_BLOCK_BYTES", rows * row_bytes)
             assert np.array_equal(dy.resonance_scan(base, grid).peaks, expected)
 
+    # id: (scenario overrides, drive frequencies, how the scan evaluates them);
+    # "search" gathers the samples next to each extremum and at the ends,
+    # "whole" evaluates every sample of the grid
+    GRID = np.linspace(80.0, 120.0, 41)
+    SEARCH_CASES = {
+        "vector": ({"kind": "vector"}, GRID, {"search"}),
+        "tensor": ({}, GRID, {"search"}),
+        "tensor-theta-0": ({"theta": 0.0}, GRID, {"whole"}),
+        # 2 psi - phi = 0: the tensor P_z vanishes at 2 Omega, whose block
+        # then has no margin
+        "tensor-alpha-0": ({"phi": 0.6}, GRID, {"search", "whole"}),
+        "vector-alpha-0": ({"kind": "vector", "phi": 0.6}, GRID, {"search"}),
+        "vector-alpha-quarter": ({"kind": "vector", "phi": 0.6 - np.pi / 2},
+                                 GRID, {"search"}),
+        "tensor-alpha-quarter": ({"phi": 0.6 - np.pi / 2}, GRID, {"search"}),
+        # P_z barely moves over the run: no margin above rounding
+        "weak-on-resonance": ({"kind": "vector", "A": 1e-6},
+                              100.0 + np.array([-1e-6, 0.0, 1e-6]), {"whole"}),
+        "steps-2": ({"steps": 2}, GRID, {"whole"}),
+        "steps-3": ({"steps": 3}, GRID, {"whole"}),
+        "steps-4": ({"steps": 4}, GRID, {"whole"}),
+        # h = omega' dt > pi/2 away from resonance
+        "undersampled": ({"kind": "vector", "steps": 16}, np.linspace(0.0, 200.0, 41),
+                         {"whole"}),
+        "long-run": ({"kind": "vector", "t_end": 1e3, "steps": 4001},
+                     100.0 + np.linspace(-1.5, 1.5, 7), {"search"}),
+        # 2 psi - phi = -0.5: near 2 Omega, |P_z| falls from its first sample
+        # and no extremum lies in the run; further out one does
+        "short-run": ({"kind": "vector", "phi": 1.1, "t_end": 0.5},
+                      100.0 + np.linspace(-8.0, 0.0, 5), {"search"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_peak_search_equals_whole_grid_maximum(self, case, monkeypatch):
+        overrides, grid, paths = self.SEARCH_CASES[case]
+        base = resonance_scn(**{"Omega": 50.0, "theta": 1.1, "psi": 0.3, "phi": 0.4,
+                                "t_end": np.pi, "steps": 1001, **overrides})
+        expected = [np.nanmax(np.abs(dy._resonance_pz(base, [w], base.times())))
+                    for w in grid]
+        kernel, rows = dy._resonance_pz, {"search": 0, "whole": 0}
+
+        def counted(scn, omegas, times):
+            rows["search" if np.ndim(times) == 2 else "whole"] += len(omegas)
+            return kernel(scn, omegas, times)
+
+        monkeypatch.setattr(dy, "_resonance_pz", counted)
+        assert np.array_equal(dy.resonance_scan(base, grid).peaks, expected)
+        assert {path for path, n in rows.items() if n} == paths
+        assert sum(rows.values()) == len(grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_frequency_raises(self, bad, monkeypatch):
+        def never(*args):
+            raise AssertionError("the closed form ran")
+
+        monkeypatch.setattr(dy, "_resonance_pz", never)
+        with pytest.raises(DomainError, match="finite"):
+            dy.resonance_scan(resonance_scn(), [bad, 100.0])
+
     def test_zero_coupling_on_resonance_raises(self, monkeypatch):
         base = resonance_scn(A=0.0, t_end=np.pi, steps=64)
         monkeypatch.setattr(dy, "_BLOCK_BYTES", 2 * dy._SCAN_ARRAYS * base.times().nbytes)

@@ -37,6 +37,15 @@ WIDE_SCAN_DOC = {
                  "Omega_rad_s": 50.0, "A_rad_s": 1.0, "phi": 0.2},
     "scan": {"omega_min_rad_s": 60.0, "omega_max_rad_s": 140.0, "points": 401},
 }
+# weak coupling on a coarse grid: h = omega' dt >= pi/2 for 302 of the 401
+# frequencies, so the scan evaluates every sample instead of searching
+COARSE_SCAN_DOC = {
+    "beam": {"kinetic_energy_eV": 3e5, "L": 1, "theta": 1.2, "psi": 0.5,
+             "kind": "tensor"},
+    "scenario": {"mode": "resonance", "t_end_s": 10.0, "steps": 64,
+                 "Omega_rad_s": 50.0, "A_rad_s": 1e-4, "phi": 0.1},
+    "scan": {"omega_min_rad_s": 60.0, "omega_max_rad_s": 140.0, "points": 401},
+}
 
 # case: (command, config file, document or None, --format, SHA-256 of stdout)
 CASES = {
@@ -64,6 +73,8 @@ CASES = {
                 "1a3549e9f81caff303dcd6617f42a42628eab224b5c581bbb51e44d882e8bb78"),
     "wide-scan-csv": ("scan", WIDE_SCAN_DOC, "csv",
                       "26101fed3c006f36ea8d3fdd27aeab4d686e4e6ed218041b1968aad7a68fd50f"),
+    "coarse-scan-csv": ("scan", COARSE_SCAN_DOC, "csv",
+                        "6a2a255401b0389c34e6a2be81bb1af6e14458106c72fcb05b3ae5a7bc12cf92"),
 }
 
 
