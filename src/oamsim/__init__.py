@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "am_core": ("AmOperators", "PolarizationState", "QuantumState",
                 "build_operators", "coherent_state", "initial_polarization_closed",
-                "polarization_state", "polarization_tensor", "polarization_vector",
-                "tensor_mixture"),
+                "polarization_tensor", "polarization_vector", "tensor_mixture"),
     "dynamics": ("ComparisonReport", "DynamicsScenario", "PolarizationSeries",
                  "ScanResult", "SplittingTable", "build_hamiltonian", "closed_form",
                  "closed_form_frozen", "closed_form_resonance", "closed_form_tmp",

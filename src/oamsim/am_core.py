@@ -11,13 +11,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 _HERM_TOL = 1e-12
 _NORM_TOL = 1e-12
 _EIG_TOL = 1e-10
-# tensor components in the order of AmOperators.observables[3:]
-_TENSOR_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# tensor components (i, j) in the order of AmOperators.observables[3:]
+TENSOR_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,10 @@ class AmOperators:
     def observables(self):
         """(9, dim, dim) stack: Lx, Ly, Lz, then {Li, Lj} for ij = xx, yy, zz, xy, xz, yz."""
         comps = (self.Lx, self.Ly, self.Lz)
-        anti = [comps[i] @ comps[j] + comps[j] @ comps[i] for i, j in _TENSOR_PAIRS]
-        return np.stack(list(comps) + anti)
-
-    def component(self, axis):
-        """Return the operator for axis 'rho'/'x', 'phi'/'y' or 'z'."""
-        try:
-            return {"rho": self.Lx, "x": self.Lx,
-                    "phi": self.Ly, "y": self.Ly,
-                    "z": self.Lz}[axis]
-        except KeyError:
-            raise DomainError(f"unknown axis {axis!r}") from None
+        anti = [comps[i] @ comps[j] + comps[j] @ comps[i] for i, j in TENSOR_PAIRS]
+        obs = np.stack(list(comps) + anti)
+        obs.flags.writeable = False    # callers keep views of it, e.g. as Hamiltonian terms
+        return obs
 
 
 @dataclass(frozen=True)
@@ -91,8 +84,7 @@ def build_operators(L):
     sqrt(L(L+1) - m(m+-1)) in the descending-m basis, so Lz is
     diag(L, L-1, ..., -L) and [Li, Lj] = i e_ijk Lk holds to rounding.
     """
-    if int(L) != L or L < 1:
-        raise DomainError(f"L must be an integer >= 1, got {L}")
+    require_int("L", L, 1)
     L = int(L)
     m = np.arange(L, -L - 1, -1, dtype=float)
     dim = 2 * L + 1
@@ -210,7 +202,7 @@ def polarization_batch(data, ops, traceless=False):
     vals[:, :3] -= 2.0 * L * (L + 1.0)
     vals /= 2.0 * L * (2.0 * L - 1.0)
     pt = np.empty((n, 3, 3))
-    for k, (i, j) in enumerate(_TENSOR_PAIRS):
+    for k, (i, j) in enumerate(TENSOR_PAIRS):
         pt[:, i, j] = pt[:, j, i] = vals[:, k]
     if not traceless:
         pt[:, (0, 1, 2), (0, 1, 2)] += 1.0 / 3.0
@@ -227,13 +219,7 @@ def polarization_tensor(state, ops, traceless=False):
     return polarization_batch(state.data[None], ops, traceless)[1][0]
 
 
-def polarization_state(state, ops):
-    """Bundle vector and (unit-trace) tensor polarization of a state."""
-    p, pt = polarization_batch(state.data[None], ops)
-    return PolarizationState(P=p[0], Pt=pt[0])
-
-
-def initial_polarization_closed(theta, psi, kind, published_zz=False):
+def initial_polarization_closed(theta, psi, kind):
     """Classical-limit initial polarization for a beam aimed along (theta, psi).
 
     Evaluates the closed-form parametrization
@@ -246,10 +232,6 @@ def initial_polarization_closed(theta, psi, kind, published_zz=False):
     unit-trace convention of polarization_tensor by delta_ij/3).  For
     kind="vector" the vector part is (sin(th)cos(ps), sin(th)sin(ps), cos(th));
     for kind="tensor" it is zero and the tensor is unchanged.
-
-    published_zz=True substitutes the widely printed variant
-    P_zz = (3 cos^2(th) cos^2(ps) - 1)/2, which violates the zero-sum rule at
-    theta=0 and is retained only for traceability.
     """
     if kind not in ("vector", "tensor"):
         raise DomainError(f"kind must be 'vector' or 'tensor', got {kind!r}")
@@ -259,10 +241,6 @@ def initial_polarization_closed(theta, psi, kind, published_zz=False):
         p = np.array([st * cp, st * sp, ct])
     else:
         p = np.zeros(3)
-    if published_zz:
-        pzz = 0.5 * (3.0 * ct**2 * cp**2 - 1.0)
-    else:
-        pzz = 0.5 * (3.0 * ct**2 - 1.0)
     pt = np.array([
         [0.5 * (3.0 * st**2 * cp**2 - 1.0),
          0.75 * st**2 * np.sin(2.0 * psi),
@@ -272,6 +250,6 @@ def initial_polarization_closed(theta, psi, kind, published_zz=False):
          0.75 * np.sin(2.0 * theta) * sp],
         [0.75 * np.sin(2.0 * theta) * cp,
          0.75 * np.sin(2.0 * theta) * sp,
-         pzz],
+         0.5 * (3.0 * ct**2 - 1.0)],
     ])
     return PolarizationState(P=p, Pt=pt)

@@ -55,7 +55,10 @@ def _report(doc, fmt, out_path):
 
 
 def _ring_for(doc, mode):
-    """Resolve (kinematics, B0, setup-or-None) from beam/ring sections."""
+    """Resolve (kinematics, B0, setup-or-None) from beam/ring sections.
+
+    Frozen mode needs the solved ring; other modes also take B0_T.
+    """
     beam = doc["beam"]
     ring = doc.get("ring", {})
     kin = ring_config.kinematics(beam["kinetic_energy_eV"])
@@ -63,10 +66,10 @@ def _ring_for(doc, mode):
         setup = ring_config.frozen_setup(beam["kinetic_energy_eV"],
                                          ring["R0_m"], ring["n"])
         return kin, setup.B0, setup
-    if "B0_T" in ring:
-        return kin, ring["B0_T"], None
     if mode == "frozen":
         raise ConfigError("frozen mode requires ring.R0_m and ring.n")
+    if "B0_T" in ring:
+        return kin, ring["B0_T"], None
     raise ConfigError("ring section must provide R0_m+n or B0_T")
 
 
@@ -81,49 +84,32 @@ def scenario_from_config(doc):
     beam, scn = doc["beam"], doc["scenario"]
     mode = scn["mode"]
     L = beam["L"]
-    ring_cache = {}
 
-    def ring():
-        if not ring_cache:
-            ring_cache["value"] = _ring_for(doc, mode)
-        return ring_cache["value"]
+    def given(key, derive):
+        """The scenario's own value for key, else derive(); the ring is read only then."""
+        return scn[key] if key in scn else derive()
 
     def larmor():
-        kin, b0, _ = ring()
+        kin, b0, _ = _ring_for(doc, mode)
         return ring_config.larmor_omega(kin, b0, 0.0)
 
     fields = dict(mode=mode, L=L, theta=beam["theta"], psi=beam["psi"],
                   kind=beam["kind"], t_end=scn["t_end_s"], steps=scn["steps"],
                   phi=scn.get("phi", 0.0), drive=scn.get("drive", "corotating"))
     if mode == "tmp":
-        fields["Omega"] = scn.get("Omega_rad_s", None)
-        if fields["Omega"] is None:
-            fields["Omega"] = larmor()
-        fields["b"] = scn.get("b_rad_s", None)
-        if fields["b"] is None:
-            fields["b"] = moments.tmp_coefficient(ring()[1])
+        fields["Omega"] = given("Omega_rad_s", larmor)
+        fields["b"] = given("b_rad_s", lambda: moments.tmp_coefficient(_ring_for(doc, mode)[1]))
     elif mode == "frozen":
-        if "A_rad_s" in scn:
-            fields["A"] = scn["A_rad_s"]
-        else:
-            _, _, setup = ring()
-            if setup is None:
-                raise ConfigError("frozen mode requires ring.R0_m and ring.n")
-            fields["A"] = dynamics.quadrupole_coefficient_frozen(
-                moments.beam_model_eqm(L)[2], L, setup)
+        fields["A"] = given("A_rad_s", lambda: dynamics.quadrupole_coefficient_frozen(
+            moments.beam_model_eqm(L)[2], L, _ring_for(doc, mode)[2]))
     else:
-        fields["Omega"] = scn.get("Omega_rad_s", None)
-        if fields["Omega"] is None:
-            fields["Omega"] = larmor()
-        if "A_rad_s" in scn:
-            fields["A"] = scn["A_rad_s"]
-        elif "grad_amplitude_V_m2" in scn:
-            fields["A"] = dynamics.quadrupole_coefficient_resonance(
-                moments.beam_model_eqm(L)[2], L, scn["grad_amplitude_V_m2"])
-        else:
+        fields["Omega"] = given("Omega_rad_s", larmor)
+        if "A_rad_s" not in scn and "grad_amplitude_V_m2" not in scn:
             raise ConfigError(
                 "resonance mode requires scenario.grad_amplitude_V_m2 or scenario.A_rad_s")
-        fields["omega_drive"] = scn.get("omega_drive", 2.0 * fields["Omega"])
+        fields["A"] = given("A_rad_s", lambda: dynamics.quadrupole_coefficient_resonance(
+            moments.beam_model_eqm(L)[2], L, scn["grad_amplitude_V_m2"]))
+        fields["omega_drive"] = given("omega_drive", lambda: 2.0 * fields["Omega"])
     return dynamics.DynamicsScenario(**fields)
 
 

@@ -129,6 +129,9 @@ def validate_config(doc, command):
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
             out[section][key] = _check_value(section, key, value)
+    if {"n", "B0_T"} <= out.get("ring", {}).keys():
+        raise ConfigError("ring.n and ring.B0_T are exclusive: give R0_m + n (frozen "
+                          "solve) or B0_T (direct field)")
     for section, keys in REQUIRED[command].items():
         if section not in out:
             raise ConfigError(f"command {command!r} requires a {section!r} section")
@@ -148,11 +151,6 @@ def load_config(path, command):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return validate_config(doc, command)
-
-
-def dump_config(doc):
-    """Serialize a configuration deterministically (round-trips with load)."""
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def scan_omegas(doc):

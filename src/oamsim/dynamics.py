@@ -25,21 +25,23 @@ fourth-order commutator-free Magnus propagator refined by substep halving.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .am_core import (antiparallel_pair, build_operators, coherent_state,
+from .am_core import (TENSOR_PAIRS, antiparallel_pair, build_operators, coherent_state,
                       expi_hermitian, polarization_batch)
 # kept importable from dynamics: perfbench's tracer self-test patches it here
 from .am_core import polarization_tensor  # noqa: F401
 from .constants import HBAR
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_int
 from .ring_config import field_gradients
 
-SERIES_CSV_HEADER = "t,P_rho,P_phi,P_z,P_rr,P_pp,P_zz,P_rp,P_rz,P_pz,source"
+# the numeric series columns, in CSV and JSON order; the tensor follows TENSOR_PAIRS
+_COLUMNS = ("t", "P_rho", "P_phi", "P_z") + tuple(
+    "P_" + "rpz"[i] + "rpz"[j] for i, j in TENSOR_PAIRS)
+SERIES_CSV_HEADER = ",".join(_COLUMNS + ("source",))
 
 _MODES = ("tmp", "frozen", "resonance")
 _KINDS = ("vector", "tensor")
@@ -60,11 +62,6 @@ _SCAN_ARRAYS = 8                   # arrays of the block's shape _resonance_pz h
 _SCAN_ROUNDING = 2.0**-40
 # how json writes the floats float.__repr__ spells nan, inf and -inf
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _is_int(value):
-    """True for an integer, numpy's included, but not for a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -96,10 +93,8 @@ class DynamicsScenario:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.drive not in _DRIVES:
             raise DomainError(f"drive must be one of {_DRIVES}, got {self.drive!r}")
-        if int(self.L) != self.L or self.L < 1:
-            raise DomainError(f"L must be an integer >= 1, got {self.L}")
-        if not _is_int(self.steps) or self.steps < 2:
-            raise DomainError(f"steps must be an integer >= 2, got {self.steps}")
+        require_int("L", self.L, 1)
+        require_int("steps", self.steps, 2)
         if not self.t_end > 0:
             raise DomainError(f"t_end must be positive, got {self.t_end}")
         # each mode keeps exactly one bilinear term
@@ -127,21 +122,21 @@ class PolarizationSeries:
     def __len__(self):
         return len(self.times)
 
-    def validate(self, vec_tol=1e-10, trace_tol=1e-10):
-        """Check series invariants on all components the source defines."""
+    def validate(self):
+        """Check series invariants on all components the source defines, at 1e-10."""
         if np.any(np.diff(self.times) <= 0):
             raise DomainError("series times must be strictly increasing")
         full_vec = ~np.any(np.isnan(self.P), axis=1)
         if np.any(full_vec):
             norms = np.linalg.norm(self.P[full_vec], axis=1)
-            if np.max(norms) > 1.0 + vec_tol:
-                raise DomainError(f"|P| exceeds 1 by more than {vec_tol}")
+            if np.max(norms) > 1.0 + 1e-10:
+                raise DomainError("|P| exceeds 1 by more than 1e-10")
         diag = self.Pt[:, (0, 1, 2), (0, 1, 2)]
         full_tensor = ~np.any(np.isnan(self.Pt.reshape(len(self), 9)), axis=1)
         if np.any(full_tensor):
             traces = diag[full_tensor].sum(axis=1)
-            if np.max(np.abs(traces - 1.0)) > trace_tol:
-                raise DomainError(f"tensor trace deviates from 1 beyond {trace_tol}")
+            if np.max(np.abs(traces - 1.0)) > 1e-10:
+                raise DomainError("tensor trace deviates from 1 beyond 1e-10")
         return self
 
 
@@ -192,8 +187,7 @@ def quadrupole_coefficient_frozen(Qs, L, setup):
     Equivalently Qs (dEr/dR) / (8 L^2 hbar) with the quasielectric gradient
     of the setup; zero field index gives zero.
     """
-    if L < 1:
-        raise DomainError(f"L must be >= 1, got {L}")
+    require_int("L", L, 1)
     _, der_dr = field_gradients(setup)
     return Qs * der_dr / (8.0 * L**2 * HBAR)
 
@@ -204,8 +198,7 @@ def quadrupole_coefficient_resonance(Qs, L, grad_amplitude):
     grad_amplitude is the amplitude G of the oscillating quasielectric
     gradient in V/m^2.
     """
-    if L < 1:
-        raise DomainError(f"L must be >= 1, got {L}")
+    require_int("L", L, 1)
     return -Qs * grad_amplitude / (8.0 * L**2 * HBAR)
 
 
@@ -214,19 +207,20 @@ def hamiltonian_terms(scn, ops):
 
     Returns (H0, ((a_k, f_k, H_k), ...)) with H(t) = H0 + sum_k a_k f_k(phase) H_k
     and phase = omega_drive t + phi; an empty tuple means H is time-independent.
+    The products are the anticommutators {L_i, L_j} of ops.observables, so
+    2 Lx^2 is {Lx, Lx}.
     """
     if ops.L != scn.L:
         raise DomainError(f"operators are for L={ops.L}, scenario has L={scn.L}")
+    _, _, lz, axx, ayy, azz, axy, _, _ = ops.observables
     if scn.mode == "tmp":
-        return scn.Omega * ops.Lz + scn.b * (ops.Lz @ ops.Lz), ()
-    lxx = ops.Lx @ ops.Lx
+        return scn.Omega * lz + 0.5 * scn.b * azz, ()
     if scn.mode == "frozen":
-        return 2.0 * scn.A * lxx, ()
-    h0 = scn.Omega * ops.Lz
+        return scn.A * axx, ()
+    h0 = scn.Omega * lz
     if scn.drive == "linear":
-        return h0, ((2.0 * scn.A, np.cos, lxx),)
-    return h0, ((0.5 * scn.A, np.cos, lxx - ops.Ly @ ops.Ly),
-                (0.5 * scn.A, np.sin, ops.Lx @ ops.Ly + ops.Ly @ ops.Lx))
+        return h0, ((scn.A, np.cos, axx),)
+    return h0, ((0.25 * scn.A, np.cos, axx - ayy), (0.5 * scn.A, np.sin, axy))
 
 
 def build_hamiltonian(scn, ops, t):
@@ -430,10 +424,9 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
     """
     if not rtol > 0:
         raise DomainError(f"rtol must be positive, got {rtol}")
-    if not _is_int(max_halvings) or max_halvings < 0:
-        raise DomainError(f"max_halvings must be an integer >= 0, got {max_halvings!r}")
-    if fixed_substeps is not None and (not _is_int(fixed_substeps) or fixed_substeps < 1):
-        raise DomainError(f"fixed_substeps must be an integer >= 1, got {fixed_substeps!r}")
+    require_int("max_halvings", max_halvings, 0)
+    if fixed_substeps is not None:
+        require_int("fixed_substeps", fixed_substeps, 1)
     if ops is None:
         ops = build_operators(scn.L)
     h0, terms = hamiltonian_terms(scn, ops)
@@ -652,8 +645,7 @@ def level_splitting(ops, Qs, L, dEr_dR):
     projection m_r by coefficient * m_r^2, linear in the gradient (and in
     the field index that produces it).
     """
-    if L < 1:
-        raise DomainError(f"L must be >= 1, got {L}")
+    require_int("L", L, 1)
     if ops.L != L:
         raise DomainError(f"operators are for L={ops.L}, expected {L}")
     coeff = -Qs * dEr_dR / (4.0 * L**2 * HBAR)
@@ -670,14 +662,16 @@ def level_splitting(ops, Qs, L, dEr_dR):
     return SplittingTable(levels=tuple(levels), coefficient=float(coeff))
 
 
-def dominant_frequencies(times, values, n_peaks=1, pad=8):
+def dominant_frequencies(times, values, n_peaks=1):
     """Dominant angular frequencies of a uniformly sampled real signal.
 
-    Hann-windowed, zero-padded rFFT with quadratic interpolation of the
-    log-magnitude around each spectral peak.  Returns a list of
-    (omega_rad_s, amplitude) sorted by descending amplitude.  The frequency
-    resolution before interpolation is 2*pi/(pad * T_window).
+    Hann-windowed rFFT, zero-padded to pad = 8 times the signal length, with
+    quadratic interpolation of the log-magnitude around each spectral peak.
+    Returns a list of (omega_rad_s, amplitude) sorted by descending
+    amplitude.  The frequency resolution before interpolation is
+    2*pi/(pad * T_window).
     """
+    pad = 8
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.size < 2:
@@ -688,7 +682,7 @@ def dominant_frequencies(times, values, n_peaks=1, pad=8):
     x = values - values.mean()
     n = x.size
     window = np.hanning(n)
-    spec = np.abs(np.fft.rfft(x * window, n=int(pad) * n))
+    spec = np.abs(np.fft.rfft(x * window, n=pad * n))
     # local maxima, skipping the DC shoulder of the window
     interior = np.arange(2, spec.size - 1)
     is_peak = (spec[interior] > spec[interior - 1]) & (spec[interior] >= spec[interior + 1])
@@ -718,12 +712,16 @@ def dominant_frequencies(times, values, n_peaks=1, pad=8):
 
 def _beat_frequency(times, signal):
     """Beat half-splitting of a two-line signal: (omega_hi - omega_lo)/2."""
-    peaks = dominant_frequencies(times, signal, n_peaks=2)
-    w = sorted(p[0] for p in peaks)
-    return 0.5 * (w[1] - w[0]), 0.5 * (w[1] + w[0])
+    w = sorted(p[0] for p in dominant_frequencies(times, signal, n_peaks=2))
+    return 0.5 * (w[1] - w[0])
 
 
-def oracle_vs_closed_form(scn, ops=None, oracle_rtol=1e-9):
+def _line_frequency(times, signal):
+    """Frequency of the strongest spectral line."""
+    return dominant_frequencies(times, signal)[0][0]
+
+
+def oracle_vs_closed_form(scn, oracle_rtol=1e-9):
     """Compare the matrix-propagator oracle against the closed-form solution.
 
     Pointwise deviations are taken over the components the closed form
@@ -733,9 +731,7 @@ def oracle_vs_closed_form(scn, ops=None, oracle_rtol=1e-9):
     deviation is only bounded by rotating-wave corrections; the report
     carries that bound (5 A/omega) instead of a tight match.
     """
-    if ops is None:
-        ops = build_operators(scn.L)
-    oracle = evolve_oracle(scn, ops=ops, rtol=oracle_rtol)
+    oracle = evolve_oracle(scn, rtol=oracle_rtol)
     closed = closed_form(scn)
     defined = ~np.isnan(closed.P)
     dev = float(np.max(np.abs(np.where(defined, oracle.P - closed.P, 0.0))))
@@ -744,21 +740,15 @@ def oracle_vs_closed_form(scn, ops=None, oracle_rtol=1e-9):
     # line spacing; at L = 1 this reduces to the closed-form frequency
     stretched = 2 * scn.L - 1
     if scn.mode == "tmp":
-        expected = abs(scn.b) * stretched
-        f_or, _ = _beat_frequency(oracle.times, oracle.P[:, 1])
-        f_cl, _ = _beat_frequency(closed.times, closed.P[:, 1])
-        sig_or, sig_cl = oracle.P[:, 1], closed.P[:, 1]
+        expected, column, estimate = abs(scn.b) * stretched, 1, _beat_frequency
     elif scn.mode == "frozen":
-        expected = 2.0 * abs(scn.A) * stretched
-        f_or = dominant_frequencies(oracle.times, oracle.P[:, 2])[0][0]
-        f_cl = dominant_frequencies(closed.times, closed.P[:, 2])[0][0]
-        sig_or, sig_cl = oracle.P[:, 2], closed.P[:, 2]
+        expected, column, estimate = 2.0 * abs(scn.A) * stretched, 2, _line_frequency
     else:
         expected = (math.hypot(2.0 * scn.Omega - scn.omega_drive, scn.A)
                     if scn.L == 1 else math.nan)
-        f_or = dominant_frequencies(oracle.times, oracle.P[:, 2])[0][0]
-        f_cl = dominant_frequencies(closed.times, closed.P[:, 2])[0][0]
-        sig_or, sig_cl = oracle.P[:, 2], closed.P[:, 2]
+        column, estimate = 2, _line_frequency
+    sig_or, sig_cl = oracle.P[:, column], closed.P[:, column]
+    f_or, f_cl = estimate(oracle.times, sig_or), estimate(closed.times, sig_cl)
 
     amp_cl = float(np.max(np.abs(sig_cl)))
     amp_or = float(np.max(np.abs(sig_or)))
@@ -777,11 +767,8 @@ def oracle_vs_closed_form(scn, ops=None, oracle_rtol=1e-9):
 
 def _series_columns(series):
     """The ten numeric CSV/JSON columns as (name, array) pairs, in layout order."""
-    pt = series.Pt
-    return (("t", series.times), ("P_rho", series.P[:, 0]), ("P_phi", series.P[:, 1]),
-            ("P_z", series.P[:, 2]), ("P_rr", pt[:, 0, 0]), ("P_pp", pt[:, 1, 1]),
-            ("P_zz", pt[:, 2, 2]), ("P_rp", pt[:, 0, 1]), ("P_rz", pt[:, 0, 2]),
-            ("P_pz", pt[:, 1, 2]))
+    arrays = [series.times, *series.P.T, *(series.Pt[:, i, j] for i, j in TENSOR_PAIRS)]
+    return tuple(zip(_COLUMNS, arrays))
 
 
 def _all_nan(col):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .constants import (ALPHA, E_SIGNED, FM, GAUSSIAN_B2_J_PER_M3, HBAR,
                         HBAR_C_EV_M, LAMBDA_BAR_C)
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .ring_config import LandauGeometry, landau_geometry
 
 
@@ -48,14 +48,13 @@ class EcqmTensor:
         return np.array(self.rows)
 
 
-def tmp_electron(mass_ratio=1.0):
+def tmp_electron():
     """Tensor magnetic polarizability e^2 hbar^2/(8 m^3) in fm^3.
 
     With Gaussian-unit e^2 = alpha hbar c this is (alpha/8) lambda_bar_C^3,
-    about 5.25e4 fm^3 for the electron.  mass_ratio rescales the particle
-    mass in units of m_e (the value falls off as 1/mass^3).
+    about 5.25e4 fm^3 for the electron.
     """
-    return ALPHA / 8.0 * (LAMBDA_BAR_C / (FM * mass_ratio)) ** 3
+    return ALPHA / 8.0 * (LAMBDA_BAR_C / FM) ** 3
 
 
 def tmp_coefficient(B):
@@ -75,8 +74,7 @@ def tmp_energy_shift(beta_T_fm3, L, B, angle):
     angle is the angle between L and B; the projection L B cos(angle) enters
     squared.  Uses the same Gaussian-to-SI conversion as tmp_coefficient.
     """
-    if L < 1 or int(L) != L:
-        raise DomainError(f"L must be an integer >= 1, got {L}")
+    require_int("L", L, 1)
     if B < 0:
         raise DomainError(f"B must be >= 0, got {B}")
     beta_t_m3 = beta_T_fm3 * FM**3
@@ -157,29 +155,23 @@ def spectroscopic_eqm(Q0, j, K):
     return (3.0 * K**2 - j * (j + 1.0)) / ((j + 1.0) * (2.0 * j + 3.0)) * Q0
 
 
-def quadrupole_tensor_operator(ops, Qs, j=None):
-    """Quadrupole tensor operator on the |j, m> space, as a 3x3 nest of matrices.
+def quadrupole_tensor_operator(ops, Qs):
+    """Quadrupole tensor operator on the operators' |L, m> space, as a 3x3 nest of matrices.
 
-    Q_ij = 3 Qs / (2 j (2j-1)) * [ {j_i, j_j} - (2/3) delta_ij j(j+1) ].
+    Q_ij = 3 Qs / (2 L (2L-1)) * [ {L_i, L_j} - (2/3) delta_ij L(L+1) ],
+    with the anticommutators of ops.observables.
 
     Each component is Hermitian and the ij-trace Q_xx + Q_yy + Q_zz vanishes.
-    The stretched-state expectation <j,j|Q_zz|j,j> equals Qs.
+    The stretched-state expectation <L,L|Q_zz|L,L> equals Qs.
     """
-    if j is None:
-        j = ops.L
-    if j < 1:
-        raise DomainError(f"quadrupole operator requires j >= 1, got {j}")
     import numpy as np
-    comps = (ops.Lx, ops.Ly, ops.Lz)
-    eye = np.eye(ops.dim)
-    pref = 3.0 * Qs / (2.0 * j * (2.0 * j - 1.0))
+    from .am_core import TENSOR_PAIRS
+    L = ops.L
+    shift = (2.0 / 3.0) * L * (L + 1.0) * np.eye(ops.dim)
+    pref = 3.0 * Qs / (2.0 * L * (2.0 * L - 1.0))
     out = [[None] * 3 for _ in range(3)]
-    for a in range(3):
-        for b in range(a, 3):
-            q = comps[a] @ comps[b] + comps[b] @ comps[a]
-            if a == b:
-                q = q - (2.0 / 3.0) * j * (j + 1.0) * eye
-            out[a][b] = out[b][a] = pref * q
+    for (a, b), anti in zip(TENSOR_PAIRS, ops.observables[3:]):
+        out[a][b] = out[b][a] = pref * (anti - shift if a == b else anti)
     return out
 
 
@@ -211,27 +203,24 @@ def delta_omega_estimate(L, grad_E):
     grad_E is the maximum electric-field gradient in V/m^2.  The product is
     a literal scaling estimate, not a calibrated prediction.
     """
-    if L < 1:
-        raise DomainError(f"L must be >= 1, got {L}")
+    require_int("L", L, 1)
     return L * abs(grad_E) * 1.0e-10
 
 
 def beam_diameter(L):
     """Vortex-beam diameter model d = 10 nm * (L / 50), linear in the OAM."""
-    if L < 1:
-        raise DomainError(f"L must be >= 1, got {L}")
+    require_int("L", L, 1)
     return 10.0e-9 * (L / 50.0)
 
 
 def eqm_scale_check(L, R0):
-    """Length scale <r^2>/R0 [m] with <r^2> = (d(L)/2)^2 from the diameter model.
+    """Length scale <r^2>/R0 [m] with the diameter-model <r^2> of beam_model_eqm.
 
     Order-of-magnitude only; compare against the reduced Compton wavelength.
     """
     if R0 <= 0:
         raise DomainError(f"R0 must be positive, got {R0}")
-    radius = 0.5 * beam_diameter(L)
-    return radius**2 / R0
+    return beam_model_eqm(L)[0] / R0
 
 
 def beam_model_eqm(L):
@@ -244,14 +233,14 @@ def beam_model_eqm(L):
     return mean_r2, q0, spectroscopic_eqm(q0, L, L)
 
 
-def moment_set(L, B, n_r=0):
+def moment_set(L, B):
     """Assemble the MomentSet for OAM L in a vertical field B [T].
 
-    w_m comes from the Landau geometry of the field (radial number n_r,
-    l_z = L); Q0 and Qs use the measured-diameter beam model, with Qs
-    evaluated in the stretched configuration j = K = L.
+    w_m comes from the Landau geometry of the field (n_r = 0, l_z = L); Q0
+    and Qs use the measured-diameter beam model, with Qs evaluated in the
+    stretched configuration j = K = L.
     """
-    geo = landau_geometry(B, n_r, L)
+    geo = landau_geometry(B, 0, L)
     mean_r2_model, q0, qs = beam_model_eqm(L)
     return MomentSet(beta_T_fm3=tmp_electron(), Q0_Cm2=q0, Qs_Cm2=qs,
                      w_m=geo.w_m, mean_r2=mean_r2_model)

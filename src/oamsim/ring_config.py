@@ -49,8 +49,8 @@ class LandauGeometry:
 
 def kinematics(kinetic_energy_ev):
     """Relativistic kinematics of an electron with the given kinetic energy."""
-    if kinetic_energy_ev < 0:
-        raise DomainError(f"kinetic energy must be >= 0 eV, got {kinetic_energy_ev}")
+    if not 0 <= kinetic_energy_ev < math.inf:    # written so that NaN fails too
+        raise DomainError(f"kinetic energy must be finite and >= 0 eV, got {kinetic_energy_ev}")
     gamma = gamma_from_kinetic_energy(kinetic_energy_ev)
     beta = math.sqrt(1.0 - 1.0 / gamma**2)
     return Kinematics(kinetic_energy_ev=float(kinetic_energy_ev), gamma=gamma,
@@ -80,10 +80,10 @@ def frozen_setup(kinetic_energy_ev, R0, n):
     electric field from B0 = (2/beta^2 - 1) beta x E, all in closed form.
     The resulting Larmor frequency equals omega to rounding.
     """
-    if kinetic_energy_ev <= 0:
+    if not kinetic_energy_ev > 0:
         raise DomainError("frozen setup requires kinetic energy > 0 eV")
-    if R0 <= 0:
-        raise DomainError(f"ring radius must be positive, got {R0}")
+    if not 0 < R0 < math.inf:
+        raise DomainError(f"ring radius must be finite and positive, got {R0}")
     if not 0.0 < n < 1.0:
         raise DomainError(f"field index must satisfy 0 < n < 1, got {n}")
     kin = kinematics(kinetic_energy_ev)
@@ -119,6 +119,8 @@ def landau_geometry(B, n_r, l_z):
 
     w_m = 2 sqrt(hbar/|e B|);  <r^2> = (w_m^2/2)(2 n_r + |l_z| + 1).
     """
+    if not math.isfinite(B):
+        raise DomainError(f"field must be finite, got {B}")
     if B == 0:
         raise DomainError("beam waist diverges at B = 0")
     if n_r < 0 or int(n_r) != n_r:

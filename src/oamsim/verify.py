@@ -90,12 +90,12 @@ def check_worked_ring():
                        {"B0_T": s.B0, "E_V_m": s.E, "f_Hz": f_hz})
 
 
-def check_frozen_residuals(samples=50, seed=20260810):
-    """Criterion 4: |Omega-omega|/omega < 1e-10 for random frozen setups, under 1 s."""
-    rng = np.random.default_rng(seed)
+def check_frozen_residuals():
+    """Criterion 4: |Omega-omega|/omega < 1e-10 for 50 random frozen setups, under 1 s."""
+    rng = np.random.default_rng(20260810)
     t0 = time.perf_counter()
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(50):
         energy = rng.uniform(50e3, 2e6)
         r0 = rng.uniform(0.1, 5.0)
         n = rng.uniform(0.05, 0.95)
@@ -103,7 +103,7 @@ def check_frozen_residuals(samples=50, seed=20260810):
         worst = max(worst, ring_config.frozen_residual(setup))
     elapsed = time.perf_counter() - t0
     details = []
-    ok = _assert(details, f"max residual over {samples} setups < 1e-10",
+    ok = _assert(details, "max residual over 50 setups < 1e-10",
                  worst < 1e-10, f"{worst:.3e}")
     ok &= _assert(details, "runtime < 1 s", elapsed < 1.0, f"{elapsed:.3f} s")
     return CheckResult("4", "frozen-field residuals", ok, details, elapsed,
@@ -209,8 +209,8 @@ def check_resonance_scan():
                        {"argmax_omega": float(result.omegas[result.argmax_index])})
 
 
-def check_algebra_suite(seed=7, n_states=200):
-    """Criterion 7: operator algebra for L in 1..20 and tensor traces for random states."""
+def check_algebra_suite():
+    """Criterion 7: operator algebra for L in 1..20 and tensor traces for 200 random states."""
     t0 = time.perf_counter()
     worst_comm = worst_lsq = worst_herm = 0.0
     for L in range(1, 21):
@@ -223,9 +223,9 @@ def check_algebra_suite(seed=7, n_states=200):
         worst_lsq = max(worst_lsq, np.max(np.abs(ops.Lsq - L * (L + 1) * eye)))
         for m in (ops.Lx, ops.Ly, ops.Lz):
             worst_herm = max(worst_herm, np.max(np.abs(m - m.conj().T)))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     worst_trace = 0.0
-    for _ in range(n_states):
+    for _ in range(200):
         L = int(rng.integers(1, 7))
         ops = am_core.build_operators(L)
         if rng.random() < 0.5:
@@ -245,7 +245,7 @@ def check_algebra_suite(seed=7, n_states=200):
                   f"worst {worst_lsq:.2e}")
     ok &= _assert(details, "Hermiticity at 1e-12", worst_herm < 1e-12,
                   f"worst {worst_herm:.2e}")
-    ok &= _assert(details, f"tensor trace = 1 at 1e-10 for {n_states} random states",
+    ok &= _assert(details, "tensor trace = 1 at 1e-10 for 200 random states",
                   worst_trace < 1e-10, f"worst {worst_trace:.2e}")
     ok &= _assert(details, "runtime < 5 s", elapsed < 5.0, f"{elapsed:.2f} s")
     return CheckResult("7", "operator algebra and tensor traces", ok, details, elapsed,

@@ -221,18 +221,6 @@ class TestInitialPolarizationClosed:
             pol = am.initial_polarization_closed(theta, psi, "vector")
             assert abs(np.trace(pol.Pt)) < 1e-12
 
-    def test_published_zz_variant(self):
-        theta, psi = 0.0, 1.0
-        default = am.initial_polarization_closed(theta, psi, "vector")
-        printed = am.initial_polarization_closed(theta, psi, "vector",
-                                                 published_zz=True)
-        assert abs(default.Pt[2, 2] - 1.0) < 1e-12
-        expected = 0.5 * (3.0 * np.cos(psi) ** 2 - 1.0)
-        assert abs(printed.Pt[2, 2] - expected) < 1e-12
-        # only the zz entry differs
-        mask = np.ones((3, 3), dtype=bool)
-        mask[2, 2] = False
-        assert np.allclose(default.Pt[mask], printed.Pt[mask])
 
     def test_rejects_bad_kind(self):
         with pytest.raises(DomainError):

@@ -76,7 +76,7 @@ class TestConfigValidation:
         doc = {"beam": {"kinetic_energy_eV": 3e5, "L": 10},
                "ring": {"R0_m": 0.5, "n": 0.25}}
         normalized = cfg.validate_config(doc, "moments")
-        again = cfg.validate_config(json.loads(cfg.dump_config(normalized)), "moments")
+        again = cfg.validate_config(json.loads(json.dumps(normalized)), "moments")
         assert again == normalized
 
     def test_scan_grid_forms(self):
@@ -292,6 +292,24 @@ class TestSimulateCommand:
         assert code == 2
         assert json.loads(err)["error"] == "config"
 
+    @pytest.mark.parametrize("ring", [{"R0_m": 0.5, "n": 0.5, "B0_T": 2.0},
+                                      {"n": 0.5, "B0_T": 2.0}], ids=["R0-n-B0", "n-B0"])
+    @pytest.mark.parametrize("command", ["simulate", "moments", "freeze"])
+    def test_ring_with_both_field_forms_rejected(self, command, ring, tmp_path, capsys):
+        doc = {"beam": {"kinetic_energy_eV": 3e5, "L": 1, "theta": 0.5, "psi": 0.1,
+                        "kind": "tensor"},
+               "ring": ring,
+               "scenario": {"mode": "tmp", "t_end_s": 1.0, "steps": 16}}
+        if command != "simulate":
+            del doc["scenario"]
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "config", "message": "ring.n and ring.B0_T are exclusive: give R0_m + n "
+                                          "(frozen solve) or B0_T (direct field)"}
 
     @pytest.mark.parametrize("section, key, value", [
         ("beam", "theta", math.nan), ("scenario", "t_end_s", math.inf)])

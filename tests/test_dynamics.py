@@ -2,6 +2,7 @@ import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +91,28 @@ class TestScenarioValidation:
             dy.evolve_oracle(frozen_scn(A=math.nan))
 
 
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, 0])
+@pytest.mark.parametrize("call", [
+    lambda v: dy.DynamicsScenario(mode="tmp", L=v),
+    lambda v: am.build_operators(v),
+    lambda v: dy.quadrupole_coefficient_frozen(1e-35, v, rc.frozen_setup(3e5, 0.5, 0.5)),
+    lambda v: dy.quadrupole_coefficient_resonance(1e-35, v, 1e6),
+    lambda v: dy.level_splitting(am.build_operators(2), 1e-35, v, 1e6),
+    lambda v: mo.beam_diameter(v),
+    lambda v: mo.delta_omega_estimate(v, 1e6),
+    lambda v: mo.tmp_energy_shift(5.25e4, v, 1.0, 0.0),
+    lambda v: dy.DynamicsScenario(mode="tmp", L=1, steps=v),
+    # 0 halvings is allowed, so that case tries -1
+    lambda v: dy.evolve_oracle(resonance_scn(steps=8, drive="linear"), max_halvings=v or -1),
+    lambda v: dy.evolve_oracle(resonance_scn(steps=8, drive="linear"), fixed_substeps=v),
+], ids=["scenario-L", "operators-L", "frozen-coefficient-L", "resonance-coefficient-L",
+        "level-splitting-L", "beam-diameter-L", "delta-omega-L", "tmp-shift-L", "steps",
+        "max-halvings", "fixed-substeps"])
+def test_integer_arguments_rejected(call, value):
+    with pytest.raises(DomainError, match="must be an integer >="):
+        call(value)
+
+
 class TestBuildHamiltonian:
     def test_all_zero(self):
         ops = am.build_operators(1)
@@ -130,6 +153,36 @@ class TestBuildHamiltonian:
         ops = am.build_operators(2)
         with pytest.raises(DomainError):
             dy.build_hamiltonian(tmp_scn(), ops, 0.0)
+
+    @pytest.mark.parametrize("L", [1, 3])
+    @pytest.mark.parametrize("mode", ["tmp", "frozen", "linear", "corotating"])
+    def test_explicit_products_bit_for_bit(self, mode, L):
+        # the products written out as in the module docstring; equal bit for bit
+        ops = am.build_operators(L)
+        lx, ly, lz = ops.Lx, ops.Ly, ops.Lz
+        if mode == "tmp":
+            scn = tmp_scn(L=L, Omega=1.3, b=-0.61)
+        elif mode == "frozen":
+            scn = frozen_scn(L=L, A=-0.37)
+        else:
+            scn = resonance_scn(L=L, Omega=1.3, A=0.37, omega_drive=2.1, phi=0.4,
+                                drive=mode)
+
+        def expected(t):
+            phase = scn.omega_drive * t + scn.phi
+            cos = np.asarray(np.cos(phase))[..., None, None]
+            sin = np.asarray(np.sin(phase))[..., None, None]
+            if mode == "tmp":
+                return scn.Omega * lz + scn.b * (lz @ lz)
+            if mode == "frozen":
+                return 2.0 * scn.A * (lx @ lx)
+            if mode == "linear":
+                return scn.Omega * lz + 2.0 * scn.A * cos * (lx @ lx)
+            return (scn.Omega * lz + 0.5 * scn.A * cos * (lx @ lx - ly @ ly)
+                    + 0.5 * scn.A * sin * (lx @ ly + ly @ lx))
+
+        for t in (0.0, 0.37, 2.9, np.array([0.0, 0.37, 2.9, 11.3])):
+            assert np.array_equal(dy.build_hamiltonian(scn, ops, t), expected(t))
 
 
 class TestQuadrupoleCoefficients:
@@ -696,6 +749,10 @@ class TestSeriesSerialization:
         assert len(lines) == 6
         assert lines[1].endswith(",closed_form")
         assert lines[1].split(",")[1] == "nan"   # P_rho undefined in frozen closed form
+
+    def test_csv_header_constant_is_the_readme_header(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"exact header\n\n```\n{dy.SERIES_CSV_HEADER}\n```\n" in readme
 
     def test_csv_full_precision_round_trip(self):
         series = dy.evolve_oracle(frozen_scn(steps=17))

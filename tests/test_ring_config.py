@@ -69,6 +69,19 @@ class TestFrozenSetup:
             rc.frozen_setup(energy, r0, n)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: rc.kinematics(math.nan), lambda: rc.kinematics(math.inf),
+    lambda: rc.frozen_setup(math.nan, 0.5, 0.5), lambda: rc.frozen_setup(math.inf, 0.5, 0.5),
+    lambda: rc.frozen_setup(3e5, math.nan, 0.5), lambda: rc.frozen_setup(3e5, math.inf, 0.5),
+    lambda: rc.frozen_setup(3e5, 0.5, math.nan),
+    lambda: rc.landau_geometry(math.nan, 0, 1), lambda: rc.landau_geometry(-math.inf, 0, 1),
+], ids=["kin-nan", "kin-inf", "frozen-energy-nan", "frozen-energy-inf", "frozen-R0-nan",
+        "frozen-R0-inf", "frozen-n-nan", "landau-B-nan", "landau-B-inf"])
+def test_non_finite_inputs_rejected(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestLarmorOmega:
     def test_zero_fields(self):
         kin = rc.kinematics(300e3)
