@@ -221,7 +221,6 @@ class TestInitialPolarizationClosed:
             pol = am.initial_polarization_closed(theta, psi, "vector")
             assert abs(np.trace(pol.Pt)) < 1e-12
 
-
     def test_rejects_bad_kind(self):
         with pytest.raises(DomainError):
             am.initial_polarization_closed(0.1, 0.2, "scalar")
