@@ -19,8 +19,7 @@ _EXPORTS = {
                  "ScanResult", "SplittingTable", "build_hamiltonian", "closed_form",
                  "closed_form_frozen", "closed_form_resonance", "closed_form_tmp",
                  "evolve_oracle", "level_splitting", "oracle_vs_closed_form",
-                 "quadrupole_coefficient_frozen", "quadrupole_coefficient_resonance",
-                 "resonance_scan"),
+                 "quadrupole_coefficient_frozen", "quadrupole_coupling", "resonance_scan"),
     "moments": ("EcqmTensor", "MomentSet", "beam_diameter", "delta_omega_estimate",
                 "ecqm", "eqm_scale_check", "intrinsic_eqm", "moment_set",
                 "quadrupole_tensor_operator", "spectroscopic_eqm", "tmp_coefficient",

@@ -107,7 +107,7 @@ def scenario_from_config(doc):
         if "A_rad_s" not in scn and "grad_amplitude_V_m2" not in scn:
             raise ConfigError(
                 "resonance mode requires scenario.grad_amplitude_V_m2 or scenario.A_rad_s")
-        fields["A"] = given("A_rad_s", lambda: dynamics.quadrupole_coefficient_resonance(
+        fields["A"] = given("A_rad_s", lambda: dynamics.quadrupole_coupling(
             moments.beam_model_eqm(L)[2], L, scn["grad_amplitude_V_m2"]))
         fields["omega_drive"] = given("omega_drive", lambda: 2.0 * fields["Omega"])
     return dynamics.DynamicsScenario(**fields)
@@ -156,24 +156,22 @@ def cmd_moments(args):
     L = beam["L"]
     kin, b0, setup = _ring_for(doc, mode=None)
     if "density_path" in beam:
-        r, rho = moments.load_radial_density(beam["density_path"])
-        q0 = moments.intrinsic_eqm(r, rho)
-        mean_r2 = moments.mean_square_radius(r, rho)
+        mean_r2 = moments.mean_square_radius(*moments.load_radial_density(beam["density_path"]))
+        q0 = moments.intrinsic_eqm(mean_r2)
         qs = moments.spectroscopic_eqm(q0, L, L)
-        geo = ring_config.landau_geometry(b0, 0, L)
-        w_m = geo.w_m
     else:
         ms = moments.moment_set(L, b0)
-        q0, qs, w_m, mean_r2 = ms.Q0_Cm2, ms.Qs_Cm2, ms.w_m, ms.mean_r2
-    r0 = doc.get("ring", {}).get("R0_m", setup.R0 if setup else None)
+        q0, qs, mean_r2 = ms.Q0_Cm2, ms.Qs_Cm2, ms.mean_r2
+    geo = ring_config.landau_geometry(b0, 0, L)
+    r0 = doc.get("ring", {}).get("R0_m")
     ecqm_zz = moments.ecqm([0.0, 0.0, L], [0.0, 0.0, 0.5],
                            kin.gamma * M_E_C2_EV).rows[2][2]
     report = {
         "L": L,
         "B_T": b0,
         "beta_T_fm3": moments.tmp_electron(),
-        "w_m_m": w_m,
-        "landau_mean_r2_m2": ring_config.landau_geometry(b0, 0, L).mean_r2,
+        "w_m_m": geo.w_m,
+        "landau_mean_r2_m2": geo.mean_r2,
         "beam_mean_r2_m2": mean_r2,
         "Q0_Cm2": q0,
         "Qs_Cm2": qs,

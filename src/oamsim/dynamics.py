@@ -47,7 +47,6 @@ _MODES = ("tmp", "frozen", "resonance")
 _KINDS = ("vector", "tensor")
 _DRIVES = ("corotating", "linear")
 _BLOCK_BYTES = 2 * 2**20           # oracle members, or scan kernel arrays, per streamed block
-_RHO_SAMPLES = 64                  # samples at which tensor diagnostics rebuild rho
 _INTERVAL_BUDGET_BYTES = 2**30     # substep unitaries one _propagate run may compute
 _CHUNK_BYTES = 32 * 2**20          # substep unitaries it holds per streamed chunk
 # fourth-order commutator-free Magnus step: Gauss-Legendre nodes within a
@@ -181,25 +180,26 @@ class ScanResult:
     oracle_peaks: Optional[np.ndarray] = None
 
 
+def quadrupole_coupling(Qs, L, gradient):
+    """Quadrupole coupling A = -Qs G / (8 L^2 hbar) [rad/s], the A of the 2 A Lr^2 term.
+
+    gradient is the quasielectric field gradient G in V/m^2: dEr/dR for a
+    level splitting, the amplitude of the oscillating gradient for a
+    resonance drive.
+    """
+    require_int("L", L, 1)
+    return -Qs * gradient / (8.0 * L**2 * HBAR)
+
+
 def quadrupole_coefficient_frozen(Qs, L, setup):
-    """Frozen-mode quadrupole coefficient A = -Qs beta n B0 c / (8 L^2 R0 hbar) [rad/s].
+    """Frozen-mode coefficient A = +Qs (dEr/dR) / (8 L^2 hbar) [rad/s]; zero index gives zero.
 
-    Equivalently Qs (dEr/dR) / (8 L^2 hbar) with the quasielectric gradient
-    of the setup; zero field index gives zero.
+    This is minus quadrupole_coupling at the setup's quasielectric gradient:
+    the frozen mode keeps the opposite sign to level_splitting and the
+    resonance drive until the sign is settled (ROADMAP.md, "One quadrupole
+    coupling"); dropping the negation changes the frozen series.
     """
-    require_int("L", L, 1)
-    _, der_dr = field_gradients(setup)
-    return Qs * der_dr / (8.0 * L**2 * HBAR)
-
-
-def quadrupole_coefficient_resonance(Qs, L, grad_amplitude):
-    """Resonance-mode coefficient A = -Qs G / (8 L^2 hbar) [rad/s].
-
-    grad_amplitude is the amplitude G of the oscillating quasielectric
-    gradient in V/m^2.
-    """
-    require_int("L", L, 1)
-    return -Qs * grad_amplitude / (8.0 * L**2 * HBAR)
+    return -quadrupole_coupling(Qs, L, field_gradients(setup)[1])
 
 
 def hamiltonian_terms(scn, ops):
@@ -344,23 +344,17 @@ def _spectral_states(times, members, ops, h, frame, n_block):
 
 
 def _series_from_states(scn, ops, weights, blocks, diagnostics, keep_states):
-    """Extract P/Pt and merge the invariant diagnostics, one block of members at a time.
-
-    rho is rebuilt for the diagnostics at _RHO_SAMPLES evenly spaced samples
-    of the whole grid, first and last included, whatever the block split.
-    """
+    """Extract P/Pt and merge the invariant diagnostics, one block of members at a time."""
     times = scn.times()
     n = len(times)
     p = np.empty((n, 3))
     pt = np.empty((n, 3, 3))
-    rebuilt = np.linspace(0, n - 1, min(n, _RHO_SAMPLES)).round().astype(int)
     kept = []
     start = 0
     for block in blocks:
         stop = start + len(block)
         p[start:stop], pt[start:stop] = _ensemble_polarization(weights, block, ops)
-        local = rebuilt[(rebuilt >= start) & (rebuilt < stop)] - start
-        for key, value in _state_diagnostics(weights, block, local).items():
+        for key, value in _state_diagnostics(weights, block).items():
             merge = min if key == "min_eigenvalue" else max
             diagnostics[key] = merge(diagnostics.get(key, value), value)
         if keep_states:
@@ -371,22 +365,27 @@ def _series_from_states(scn, ops, weights, blocks, diagnostics, keep_states):
     return series, (np.concatenate(kept) if keep_states else None)
 
 
-def _state_diagnostics(weights, members, rebuilt):
-    """Unitarity bookkeeping over an (n, k, dim) block of members.
+def _state_diagnostics(weights, members):
+    """Unitarity bookkeeping over an (n, k, dim) block of members, at every sample.
 
     Every member's norm, and for a mixture the trace sum_k w_k |m_k|^2, is
-    checked at every sample.  With fixed positive weights rho is Hermitian
-    and positive by construction, so those two are checked on rho rebuilt
-    at the block-local samples rebuilt only.
+    checked.  A mixture's rho = M W M^H has rank 2 < dim, so its spectrum is
+    dim - 2 zeros and the two eigenvalues of W G, G = M^H M the Gram matrix
+    of the two members; G is Hermitian by construction, and so is rho.
     """
     norms = np.linalg.norm(members, axis=2)
     diag = {"max_norm_dev": float(np.max(np.abs(norms - 1.0)))}
     if len(weights) > 1:
-        diag["max_trace_dev"] = float(np.max(np.abs(norms**2 @ weights - 1.0)))
-        if len(rebuilt):
-            rho = _density_matrices(weights, members[rebuilt])
-            diag["max_herm_dev"] = float(np.max(np.abs(rho - rho.conj().swapaxes(1, 2))))
-            diag["min_eigenvalue"] = float(np.min(np.linalg.eigvalsh(rho)))
+        g = norms**2
+        diag["max_trace_dev"] = float(np.max(np.abs(g @ weights - 1.0)))
+        overlap = np.einsum("nd,nd->n", members[:, 0].conj(), members[:, 1])
+        (w1, w2), (g11, g22) = weights, g.T
+        # closed-form eigenvalues of the 2x2 W G; the discriminant is >= 0
+        # exactly and is clipped only against rounding
+        disc = np.maximum((w1 * g11 - w2 * g22)**2 + 4.0 * w1 * w2 * np.abs(overlap)**2, 0.0)
+        low = 0.5 * (w1 * g11 + w2 * g22 - np.sqrt(disc))
+        diag["max_herm_dev"] = 0.0
+        diag["min_eigenvalue"] = min(0.0, float(np.min(low)))
     return diag
 
 
@@ -419,8 +418,8 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
     (n, dim) array of state vectors for the vector kind, an (n, dim, dim)
     array of density matrices rho(t) for the tensor kind.  The diagnostics
     carry max_norm_dev over every member at every sample; tensor runs add
-    max_trace_dev at every sample, and max_herm_dev and min_eigenvalue of
-    rho rebuilt at _RHO_SAMPLES evenly spaced samples.
+    max_trace_dev, max_herm_dev and min_eigenvalue of rho at every sample
+    (see _state_diagnostics).
     """
     if not rtol > 0:
         raise DomainError(f"rtol must be positive, got {rtol}")
@@ -638,17 +637,14 @@ def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
                       oracle_peaks=oracle_peaks)
 
 
-def level_splitting(ops, Qs, L, dEr_dR):
-    """Quadrupole splitting of the |L, m_r> levels by a quasielectric gradient.
+def level_splitting(ops, Qs, dEr_dR):
+    """Quadrupole splitting of the |L, m_r> levels (L = ops.L) by a quasielectric gradient.
 
-    The interaction -Qs/(4 L^2) (dEr/dR) Lr^2 shifts the level with Lr
-    projection m_r by coefficient * m_r^2, linear in the gradient (and in
-    the field index that produces it).
+    The interaction 2 A Lr^2, A = quadrupole_coupling(Qs, L, dEr/dR), shifts
+    the level with Lr projection m_r by coefficient * m_r^2, coefficient =
+    2 A, linear in the gradient (and in the field index that produces it).
     """
-    require_int("L", L, 1)
-    if ops.L != L:
-        raise DomainError(f"operators are for L={ops.L}, expected {L}")
-    coeff = -Qs * dEr_dR / (4.0 * L**2 * HBAR)
+    coeff = 2.0 * quadrupole_coupling(Qs, ops.L, dEr_dR)
     # eigenbasis of Lr (nondegenerate) fixes stable labels for Lr^2
     w, v = np.linalg.eigh(ops.Lx)
     order = np.argsort(-w)       # m_r = L .. -L, matching the basis convention

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .constants import (ALPHA, E_SIGNED, FM, GAUSSIAN_B2_J_PER_M3, HBAR,
                         HBAR_C_EV_M, LAMBDA_BAR_C)
 from .errors import DomainError, require_int
-from .ring_config import LandauGeometry, landau_geometry
+from .ring_config import landau_geometry
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,11 @@ def tmp_energy_shift(beta_T_fm3, L, B, angle):
     squared.  Uses the same Gaussian-to-SI conversion as tmp_coefficient.
     """
     require_int("L", L, 1)
-    if B < 0:
-        raise DomainError(f"B must be >= 0, got {B}")
+    if not (math.isfinite(B) and B >= 0):
+        raise DomainError(f"B must be finite and >= 0, got {B}")
+    for name, value in (("beta_T", beta_T_fm3), ("angle", angle)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     beta_t_m3 = beta_T_fm3 * FM**3
     proj_sq = (L * B * math.cos(angle)) ** 2
     return -beta_t_m3 * GAUSSIAN_B2_J_PER_M3 * proj_sq / HBAR
@@ -127,18 +130,8 @@ def mean_square_radius(r, rho):
     return simpson(rho * r**3, x=r) / norm
 
 
-def intrinsic_eqm(source, rho=None):
-    """Intrinsic EQM Q0 = -e <r^2> in C m^2 (positive for the electron).
-
-    source is either a LandauGeometry (closed form from its mean_r2) or a
-    radial grid array, in which case rho must give the sampled density.
-    """
-    if isinstance(source, LandauGeometry):
-        mean_r2 = source.mean_r2
-    else:
-        if rho is None:
-            raise DomainError("sampled densities need both r and rho arrays")
-        mean_r2 = mean_square_radius(source, rho)
+def intrinsic_eqm(mean_r2):
+    """Intrinsic EQM Q0 = -e <r^2> in C m^2 (positive for the electron), <r^2> in m^2."""
     return -E_SIGNED * mean_r2
 
 
@@ -204,6 +197,8 @@ def delta_omega_estimate(L, grad_E):
     a literal scaling estimate, not a calibrated prediction.
     """
     require_int("L", L, 1)
+    if not math.isfinite(grad_E):
+        raise DomainError(f"grad_E must be finite, got {grad_E}")
     return L * abs(grad_E) * 1.0e-10
 
 
@@ -218,8 +213,8 @@ def eqm_scale_check(L, R0):
 
     Order-of-magnitude only; compare against the reduced Compton wavelength.
     """
-    if R0 <= 0:
-        raise DomainError(f"R0 must be positive, got {R0}")
+    if not (math.isfinite(R0) and R0 > 0):
+        raise DomainError(f"R0 must be finite and positive, got {R0}")
     return beam_model_eqm(L)[0] / R0
 
 
@@ -229,7 +224,7 @@ def beam_model_eqm(L):
     Qs is evaluated in the stretched configuration j = K = L.
     """
     mean_r2 = (0.5 * beam_diameter(L)) ** 2
-    q0 = -E_SIGNED * mean_r2
+    q0 = intrinsic_eqm(mean_r2)
     return mean_r2, q0, spectroscopic_eqm(q0, L, L)
 
 

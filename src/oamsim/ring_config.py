@@ -123,9 +123,9 @@ def landau_geometry(B, n_r, l_z):
         raise DomainError(f"field must be finite, got {B}")
     if B == 0:
         raise DomainError("beam waist diverges at B = 0")
-    if n_r < 0 or int(n_r) != n_r:
+    if not (math.isfinite(n_r) and n_r >= 0 and int(n_r) == n_r):
         raise DomainError(f"radial quantum number must be an integer >= 0, got {n_r}")
-    if int(l_z) != l_z:
+    if not (math.isfinite(l_z) and int(l_z) == l_z):
         raise DomainError(f"l_z must be an integer, got {l_z}")
     w_m = 2.0 * math.sqrt(HBAR / (E_CHARGE * abs(B)))
     mean_r2 = 0.5 * w_m**2 * (2 * int(n_r) + abs(int(l_z)) + 1)

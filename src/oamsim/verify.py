@@ -257,14 +257,14 @@ def check_level_splitting():
     t0 = time.perf_counter()
     details = []
     qs = moments.spectroscopic_eqm(moments.intrinsic_eqm(
-        ring_config.landau_geometry(0.0148, 0, 1)), 1, 1)
+        ring_config.landau_geometry(0.0148, 0, 1).mean_r2), 1, 1)
     setup = ring_config.frozen_setup(300e3, 0.5, 0.5)
     ops = am_core.build_operators(1)
 
     _, der0 = ring_config.field_gradients(
         ring_config.RingSetup(kin=setup.kin, B0=setup.B0, E=setup.E, R0=setup.R0,
                               n=0.0, omega=setup.omega, Omega=setup.Omega))
-    tab0 = dynamics.level_splitting(ops, qs, 1, der0)
+    tab0 = dynamics.level_splitting(ops, qs, der0)
     ok = _assert(details, "all shifts zero at n = 0",
                  np.all(tab0.shifts == 0.0), f"max {np.max(np.abs(tab0.shifts)):.2e}")
 
@@ -274,7 +274,7 @@ def check_level_splitting():
     for n in ns:
         s = ring_config.frozen_setup(300e3, 0.5, float(n))
         _, der = ring_config.field_gradients(s)
-        tab = dynamics.level_splitting(ops, qs, 1, der)
+        tab = dynamics.level_splitting(ops, qs, der)
         slopes.append(np.max(tab.shifts) / n)
     slopes = np.array(slopes)
     lin_dev = np.max(np.abs(slopes / slopes[0] - 1.0))
@@ -282,7 +282,7 @@ def check_level_splitting():
                   lin_dev < 1e-9, f"max rel dev {lin_dev:.2e}")
 
     _, der = ring_config.field_gradients(setup)
-    tab = dynamics.level_splitting(ops, qs, 1, der)
+    tab = dynamics.level_splitting(ops, qs, der)
     ratios = np.sort(tab.shifts / np.max(np.abs(tab.shifts)))
     ok &= _assert(details, "L=1 eigenvalue ratios {0, 1, 1}",
                   np.allclose(ratios, [0.0, 1.0, 1.0], atol=1e-12),

@@ -96,8 +96,7 @@ class TestScenarioValidation:
     lambda v: dy.DynamicsScenario(mode="tmp", L=v),
     lambda v: am.build_operators(v),
     lambda v: dy.quadrupole_coefficient_frozen(1e-35, v, rc.frozen_setup(3e5, 0.5, 0.5)),
-    lambda v: dy.quadrupole_coefficient_resonance(1e-35, v, 1e6),
-    lambda v: dy.level_splitting(am.build_operators(2), 1e-35, v, 1e6),
+    lambda v: dy.quadrupole_coupling(1e-35, v, 1e6),
     lambda v: mo.beam_diameter(v),
     lambda v: mo.delta_omega_estimate(v, 1e6),
     lambda v: mo.tmp_energy_shift(5.25e4, v, 1.0, 0.0),
@@ -106,7 +105,7 @@ class TestScenarioValidation:
     lambda v: dy.evolve_oracle(resonance_scn(steps=8, drive="linear"), max_halvings=v or -1),
     lambda v: dy.evolve_oracle(resonance_scn(steps=8, drive="linear"), fixed_substeps=v),
 ], ids=["scenario-L", "operators-L", "frozen-coefficient-L", "resonance-coefficient-L",
-        "level-splitting-L", "beam-diameter-L", "delta-omega-L", "tmp-shift-L", "steps",
+        "beam-diameter-L", "delta-omega-L", "tmp-shift-L", "steps",
         "max-halvings", "fixed-substeps"])
 def test_integer_arguments_rejected(call, value):
     with pytest.raises(DomainError, match="must be an integer >="):
@@ -216,7 +215,7 @@ class TestQuadrupoleCoefficients:
         assert -6.5 < math.log10(ratio) < -4.5
 
     def test_resonance_coefficient_sign(self):
-        a = dy.quadrupole_coefficient_resonance(1.6e-35, 10, 1.0e6)
+        a = dy.quadrupole_coupling(1.6e-35, 10, 1.0e6)
         assert a == pytest.approx(-1.6e-35 * 1e6 / (8 * 100 * HBAR), rel=1e-12)
 
 
@@ -252,6 +251,16 @@ class TestOracleBasics:
         assert d["max_trace_dev"] < 1e-10
         assert d["max_herm_dev"] < 1e-10
         assert d["min_eigenvalue"] > -1e-10
+
+    def test_negative_weight_shows_in_min_eigenvalue(self):
+        # rho = 1.5 |a><a| - 0.5 |b><b| on orthonormal a, b has eigenvalue -0.5
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(5, 7, 2)) + 1j * rng.normal(size=(5, 7, 2))
+        members = np.linalg.qr(z)[0].swapaxes(1, 2)
+        d = dy._state_diagnostics(np.array([1.5, -0.5]), members)
+        assert d["min_eigenvalue"] == pytest.approx(-0.5, abs=1e-14)
+        assert d["max_norm_dev"] < 1e-14 and d["max_trace_dev"] < 1e-14
+        assert d["max_herm_dev"] < 1e-14
 
     def test_energy_conservation(self):
         scn = tmp_scn(kind="vector", steps=512)
@@ -688,31 +697,31 @@ class TestResonanceScan:
 class TestLevelSplitting:
     def test_zero_gradient(self):
         ops = am.build_operators(1)
-        tab = dy.level_splitting(ops, 1e-35, 1, 0.0)
+        tab = dy.level_splitting(ops, 1e-35, 0.0)
         assert np.all(tab.shifts == 0.0)
 
     def test_L1_ratios(self):
         ops = am.build_operators(1)
-        tab = dy.level_splitting(ops, 1.6e-35, 1, -1e4)
+        tab = dy.level_splitting(ops, 1.6e-35, -1e4)
         ratios = np.sort(tab.shifts / np.max(np.abs(tab.shifts)))
         assert np.allclose(ratios, [0.0, 1.0, 1.0], atol=1e-12)
 
     def test_linear_in_gradient(self):
         ops = am.build_operators(2)
-        t1 = dy.level_splitting(ops, 1e-35, 2, -1e3)
-        t2 = dy.level_splitting(ops, 1e-35, 2, -2e3)
+        t1 = dy.level_splitting(ops, 1e-35, -1e3)
+        t2 = dy.level_splitting(ops, 1e-35, -2e3)
         assert np.allclose(t2.shifts, 2.0 * t1.shifts, rtol=1e-12)
 
     def test_shift_sum_matches_operator_trace(self):
         for L in (1, 2, 5):
             ops = am.build_operators(L)
-            tab = dy.level_splitting(ops, 1.3e-35, L, -4e3)
+            tab = dy.level_splitting(ops, 1.3e-35, -4e3)
             expected = tab.coefficient * L * (L + 1) * (2 * L + 1) / 3.0
             assert np.sum(tab.shifts) == pytest.approx(expected, rel=1e-12)
 
     def test_labels_carry_projection(self):
         ops = am.build_operators(1)
-        tab = dy.level_splitting(ops, 1e-35, 1, -1e3)
+        tab = dy.level_splitting(ops, 1e-35, -1e3)
         labels = [label for label, _ in tab.levels]
         assert labels[0].startswith("m_r=+1")
         assert labels[1].startswith("m_r=+0")

@@ -56,7 +56,7 @@ class TestTmpEnergyShift:
 class TestIntrinsicEqm:
     def test_landau_closed_form(self):
         geo = rc.landau_geometry(1.0, 0, 100)
-        q0 = mo.intrinsic_eqm(geo)
+        q0 = mo.intrinsic_eqm(geo.mean_r2)
         assert q0 == pytest.approx(E_CHARGE * 0.5 * geo.w_m**2 * 101, rel=1e-12)
         assert q0 > 0
 
@@ -64,14 +64,14 @@ class TestIntrinsicEqm:
         a = 2.0e-9
         r = np.linspace(1e-15, a, 4001)
         rho = np.ones_like(r)
-        q0 = mo.intrinsic_eqm(r, rho)
+        q0 = mo.intrinsic_eqm(mo.mean_square_radius(r, rho))
         assert q0 == pytest.approx(E_CHARGE * a**2 / 2.0, rel=1e-6)
 
     def test_narrow_ring(self):
         a, sigma = 1.0e-9, 1.0e-12
         r = np.linspace(a - 8 * sigma, a + 8 * sigma, 2001)
         rho = np.exp(-0.5 * ((r - a) / sigma) ** 2)
-        q0 = mo.intrinsic_eqm(r, rho)
+        q0 = mo.intrinsic_eqm(mo.mean_square_radius(r, rho))
         assert q0 == pytest.approx(E_CHARGE * a**2, rel=1e-5)
 
     def test_quadrature_convergence(self):
@@ -98,7 +98,7 @@ class TestIntrinsicEqm:
         path.write_text("\n".join(lines) + "\n")
         r2, rho2 = mo.load_radial_density(path)
         assert np.array_equal(r, r2) and np.array_equal(rho, rho2)
-        assert mo.intrinsic_eqm(r2, rho2) == pytest.approx(
+        assert mo.intrinsic_eqm(mo.mean_square_radius(r2, rho2)) == pytest.approx(
             E_CHARGE * a**2 / 2.0, rel=1e-5)
 
     def test_density_file_errors(self, tmp_path):
@@ -250,6 +250,19 @@ class TestScaleEstimates:
     def test_compton_comparison(self):
         ratio = mo.eqm_scale_check(100, 0.5) / LAMBDA_BAR_C
         assert 1e-4 < ratio < 1e-3
+
+    @pytest.mark.parametrize("call", [
+        lambda: mo.eqm_scale_check(3, math.nan), lambda: mo.eqm_scale_check(3, math.inf),
+        lambda: mo.tmp_energy_shift(5e4, 2, math.nan, 0.0),
+        lambda: mo.tmp_energy_shift(5e4, 2, math.inf, 0.0),
+        lambda: mo.tmp_energy_shift(5e4, 2, 1.0, math.nan),
+        lambda: mo.tmp_energy_shift(math.nan, 2, 1.0, 0.0),
+        lambda: mo.delta_omega_estimate(3, math.nan), lambda: mo.delta_omega_estimate(3, math.inf),
+    ], ids=["scale-R0-nan", "scale-R0-inf", "tmp-B-nan", "tmp-B-inf", "tmp-angle-nan",
+            "tmp-beta-nan", "delta-omega-nan", "delta-omega-inf"])
+    def test_non_finite_scalars_rejected(self, call):
+        with pytest.raises(DomainError, match="finite"):
+            call()
 
 
 class TestMomentSet:

@@ -75,8 +75,11 @@ class TestFrozenSetup:
     lambda: rc.frozen_setup(3e5, math.nan, 0.5), lambda: rc.frozen_setup(3e5, math.inf, 0.5),
     lambda: rc.frozen_setup(3e5, 0.5, math.nan),
     lambda: rc.landau_geometry(math.nan, 0, 1), lambda: rc.landau_geometry(-math.inf, 0, 1),
+    lambda: rc.landau_geometry(1.0, math.nan, 1), lambda: rc.landau_geometry(1.0, 0, math.nan),
+    lambda: rc.landau_geometry(1.0, 0, math.inf),
 ], ids=["kin-nan", "kin-inf", "frozen-energy-nan", "frozen-energy-inf", "frozen-R0-nan",
-        "frozen-R0-inf", "frozen-n-nan", "landau-B-nan", "landau-B-inf"])
+        "frozen-R0-inf", "frozen-n-nan", "landau-B-nan", "landau-B-inf", "landau-n_r-nan",
+        "landau-l_z-nan", "landau-l_z-inf"])
 def test_non_finite_inputs_rejected(call):
     with pytest.raises(DomainError):
         call()
