@@ -236,7 +236,7 @@ def cmd_simulate(args):
 
 
 def cmd_scan(args):
-    from . import dynamics
+    from . import dynamics, floattext
     doc = cfg.load_config(args.config, "scan")
     scn = scenario_from_config(doc)
     if scn.mode != "resonance":
@@ -246,10 +246,9 @@ def cmd_scan(args):
     target = 2.0 * scn.Omega
     if not (min(omegas) <= target <= max(omegas)):
         sys.stderr.write(f"warning: frequency grid does not bracket 2*Omega = {target}\n")
-    lines = ["omega_rad_s,peak_abs_Pz,argmax"]
-    for i, (w, p) in enumerate(zip(result.omegas, result.peaks)):
-        lines.append(f"{w:.17g},{p:.17g},{1 if i == result.argmax_index else 0}")
-    _emit("\n".join(lines) + "\n", args.out)
+    argmax = [float(i == result.argmax_index) for i in range(len(result.peaks))]
+    rows = floattext.csv_rows([result.omegas, result.peaks, argmax], "\n")
+    _emit("omega_rad_s,peak_abs_Pz,argmax\n" + "".join(rows), args.out)
     return 0
 
 

@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import floattext
 from .am_core import (TENSOR_PAIRS, antiparallel_pair, build_operators, coherent_state,
                       expi_hermitian, polarization_batch)
 # kept importable from dynamics: perfbench's tracer self-test patches it here
@@ -53,7 +54,6 @@ _CHUNK_BYTES = 32 * 2**20          # substep unitaries it holds per streamed chu
 # substep and the weights of H at those nodes in the two exponentials
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _CF4_WEIGHTS = (0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0)
-_CSV_BLOCK_ROWS = 4096             # rows formatted per write
 _SCAN_ARRAYS = 8                   # arrays of the block's shape _resonance_pz holds at once
 # the scan's peak search needs its margin above this share of |K0| + R + 1 +
 # R omega' t_end (4096 ulp); rounding in P_z and in the sample phases is
@@ -654,7 +654,7 @@ def level_splitting(ops, Qs, dEr_dR):
         overlaps = np.round(np.abs(v[:, idx]) ** 2, 9)  # deterministic tie-break
         overlap_m = ops.L - int(np.argmax(overlaps))
         label = f"m_r={m_r:+d} (max overlap m={overlap_m:+d})"
-        levels.append((label, float(coeff * w[idx] ** 2)))
+        levels.append((label, float(coeff * m_r**2)))
     return SplittingTable(levels=tuple(levels), coefficient=float(coeff))
 
 
@@ -774,19 +774,15 @@ def _all_nan(col):
 def write_series_csv(series, fileobj):
     """Write a PolarizationSeries as CSV with the canonical column layout.
 
-    Every value is printed with 17 significant digits, so it reads back
-    exactly; a column that is NaN in every row is written as the literal nan
-    without formatting its values.
+    Each cell is '%.17g' % x, which reads back exactly: nan, inf and -inf for
+    non-finite values.  A column that is NaN in every row is written as the
+    literal nan without formatting its values; the others are formatted by
+    floattext.csv_rows, which gives the same bytes block by block.
     """
     fileobj.write(SERIES_CSV_HEADER + "\n")
-    columns = [col for _, col in _series_columns(series)]
-    undefined = [_all_nan(col) for col in columns]
-    row = ",".join("nan" if u else "%.17g" for u in undefined)
-    row += "," + series.source.replace("%", "%%") + "\n"
-    table = np.column_stack([col for col, u in zip(columns, undefined) if not u])
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS]
-        fileobj.write((row * len(block)) % tuple(block.ravel().tolist()))
+    columns = ["nan" if _all_nan(col) else col for _, col in _series_columns(series)]
+    for text in floattext.csv_rows(columns, "," + series.source + "\n"):
+        fileobj.write(text)
 
 
 def write_series_json(series, fileobj):
@@ -798,12 +794,18 @@ def write_series_json(series, fileobj):
     """
     fileobj.write("{\n")
     for name, col in _series_columns(series):
+        if not len(col):
+            fileobj.write(f"  {json.dumps(name)}: [],\n")
+            continue
         if _all_nan(col):
-            text = ["null"] * len(col)
+            values = "null" + ",\n    null" * (len(col) - 1)
         else:
             text = map(float.__repr__, col.tolist())
             if not np.isfinite(col).all():
                 text = (_JSON_NONFINITE.get(v, v) for v in text)
-        values = "[\n    " + ",\n    ".join(text) + "\n  ]" if len(col) else "[]"
-        fileobj.write(f"  {json.dumps(name)}: {values},\n")
+            values = ",\n    ".join(text)
+        # the column text is written as it is, not copied into a larger string
+        fileobj.write(f"  {json.dumps(name)}: [\n    ")
+        fileobj.write(values)
+        fileobj.write("\n  ],\n")
     fileobj.write(f"  \"source\": {json.dumps(series.source)}\n}}\n")

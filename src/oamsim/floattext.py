@@ -1,0 +1,247 @@
+"""The exact text of ``'%.17g' % x`` for float64 arrays, built with numpy.
+
+``format_cells`` lays each value out as NUL-padded uint8 fields of a fixed
+width, so that many values become one text with a single
+``bytes.translate(None, b"\\0")``; ``csv_rows`` joins such fields into CSV
+rows.  A finite value with 1e-280 <= |x| <= 1e280 is scaled by 10**(16 - e),
+e = floor(log10 |x|), as a double-double: Dekker's exact two-product of x
+with the high part of the power of ten, plus x times its low part.  That
+carries the 17-digit significand and its fraction part to about 1e-14, and
+rounding to the nearest integer is exact unless the fraction lies within
+_TIE_GUARD of one half.  Such near-ties (exact ties, as odd multiples of
+2**-18 in [0.1, 1), must round half to even), NaN, infinities, subnormals and
+values outside that range are formatted one at a time by ``'%.17g'`` itself.
+"""
+
+import numpy as np
+
+WIDTH = 32                  # bytes per field: four little-endian uint64 words
+_BLOCK_ROWS = 4096          # CSV rows formatted per kernel call
+_CHUNK = 4096               # values per pass, so that its temporaries stay in cache
+_E_MIN, _E_MAX = -281, 281  # decimal exponents the scaling table covers
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280   # magnitudes the kernel rounds itself
+_TIE_GUARD = 1e-9           # far above the 1e-14 error of the scaled fraction
+_SPLIT = 134217729.0        # 2**27 + 1, Veltkamp's splitting constant
+_LOW = 10**16               # the 17-digit significands are _LOW <= n < 10 * _LOW
+_U8, _U56 = np.uint64(8), np.uint64(56)
+
+
+def _split(a):
+    """(high, low) halves of a with 26-bit high significands, high + low == a."""
+    c = a * _SPLIT
+    high = c - (c - a)
+    return high, a - high
+
+
+def _power_table():
+    """Rows hi, the two halves of hi and lo, with hi[i] + lo[i] = 10**(16 - _E_MAX + i)
+    to about 2**-104.
+
+    Every 16th power is split exactly from Python ints; the powers between
+    are those times 10**r, r < 16, which is a double, by the exact two-product.
+    """
+    coarse = []
+    for k in range(16 - _E_MAX, 16 - _E_MIN + 1, 16):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den                      # correctly rounded
+        n, d = hi.as_integer_ratio()
+        coarse.append((hi, (num * d - n * den) / (den * d)))
+    i = np.arange(_E_MAX - _E_MIN + 1)
+    hi, lo = np.array(coarse, dtype=np.float64).T[:, i // 16]
+    r = 10.0 ** (i % 16)
+    p = hi * r
+    (h1, h2), (r1, r2) = _split(hi), _split(r)
+    err = ((h1 * r1 - p) + h1 * r2 + h2 * r1) + h2 * r2 + lo * r
+    top = p + err
+    return np.stack([top, *_split(top), err - (top - p)])
+
+
+_POWERS = _power_table()
+# Splitting an 8-digit uint64 into lanes, 4 + 4 digits, then 2 + 2, then
+# 1 + 1: (multiplier, shift, mask, lane width, divisor << width - 1) for
+# divisors 10**4, 100 and 10.  The lane quotient (v * multiplier >> shift) &
+# mask equals v // divisor below 10**8, 10**4 and 100.
+_LANE_STEPS = tuple(
+    tuple(np.uint64(c) for c in (mult, shift, mask, width, (div << width) - 1))
+    for div, mult, shift, mask, width in ((10**4, 109951163, 40, 2**32 - 1, 32),
+                                          (100, 10486, 20, 0x0000007F0000007F, 16),
+                                          (10, 103, 10, 0x000F000F000F000F, 8)))
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+
+
+def _words(rows):
+    """Little-endian uint64 words of equal-length byte strings, one column per string."""
+    return np.frombuffer(b"".join(rows), dtype="<u8").reshape(len(rows), -1).T.copy()
+
+
+# A field is four words: the sign and the "0.000" prefix in word 0; the body
+# in words 1 to 3, bytes 0-17 the digits and the point, bytes 18-22 the
+# exponent.  Each table has one column per index it is taken at, the last
+# column of _POINT empty.
+_BELOW = _words([b"\xff" * k + bytes(24 - k) for k in range(19)])     # bytes < k set
+_POINT = _words([bytes(k) + b"." + bytes(23 - k) for k in range(18)] + [bytes(24)])
+_LEADING = _words([b"\0" + b"0.000"[:k] + bytes(7 - k) for k in range(6)])[0]
+
+
+def _exponent_words(x):
+    """"e+XX" or "e-XXX" in bytes 2-6 of a word, for each exponent x."""
+    a = np.abs(x)
+    chars = (101, np.where(x < 0, 45, 43), np.where(a >= 100, a // 100 + 48, 0),
+             a // 10 % 10 + 48, a % 10 + 48)
+    words = np.zeros(len(x), dtype="<u8")
+    for i, c in enumerate(chars):
+        words |= np.asarray(c, dtype="<u8") << np.uint64(16 + 8 * i)
+    return words
+
+
+def _scale(a, e):
+    """a * 10**(16 - e) as hi + lo, |lo| <= ulp(hi) / 2, so hi is an integer from 2**53."""
+    b, b1, b2, b_lo = _POWERS.take(_E_MAX - e, axis=1)
+    a1, a2 = _split(a)
+    p = a * b
+    t = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+    t += a * b_lo
+    hi = p + t
+    return hi, t - (hi - p)
+
+
+def _decade(hi, lo):
+    """+1 where hi + lo >= 10**17, -1 where it is below 10**16, else 0."""
+    up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    down = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    return up.astype(np.intp) - down.astype(np.intp)
+
+
+def _significands(x):
+    """(n, e, exact): x rounded to n * 10**(e - 16) with 10**16 <= n < 10**17.
+
+    exact marks the values the kernel rounds itself: zeros (n = e = 0) and
+    the finite values in range whose rounding is not a near-tie.
+    """
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scale(a, e)
+    # log10 may be one off next to a power of ten: rescale those values
+    near = np.flatnonzero(fast & ((hi <= 1e16) | (hi >= 1e17)))
+    if near.size:
+        shift = _decade(hi[near], lo[near])
+        redo = near[shift != 0]
+        if redo.size:
+            e[redo] += shift[shift != 0]
+            hi[redo], lo[redo] = _scale(a[redo], e[redo])
+            fast[redo] &= _decade(hi[redo], lo[redo]) == 0
+    whole = np.rint(lo)        # near-ties are left to '%.17g', so no tie is rounded here
+    n = hi.astype(np.int64) + whole.astype(np.int64)
+    carry = n == 10 * _LOW     # rounded up to 10**17: one digit more
+    n[carry] = _LOW
+    e[carry] += 1
+    exact = fast & (np.abs(lo - whole) < 0.5 - _TIE_GUARD)
+    zero = x == 0.0
+    n[zero] = 0
+    e[zero] = 0
+    return n, e, exact | zero
+
+
+def _digit_words(n):
+    """The 17 decimal digits of each 0 <= n < 10**17, most significant first,
+    as byte values 0-9 in the bytes of three little-endian words, shape (3, len(n))."""
+    top = n // np.int64(10**8)
+    lead = top // np.int64(10**8)
+    # two groups of 8 digits, each spread over the bytes of its word
+    v = np.empty((2, len(n)), dtype="<u8")
+    v[0] = top - lead * np.int64(10**8)
+    v[1] = n - top * np.int64(10**8)
+    for mult, shift, mask, width, back in _LANE_STEPS:
+        q = (v * mult >> shift) & mask
+        v <<= width
+        v -= q * back          # (v - q divisor) << width | q
+    words = np.empty((3, len(n)), dtype="<u8")
+    words[0] = v[0] << _U8 | lead.astype("<u8")
+    words[1] = v[1] << _U8 | v[0] >> _U56
+    words[2] = v[1] >> _U56
+    return words
+
+
+def format_cells(values):
+    """uint8 fields of shape values.shape + (WIDTH,): '%.17g' % v of each value, NUL-padded.
+
+    The NUL bytes are spread through each field; deleting them leaves the text.
+    """
+    shape = np.shape(values)
+    x = np.asarray(values, dtype=np.float64).ravel()
+    out = np.zeros((len(x), WIDTH), dtype=np.uint8)
+    for start in range(0, len(x), _CHUNK):
+        _fill(x[start:start + _CHUNK], out[start:start + _CHUNK])
+    return out.reshape(shape + (WIDTH,))
+
+
+def _fill(x, out):
+    """Write the fields of x into the zeroed rows of out."""
+    n, e, exact = _significands(x)
+    body = _digit_words(n)
+    fixed = (e >= -4) & (e < 17)
+    # digits before the point: X + 1 in fixed notation, none below 1, one in e-notation
+    lead = np.where(fixed, np.maximum(e + 1, 0), 1)
+    # last nonzero digit, from the highest nonzero byte of each word; the
+    # digit bytes are below 16, so a word converts to float without carrying
+    # into the next power of two
+    high = (np.frexp(body[:2].astype(np.float64))[1] - 1) >> 3
+    last = np.where(body[2] != 0, 16, np.where(high[1] >= 0, high[1] + 8, high[0]))
+    keep = np.maximum(lead, last + 1)                     # trailing zeros dropped
+    body |= _ASCII_ZEROS
+    body &= _BELOW.take(keep, axis=1)
+    # the point goes in at byte lead, the digits from there on one byte up
+    below = _BELOW.take(lead, axis=1)
+    moved = body & ~below
+    body &= below
+    body |= moved << _U8
+    body[1:] |= moved[:-1] >> _U56
+    body |= _POINT.take(np.where((keep > lead) & (lead > 0), lead, 18), axis=1)
+    sci = np.flatnonzero(~fixed)
+    if sci.size:
+        body[2, sci] |= _exponent_words(e[sci])
+    leading = _LEADING.take(np.where(fixed & (e < 0), 1 - e, 0))   # "0." and -X - 1 zeros
+    leading |= np.signbit(x).astype("<u8") * np.uint64(45)
+    words = out.view("<u8")
+    words[:, 0] = leading
+    words[:, 1:] = body.T
+    for i in np.flatnonzero(~exact):
+        text = b"%.17g" % x[i]
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+
+
+def csv_rows(columns, tail):
+    """Yield the text of CSV rows, _BLOCK_ROWS rows at a time.
+
+    columns holds equal-length sequences of floats, whose cells are
+    '%.17g' % x, and strings written in every row; cells are joined by ","
+    and each row ends with tail.  A string must not contain NUL.
+    """
+    # one row's bytes, with a NUL field where each array's cell goes
+    line, offsets, arrays = bytearray(), [], []
+    for j, col in enumerate(columns):
+        if j:
+            line += b","
+        if isinstance(col, str):
+            line += col.encode()
+        else:
+            offsets.append(len(line))
+            arrays.append(col)
+            line += bytes(WIDTH)
+    line = np.frombuffer(bytes(line + tail.encode()), dtype=np.uint8)
+    for start in range(0, len(arrays[0]) if arrays else 0, _BLOCK_ROWS):
+        fields = format_cells(np.column_stack([col[start:start + _BLOCK_ROWS]
+                                               for col in arrays]))
+        rows = np.empty((len(fields), len(line)), dtype=np.uint8)
+        rows[:] = line
+        for k, offset in enumerate(offsets):
+            rows[:, offset:offset + WIDTH] = fields[:, k]
+        # release each array once its copy is made, so that about three
+        # copies of a block's text are alive at a time
+        del fields
+        text = rows.tobytes()
+        del rows
+        yield text.translate(None, b"\0").decode()

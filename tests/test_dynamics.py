@@ -40,6 +40,20 @@ def partly_defined_series():
     return dy.PolarizationSeries(times=times, P=p, Pt=pt, source="closed_form")
 
 
+def boundary_series():
+    """A hand-built series at the edges of the CSV kernel: the powers of ten
+    where '%.17g' changes notation with their float neighbours, subnormals and
+    +-1e300."""
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+    values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                             [5e-324, -2.5e-323, 2.2250738585072009e-308, 1e300, -1e300]])
+    n = len(values)
+    p = np.stack([values, -values, values[::-1]], axis=1)
+    pt = np.repeat(p, 3, axis=1).reshape(n, 3, 3)
+    return dy.PolarizationSeries(times=np.arange(n, dtype=float), P=p, Pt=pt,
+                                 source="oracle")
+
+
 def empty_series():
     return dy.PolarizationSeries(times=np.empty(0), P=np.empty((0, 3)),
                                  Pt=np.empty((0, 3, 3)), source="oracle")
@@ -788,10 +802,11 @@ class TestSeriesSerialization:
 
         # frozen and resonance closed forms carry NaN columns; tmp at theta = 0
         # carries -0.0; 9000 rows span three write blocks; the hand-built
-        # series has columns that are NaN or infinite in some rows only
+        # series have columns that are NaN or infinite in some rows only, and
+        # values where the notation changes or the kernel hands over
         closed_tmp = dy.closed_form_tmp(tmp_scn(theta=0.0, steps=9000))
         assert np.any(np.signbit(closed_tmp.P) & (closed_tmp.P == 0.0))
-        for series in (closed_tmp, partly_defined_series(), empty_series(),
+        for series in (closed_tmp, partly_defined_series(), boundary_series(), empty_series(),
                        dy.closed_form_frozen(frozen_scn(steps=4099)),
                        dy.closed_form_resonance(resonance_scn(steps=300)),
                        dy.evolve_oracle(frozen_scn(L=2, steps=300)),

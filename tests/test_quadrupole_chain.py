@@ -61,11 +61,9 @@ def test_chain_bit_for_bit(L, K, n):
     assert dy.quadrupole_coupling(qs, L, gradient).hex() == coupling
     tab = dy.level_splitting(ops, qs, gradient)
     assert tab.coefficient.hex() == coefficient
-    # eigh leaves the Lx eigenvalues some ulp off the integers, differently
-    # per LAPACK, so the shifts are pinned as the pinned coefficient times them
-    w = np.linalg.eigh(ops.Lx)[0]
-    w = w[np.argsort(-w)]
-    assert np.array_equal(tab.shifts, float.fromhex(coefficient) * w**2)
+    # the shift of m_r = L .. -L is the coefficient times the integer m_r^2
+    m_r = np.arange(L, -L - 1, -1)
+    assert np.array_equal(tab.shifts, float.fromhex(coefficient) * m_r**2)
 
 
 @pytest.mark.parametrize("L", sorted(BEAM_MODEL))
