@@ -8,6 +8,7 @@ co-moving beam description, so (rho, phi, z) map onto Cartesian (x, y, z).
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ class AmOperators:
         return obs
 
 
-@dataclass(frozen=True)
-class QuantumState:
+class QuantumState(NamedTuple):
     """A pure state vector or a mixed-state density matrix on the |L, m> space."""
 
     kind: str            # "pure" | "mixed"
@@ -69,8 +69,7 @@ class QuantumState:
         return float(val.real)
 
 
-@dataclass(frozen=True)
-class PolarizationState:
+class PolarizationState(NamedTuple):
     """Vector polarization P (rho, phi, z) and symmetric 3x3 tensor Pt."""
 
     P: np.ndarray

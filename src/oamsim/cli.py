@@ -189,6 +189,11 @@ def cmd_moments(args):
     return 0
 
 
+def _out_path(args, doc):
+    """Where simulate and scan write: --out first, then the config's output.path."""
+    return args.out or doc.get("output", {}).get("path")
+
+
 def _write_series(series, fmt, path):
     from . import dynamics
     write = dynamics.write_series_csv if fmt == "csv" else dynamics.write_series_json
@@ -205,7 +210,7 @@ def cmd_simulate(args):
     scn = scenario_from_config(doc)
     out = doc.get("output", {})
     fmt = args.format or out.get("format", "csv")
-    path = args.out or out.get("path")
+    path = _out_path(args, doc)
     oracle_cfg = doc.get("oracle", {})
     if oracle_cfg.get("enabled", False) and not path:
         raise ConfigError("simulate with oracle.enabled writes three files; "
@@ -238,6 +243,10 @@ def cmd_simulate(args):
 def cmd_scan(args):
     from . import dynamics, floattext
     doc = cfg.load_config(args.config, "scan")
+    if doc.get("output", {}).get("format", "csv") != "csv":
+        raise ConfigError("scan writes csv only: output.format must be 'csv'")
+    if doc.get("oracle", {}).get("enabled", False):
+        raise ConfigError("scan has no oracle: oracle.enabled must be false")
     scn = scenario_from_config(doc)
     if scn.mode != "resonance":
         raise ConfigError("scan requires scenario.mode = 'resonance'")
@@ -248,7 +257,7 @@ def cmd_scan(args):
         sys.stderr.write(f"warning: frequency grid does not bracket 2*Omega = {target}\n")
     argmax = [float(i == result.argmax_index) for i in range(len(result.peaks))]
     rows = floattext.csv_rows([result.omegas, result.peaks, argmax], "\n")
-    _emit("omega_rad_s,peak_abs_Pz,argmax\n" + "".join(rows), args.out)
+    _emit("omega_rad_s,peak_abs_Pz,argmax\n" + "".join(rows), _out_path(args, doc))
     return 0
 
 
@@ -256,9 +265,7 @@ def cmd_verify(args):
     from . import verify
     results = verify.run_all()
     if args.format == "json":
-        doc = [{"criterion": r.criterion, "label": r.label, "passed": r.passed,
-                "details": r.details, "elapsed_s": r.elapsed_s, "info": r.info}
-               for r in results]
+        doc = [r._asdict() for r in results]
         _emit(json.dumps(_sanitize(doc), indent=2) + "\n", args.out)
     else:
         lines = []

@@ -59,6 +59,15 @@ SCHEMA = {
     },
 }
 
+# scenario keys each mode reads besides mode, t_end_s and steps; any other
+# scenario key would be dropped unread, so validate_config rejects it
+MODE_KEYS = {
+    "tmp": ("Omega_rad_s", "b_rad_s"),
+    "frozen": ("A_rad_s",),
+    "resonance": ("Omega_rad_s", "A_rad_s", "grad_amplitude_V_m2", "omega_drive", "phi",
+                  "drive"),
+}
+
 REQUIRED = {
     "freeze": {"beam": ("kinetic_energy_eV",), "ring": ("R0_m", "n")},
     "moments": {"beam": ("kinetic_energy_eV", "L"), "ring": ()},
@@ -138,6 +147,16 @@ def validate_config(doc, command):
         for key in keys:
             if key not in out[section]:
                 raise ConfigError(f"command {command!r} requires {section}.{key}")
+    if "density_path" in out.get("beam", {}) and command != "moments":
+        raise ConfigError("beam.density_path is read only by 'moments', "
+                          f"not by {command!r}")
+    scenario = out.get("scenario", {})
+    if "mode" in scenario:
+        mode = scenario["mode"]
+        reads = ("mode", "t_end_s", "steps") + MODE_KEYS[mode]
+        for key in scenario:
+            if key not in reads:
+                raise ConfigError(f"scenario.{key} is not read in {mode} mode")
     return out
 
 

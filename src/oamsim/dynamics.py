@@ -26,7 +26,7 @@ fourth-order commutator-free Magnus propagator refined by substep halving.
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -139,8 +139,7 @@ class PolarizationSeries:
         return self
 
 
-@dataclass(frozen=True)
-class SplittingTable:
+class SplittingTable(NamedTuple):
     """Quadrupole level shifts [rad/s], labeled by the Lr projection."""
 
     levels: tuple                # ((label, shift_rad_s), ...)
@@ -151,8 +150,7 @@ class SplittingTable:
         return np.array([s for _, s in self.levels])
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Oracle vs closed form: pointwise deviation and extracted frequencies."""
 
     mode: str
@@ -170,8 +168,7 @@ class ComparisonReport:
     oracle: PolarizationSeries   # the series compared; its diagnostics carry the refinement
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Resonance scan: peak |P_z| per drive frequency."""
 
     omegas: np.ndarray

@@ -13,7 +13,7 @@ scalar moments behind the report commands load no numpy.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import (ALPHA, E_SIGNED, FM, GAUSSIAN_B2_J_PER_M3, HBAR,
                         HBAR_C_EV_M, LAMBDA_BAR_C)
@@ -21,8 +21,7 @@ from .errors import DomainError, require_int
 from .ring_config import landau_geometry
 
 
-@dataclass(frozen=True)
-class MomentSet:
+class MomentSet(NamedTuple):
     """Moments of a beam model in a given field."""
 
     beta_T_fm3: float    # tensor magnetic polarizability [fm^3]
@@ -32,8 +31,7 @@ class MomentSet:
     mean_r2: float       # <r^2> of the beam model [m^2]
 
 
-@dataclass(frozen=True)
-class EcqmTensor:
+class EcqmTensor(NamedTuple):
     """Current quadrupole moment tensor, traceless symmetric, in C m^2.
 
     rows holds the components as three tuples of floats; components is the
@@ -132,6 +130,8 @@ def mean_square_radius(r, rho):
 
 def intrinsic_eqm(mean_r2):
     """Intrinsic EQM Q0 = -e <r^2> in C m^2 (positive for the electron), <r^2> in m^2."""
+    if not (math.isfinite(mean_r2) and mean_r2 >= 0):
+        raise DomainError(f"<r^2> must be finite and >= 0, got {mean_r2}")
     return -E_SIGNED * mean_r2
 
 
@@ -141,6 +141,9 @@ def spectroscopic_eqm(Q0, j, K):
     j may be integer or half-integer; K is the projection of the total
     angular momentum on the symmetry axis, |K| <= j.
     """
+    for name, value in (("Q0", Q0), ("j", j), ("K", K)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if j < 0.5:
         raise DomainError(f"j must be >= 1/2, got {j}")
     if abs(K) > j:
@@ -176,12 +179,14 @@ def ecqm(L_vec, s_vec, epsilon_ev):
     total energy in eV.  The natural-unit inverse energies become lengths
     through hbar c.
     """
-    if epsilon_ev <= 0:
-        raise DomainError(f"total energy must be positive, got {epsilon_ev}")
+    if not (math.isfinite(epsilon_ev) and epsilon_ev > 0):
+        raise DomainError(f"total energy must be finite and positive, got {epsilon_ev}")
     lv = [float(x) for x in L_vec]
     sv = [float(x) for x in s_vec]
     if len(lv) != 3 or len(sv) != 3:
         raise DomainError("L_vec and s_vec must have three components each")
+    if not all(map(math.isfinite, lv + sv)):
+        raise DomainError(f"L_vec and s_vec must be finite, got {lv} and {sv}")
     scale = -0.5 * E_SIGNED * (HBAR_C_EV_M / epsilon_ev) ** 2
     dot = lv[0] * sv[0] + lv[1] * sv[1] + lv[2] * sv[2]
     t = [[3.0 * (lv[i] * sv[j] + sv[i] * lv[j]) for j in range(3)] for i in range(3)]

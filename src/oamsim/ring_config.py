@@ -7,14 +7,13 @@ electric and magnetic forces on the electron are oppositely directed.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import C, E_CHARGE, HBAR, M_E, gamma_from_kinetic_energy
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Kinematics:
+class Kinematics(NamedTuple):
     """Relativistic state of the beam centroid."""
 
     kinetic_energy_ev: float
@@ -23,8 +22,7 @@ class Kinematics:
     velocity: float         # m/s
 
 
-@dataclass(frozen=True)
-class RingSetup:
+class RingSetup(NamedTuple):
     """Field configuration of a storage ring, frozen or generic."""
 
     kin: Kinematics
@@ -36,8 +34,7 @@ class RingSetup:
     Omega: float            # Larmor angular velocity, z-component [rad/s]
 
 
-@dataclass(frozen=True)
-class LandauGeometry:
+class LandauGeometry(NamedTuple):
     """Transverse geometry of a Landau/twisted state in a uniform field."""
 
     B: float                # [T]

@@ -7,7 +7,7 @@ both drive these functions, so the pass/fail criteria live in one place.
 
 import math
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,14 +17,13 @@ from .reference import REF_BETA_T_FM3, REF_RING, REF_W_M_1T_M
 from .reference import rel_deviation as _rel
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     criterion: str
     label: str
     passed: bool
-    details: list = field(default_factory=list)
-    elapsed_s: float = 0.0
-    info: dict = field(default_factory=dict)
+    details: list
+    elapsed_s: float
+    info: dict
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -261,9 +260,7 @@ def check_level_splitting():
     setup = ring_config.frozen_setup(300e3, 0.5, 0.5)
     ops = am_core.build_operators(1)
 
-    _, der0 = ring_config.field_gradients(
-        ring_config.RingSetup(kin=setup.kin, B0=setup.B0, E=setup.E, R0=setup.R0,
-                              n=0.0, omega=setup.omega, Omega=setup.Omega))
+    _, der0 = ring_config.field_gradients(setup._replace(n=0.0))
     tab0 = dynamics.level_splitting(ops, qs, der0)
     ok = _assert(details, "all shifts zero at n = 0",
                  np.all(tab0.shifts == 0.0), f"max {np.max(np.abs(tab0.shifts)):.2e}")

@@ -33,10 +33,16 @@ FRESH_CLI = ("import sys; from oamsim import cli; rc = cli.main(sys.argv[1:]); "
              "sys.exit(rc)")
 
 
-def fresh_cli(argv):
+# the same run, printing which of dataclasses and inspect it left loaded
+FRESH_CLI_STDLIB = ("import sys; from oamsim import cli; rc = cli.main(sys.argv[1:]); "
+                    "print(sorted({m.split('.')[0] for m in sys.modules} "
+                    "& {'dataclasses', 'inspect'})); sys.exit(rc)")
+
+
+def fresh_cli(argv, script=FRESH_CLI):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", FRESH_CLI, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return proc.stdout.strip()
 
@@ -92,6 +98,56 @@ class TestConfigValidation:
         cfg.load_config(CONFIG_DIR / "moments100.json", "moments")
         cfg.load_config(CONFIG_DIR / "frozen_sim.json", "simulate")
         cfg.load_config(CONFIG_DIR / "resonance_scan.json", "scan")
+
+
+# the scenario keys each mode reads besides mode, t_end_s and steps, and a
+# valid value for every such key
+MODE_READS = {"tmp": {"Omega_rad_s", "b_rad_s"}, "frozen": {"A_rad_s"},
+              "resonance": {"Omega_rad_s", "A_rad_s", "grad_amplitude_V_m2",
+                            "omega_drive", "phi", "drive"}}
+SCENARIO_VALUES = {"Omega_rad_s": 2.0, "b_rad_s": 0.5, "A_rad_s": 0.25,
+                   "grad_amplitude_V_m2": 1.0e6, "omega_drive": 4.0, "phi": 0.3,
+                   "drive": "linear"}
+
+
+def simulate_doc(mode, keys):
+    return {"beam": {"kinetic_energy_eV": 3e5, "L": 1, "theta": 1.1, "psi": 0.7,
+                     "kind": "tensor"},
+            "scenario": {"mode": mode, "t_end_s": 1.0, "steps": 8,
+                         **{key: SCENARIO_VALUES[key] for key in keys}}}
+
+
+class TestScenarioKeysPerMode:
+    @pytest.mark.parametrize("mode", sorted(MODE_READS))
+    def test_keys_the_mode_reads_accepted(self, mode):
+        cfg.validate_config(simulate_doc(mode, MODE_READS[mode]), "simulate")
+
+    @pytest.mark.parametrize("mode, key", [
+        (mode, key) for mode in sorted(MODE_READS) for key in sorted(SCENARIO_VALUES)
+        if key not in MODE_READS[mode]])
+    def test_key_the_mode_does_not_read_rejected(self, mode, key, tmp_path, capsys):
+        # everything the mode needs is there, so only the foreign key is at fault
+        doc = simulate_doc(mode, MODE_READS[mode] | {key})
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "config",
+                                   "message": f"scenario.{key} is not read in {mode} mode"}
+
+    @pytest.mark.parametrize("command", ["freeze", "simulate", "scan"])
+    def test_density_path_outside_moments_rejected(self, command, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "resonance_scan.json").read_text())
+        doc["beam"]["density_path"] = str(tmp_path / "density.txt")
+        doc["ring"] = {"R0_m": 0.5, "n": 0.5}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["message"] == (
+            f"beam.density_path is read only by 'moments', not by {command!r}")
 
 
 class TestConstantsCommand:
@@ -170,18 +226,28 @@ class TestMomentsCommand:
         assert doc["beam_mean_r2_m2"] == pytest.approx(a**2 / 2, rel=1e-5)
 
 
+REPORT_RUNS = pytest.mark.parametrize("argv", [
+    ["constants"],
+    ["freeze", "--config", str(CONFIG_DIR / "ring300kev.json")],
+    ["moments", "--config", str(CONFIG_DIR / "moments100.json")],
+], ids=["constants", "freeze", "moments"])
+
+
 class TestReportCommandsStartWithoutNumpy:
     """constants, freeze and moments print closed-form floats and import no numpy."""
 
-    @pytest.mark.parametrize("argv", [
-        ["constants"],
-        ["freeze", "--config", str(CONFIG_DIR / "ring300kev.json")],
-        ["moments", "--config", str(CONFIG_DIR / "moments100.json")],
-    ], ids=["constants", "freeze", "moments"])
+    @REPORT_RUNS
     def test_fresh_run_leaves_numpy_and_scipy_unloaded(self, argv, tmp_path):
         # importing oamsim.cli and running the command both stay numpy-free
         out = tmp_path / "report.txt"
         assert fresh_cli([*argv, "--out", str(out)]) == "[]"
+        assert out.read_text()
+
+    @REPORT_RUNS
+    def test_fresh_run_leaves_dataclasses_and_inspect_unloaded(self, argv, tmp_path):
+        # the report layer's records are NamedTuples, so nothing loads dataclasses
+        out = tmp_path / "report.txt"
+        assert fresh_cli([*argv, "--out", str(out)], FRESH_CLI_STDLIB) == "[]"
         assert out.read_text()
 
     def test_density_route_loads_numpy_and_scipy_on_demand(self, tmp_path):
@@ -338,6 +404,35 @@ class TestScanCommand:
         flagged = [row for row in rows if row[2] == "1"]
         assert len(flagged) == 1
         assert float(flagged[0][0]) == pytest.approx(100.0)
+
+    def test_output_path_writes_the_bytes_of_out(self, tmp_path, capsys):
+        by_flag = tmp_path / "flag.csv"
+        code, _, _ = run_cli(["scan", "--config", str(CONFIG_DIR / "resonance_scan.json"),
+                              "--out", str(by_flag)], capsys)
+        assert code == 0
+        doc = json.loads((CONFIG_DIR / "resonance_scan.json").read_text())
+        doc["output"] = {"path": str(tmp_path / "config.csv"), "format": "csv"}
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["scan", "--config", str(path)], capsys)
+        assert code == 0
+        assert out == ""
+        assert (tmp_path / "config.csv").read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("output", {"format": "json"}, "scan writes csv only: output.format must be 'csv'"),
+        ("oracle", {"enabled": True}, "scan has no oracle: oracle.enabled must be false"),
+    ], ids=["json", "oracle"])
+    def test_section_scan_cannot_honour_rejected(self, section, value, message,
+                                                 tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "resonance_scan.json").read_text())
+        doc[section] = value
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["scan", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "config", "message": message}
 
     def test_nonbracketing_grid_warns(self, tmp_path, capsys):
         doc = json.loads((CONFIG_DIR / "resonance_scan.json").read_text())

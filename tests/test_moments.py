@@ -258,8 +258,19 @@ class TestScaleEstimates:
         lambda: mo.tmp_energy_shift(5e4, 2, 1.0, math.nan),
         lambda: mo.tmp_energy_shift(math.nan, 2, 1.0, 0.0),
         lambda: mo.delta_omega_estimate(3, math.nan), lambda: mo.delta_omega_estimate(3, math.inf),
+        lambda: mo.spectroscopic_eqm(1.0, math.nan, 1),
+        lambda: mo.spectroscopic_eqm(1.0, math.inf, 1),
+        lambda: mo.spectroscopic_eqm(1.0, 2, math.nan),
+        lambda: mo.spectroscopic_eqm(1.0, 2, -math.inf),
+        lambda: mo.ecqm([0, 0, 1], [0, 0, 0.5], math.nan),
+        lambda: mo.ecqm([0, 0, 1], [0, 0, 0.5], math.inf),
+        lambda: mo.ecqm([0, math.nan, 1], [0, 0, 0.5], 6.0e5),
+        lambda: mo.ecqm([0, 0, 1], [0, 0, math.inf], 6.0e5),
+        lambda: mo.intrinsic_eqm(math.nan), lambda: mo.intrinsic_eqm(-1.0e-18),
     ], ids=["scale-R0-nan", "scale-R0-inf", "tmp-B-nan", "tmp-B-inf", "tmp-angle-nan",
-            "tmp-beta-nan", "delta-omega-nan", "delta-omega-inf"])
+            "tmp-beta-nan", "delta-omega-nan", "delta-omega-inf", "qs-j-nan", "qs-j-inf",
+            "qs-K-nan", "qs-K-inf", "ecqm-energy-nan", "ecqm-energy-inf", "ecqm-L-nan",
+            "ecqm-s-inf", "q0-r2-nan", "q0-r2-negative"])
     def test_non_finite_scalars_rejected(self, call):
         with pytest.raises(DomainError, match="finite"):
             call()
