@@ -146,7 +146,7 @@ def cmd_freeze(args):
         "dBz_dR_T_m": dbz,
         "dEr_dR_V_m2": der,
     }
-    _report(report, args.format, args.out)
+    _report(report, args.format, _out_path(args, doc))
     return 0
 
 
@@ -185,12 +185,12 @@ def cmd_moments(args):
         if setup is not None:
             _, der = ring_config.field_gradients(setup)
             report["delta_Omega_s1"] = moments.delta_omega_estimate(L, der)
-    _report(report, args.format, args.out)
+    _report(report, args.format, _out_path(args, doc))
     return 0
 
 
 def _out_path(args, doc):
-    """Where simulate and scan write: --out first, then the config's output.path."""
+    """Where a command with a config writes: --out first, then the config's output.path."""
     return args.out or doc.get("output", {}).get("path")
 
 
@@ -256,7 +256,7 @@ def cmd_scan(args):
     if not (min(omegas) <= target <= max(omegas)):
         sys.stderr.write(f"warning: frequency grid does not bracket 2*Omega = {target}\n")
     argmax = [float(i == result.argmax_index) for i in range(len(result.peaks))]
-    rows = floattext.csv_rows([result.omegas, result.peaks, argmax], "\n")
+    rows = floattext.text_rows([result.omegas, result.peaks, argmax], "\n", floattext.G17)
     _emit("omega_rad_s,peak_abs_Pz,argmax\n" + "".join(rows), _out_path(args, doc))
     return 0
 

@@ -68,6 +68,16 @@ MODE_KEYS = {
                   "drive"),
 }
 
+# sections each command reads; any other section would be dropped unread
+READS = {
+    "freeze": ("beam", "ring", "output"),
+    "moments": ("beam", "ring", "output"),
+    "simulate": ("beam", "ring", "scenario", "output", "oracle"),
+    "scan": ("beam", "ring", "scenario", "scan", "output", "oracle"),
+}
+# commands whose format only --format sets, so output.format is not read
+_REPORTS = ("freeze", "moments")
+
 REQUIRED = {
     "freeze": {"beam": ("kinetic_energy_eV",), "ring": ("R0_m", "n")},
     "moments": {"beam": ("kinetic_energy_eV", "L"), "ring": ()},
@@ -157,6 +167,12 @@ def validate_config(doc, command):
         for key in scenario:
             if key not in reads:
                 raise ConfigError(f"scenario.{key} is not read in {mode} mode")
+    for section in out:
+        if section not in READS[command]:
+            raise ConfigError(f"section {section!r} is not read by {command!r}")
+    if command in _REPORTS and "format" in out.get("output", {}):
+        raise ConfigError(f"output.format is not read by {command!r}: "
+                          "--format json|text sets its format")
     return out
 
 

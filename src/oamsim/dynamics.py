@@ -44,6 +44,7 @@ _COLUMNS = ("t", "P_rho", "P_phi", "P_z") + tuple(
     "P_" + "rpz"[i] + "rpz"[j] for i, j in TENSOR_PAIRS)
 SERIES_CSV_HEADER = ",".join(_COLUMNS + ("source",))
 
+_JSON_SEPARATOR = ",\n    "         # between the values of a JSON series column
 _MODES = ("tmp", "frozen", "resonance")
 _KINDS = ("vector", "tensor")
 _DRIVES = ("corotating", "linear")
@@ -59,8 +60,6 @@ _SCAN_ARRAYS = 8                   # arrays of the block's shape _resonance_pz h
 # R omega' t_end (4096 ulp); rounding in P_z and in the sample phases is
 # estimated at about 20 ulp of that scale
 _SCAN_ROUNDING = 2.0**-40
-# how json writes the floats float.__repr__ spells nan, inf and -inf
-_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True)
@@ -774,11 +773,11 @@ def write_series_csv(series, fileobj):
     Each cell is '%.17g' % x, which reads back exactly: nan, inf and -inf for
     non-finite values.  A column that is NaN in every row is written as the
     literal nan without formatting its values; the others are formatted by
-    floattext.csv_rows, which gives the same bytes block by block.
+    floattext.text_rows, which gives the same bytes block by block.
     """
     fileobj.write(SERIES_CSV_HEADER + "\n")
     columns = ["nan" if _all_nan(col) else col for _, col in _series_columns(series)]
-    for text in floattext.csv_rows(columns, "," + series.source + "\n"):
+    for text in floattext.text_rows(columns, "," + series.source + "\n", floattext.G17):
         fileobj.write(text)
 
 
@@ -787,22 +786,25 @@ def write_series_json(series, fileobj):
 
     The bytes are those of json.dumps(doc, indent=2) + "\n" for the dict of
     the CSV columns as lists: one value per line, null for NaN, float repr
-    for finite values, Infinity and -Infinity for infinities.
+    for finite values, Infinity and -Infinity for infinities.  A column that
+    is NaN in every row is written without formatting its values; the others
+    are formatted by floattext.text_rows, block by block.
     """
     fileobj.write("{\n")
     for name, col in _series_columns(series):
         if not len(col):
             fileobj.write(f"  {json.dumps(name)}: [],\n")
             continue
-        if _all_nan(col):
-            values = "null" + ",\n    null" * (len(col) - 1)
-        else:
-            text = map(float.__repr__, col.tolist())
-            if not np.isfinite(col).all():
-                text = (_JSON_NONFINITE.get(v, v) for v in text)
-            values = ",\n    ".join(text)
-        # the column text is written as it is, not copied into a larger string
         fileobj.write(f"  {json.dumps(name)}: [\n    ")
-        fileobj.write(values)
+        if _all_nan(col):
+            fileobj.write("null" + ",\n    null" * (len(col) - 1))
+        else:
+            # every value is followed by the separator, which the last must not be
+            blocks = floattext.text_rows([col], _JSON_SEPARATOR, floattext.JSON)
+            text = next(blocks)
+            for block in blocks:
+                fileobj.write(text)
+                text = block
+            fileobj.write(text[:-len(_JSON_SEPARATOR)])
         fileobj.write("\n  ],\n")
     fileobj.write(f"  \"source\": {json.dumps(series.source)}\n}}\n")

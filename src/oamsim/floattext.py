@@ -1,9 +1,13 @@
-"""The exact text of ``'%.17g' % x`` for float64 arrays, built with numpy.
+"""The exact text of ``'%.17g' % x`` and of ``repr(x)`` for float64 arrays, built with numpy.
 
 ``format_cells`` lays each value out as NUL-padded uint8 fields of a fixed
 width, so that many values become one text with a single
-``bytes.translate(None, b"\\0")``; ``csv_rows`` joins such fields into CSV
-rows.  A finite value with 1e-280 <= |x| <= 1e280 is scaled by 10**(16 - e),
+``bytes.translate(None, b"\\0")``; ``text_rows`` joins such fields into
+rows.  A ``Style`` says how the cells spell their values: ``G17`` as
+``'%.17g' % x`` (CSV cells), ``JSON`` as ``repr(x)`` with ``null``,
+``Infinity`` and ``-Infinity`` for the non-finite values (JSON cells).
+
+A finite value with 1e-280 <= |x| <= 1e280 is scaled by 10**(16 - e),
 e = floor(log10 |x|), as a double-double: Dekker's exact two-product of x
 with the high part of the power of ten, plus x times its low part.  That
 carries the 17-digit significand and its fraction part to about 1e-14, and
@@ -11,7 +15,16 @@ rounding to the nearest integer is exact unless the fraction lies within
 _TIE_GUARD of one half.  Such near-ties (exact ties, as odd multiples of
 2**-18 in [0.1, 1), must round half to even), NaN, infinities, subnormals and
 values outside that range are formatted one at a time by ``'%.17g'`` itself.
+
+The digits of ``repr(x)`` are the multiple of the largest power of ten among
+the integers within half an ulp of x on the same scale, the nearest to x.
+Besides the values ``'%.17g'`` formats itself, ``repr`` formats those whose
+binary significand is a power of two (the next float below them is half as
+far as the one above), and those where an end of that interval or a tie of
+the rounding to the power of ten lies within _TIE_GUARD.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +37,8 @@ _TIE_GUARD = 1e-9           # far above the 1e-14 error of the scaled fraction
 _SPLIT = 134217729.0        # 2**27 + 1, Veltkamp's splitting constant
 _LOW = 10**16               # the 17-digit significands are _LOW <= n < 10 * _LOW
 _U8, _U56 = np.uint64(8), np.uint64(56)
+# the JSON cells of the values float.__repr__ spells nan, inf and -inf (NaN is undefined)
+_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _split(a):
@@ -112,11 +127,11 @@ def _decade(hi, lo):
     return up.astype(np.intp) - down.astype(np.intp)
 
 
-def _significands(x):
-    """(n, e, exact): x rounded to n * 10**(e - 16) with 10**16 <= n < 10**17.
+def _scaled(x):
+    """(n, frac, e, fast): |x| * 10**(16 - e) = n + frac, to about 1e-14, for
+    the values fast marks, the finite ones with _FAST_MIN <= |x| <= _FAST_MAX.
 
-    exact marks the values the kernel rounds itself: zeros (n = e = 0) and
-    the finite values in range whose rounding is not a near-tie.
+    n is an integer with 10**16 <= n <= 10**17 and |frac| <= 1/2.
     """
     a = np.abs(x)
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
@@ -132,16 +147,74 @@ def _significands(x):
             e[redo] += shift[shift != 0]
             hi[redo], lo[redo] = _scale(a[redo], e[redo])
             fast[redo] &= _decade(hi[redo], lo[redo]) == 0
-    whole = np.rint(lo)        # near-ties are left to '%.17g', so no tie is rounded here
-    n = hi.astype(np.int64) + whole.astype(np.int64)
-    carry = n == 10 * _LOW     # rounded up to 10**17: one digit more
+    whole = np.rint(lo)        # near-ties are left to the fallback, so no tie is rounded here
+    return hi.astype(np.int64) + whole.astype(np.int64), lo - whole, e, fast
+
+
+def _significands(x):
+    """(n, e, exact): x rounded to n * 10**(e - 16) with 10**16 <= n < 10**17.
+
+    exact marks the values the kernel rounds itself: zeros (n = e = 0) and
+    the finite values in range whose rounding is not a near-tie.
+    """
+    n, frac, e, fast = _scaled(x)
+    _carry(n, e)
+    return n, e, _zeros(x, n, e, fast & (np.abs(frac) < 0.5 - _TIE_GUARD))
+
+
+def _shortest(x):
+    """(n, e, exact): the digits of repr(x), n * 10**(e - 16) with 10**16 <= n < 10**17.
+
+    n * 10**(e - 16) is the decimal with the fewest significant digits that
+    reads back as x, the nearest to x of those.  exact marks the values
+    whose digits are certain: zeros and the values _significands rounds
+    itself whose significand is not a power of two (there the values that
+    read back as x reach half as far below it as above) and where neither
+    the ends of that interval nor a tie of the final rounding lie within
+    _TIE_GUARD.
+    """
+    n, frac, e, fast = _scaled(x)
+    mantissa, p = np.frexp(np.where(fast, x, 1.0))
+    # half an ulp of x on the scale of n: the decimals nearer than that to
+    # n + frac read back as x; the integers among them are [first, last]
+    half = np.ldexp(_POWERS[0].take(_E_MAX - e), p - 54)
+    low, high = frac - half, frac + half
+    exact = (fast & (np.abs(frac) < 0.5 - _TIE_GUARD) & (np.abs(mantissa) != 0.5)
+             & (np.abs(low - np.rint(low)) > _TIE_GUARD)
+             & (np.abs(high - np.rint(high)) > _TIE_GUARD))
+    first = n + np.ceil(low).astype(np.int64)
+    last = n + np.floor(high).astype(np.int64)
+    # the largest power of ten with a multiple in [first, last]; where the
+    # largest is 10**j, so is every smaller one.  10**16 is as far as it
+    # needs to go: 10**17 is a multiple of it, and then the nearest one
+    step = np.ones_like(n)
+    for j in range(1, 17):
+        more = last // np.int64(10**j) * np.int64(10**j) >= first
+        if not more.any():
+            break
+        step[more] = 10**j
+    # the multiple of step nearest n + frac, in the window as the window is symmetric
+    q, r = np.divmod(n, step)
+    over = (2 * r - step) + 2.0 * frac       # sign of the distance past the midpoint
+    exact &= np.abs(over) > _TIE_GUARD
+    n = (q + (over > 0.0)) * step
+    _carry(n, e)
+    return n, e, _zeros(x, n, e, exact)
+
+
+def _carry(n, e):
+    """Where n was rounded up to 10**17, one digit more: n = 10**16 at e + 1."""
+    carry = n == 10 * _LOW
     n[carry] = _LOW
     e[carry] += 1
-    exact = fast & (np.abs(lo - whole) < 0.5 - _TIE_GUARD)
+
+
+def _zeros(x, n, e, exact):
+    """Set n = e = 0 at the zeros of x and mark them exact."""
     zero = x == 0.0
     n[zero] = 0
     e[zero] = 0
-    return n, e, exact | zero
+    return exact | zero
 
 
 def _digit_words(n):
@@ -164,8 +237,28 @@ def _digit_words(n):
     return words
 
 
-def format_cells(values):
-    """uint8 fields of shape values.shape + (WIDTH,): '%.17g' % v of each value, NUL-padded.
+class Style(NamedTuple):
+    """How the cells of a text spell their values."""
+
+    digits: object      # x -> (n, e, exact), as _significands
+    sci_from: int       # fixed notation for -4 <= e < sci_from, else e-notation
+    point_zero: bool    # a fixed cell with no digit after the point ends in ".0"
+    fallback: object    # float -> text, for the values digits does not mark exact
+
+
+def _json_number(v):
+    """json.dumps(v) with NaN as null: repr(v), null, Infinity or -Infinity."""
+    text = float.__repr__(v)
+    return _JSON_NONFINITE.get(text, text)
+
+
+G17 = Style(_significands, 17, False, "%.17g".__mod__)     # '%.17g' % x
+JSON = Style(_shortest, 16, True, _json_number)            # repr(x), non-finite as in JSON
+
+
+def format_cells(values, style):
+    """uint8 fields of shape values.shape + (WIDTH,): each value spelled as
+    style says, NUL-padded.
 
     The NUL bytes are spread through each field; deleting them leaves the text.
     """
@@ -173,15 +266,15 @@ def format_cells(values):
     x = np.asarray(values, dtype=np.float64).ravel()
     out = np.zeros((len(x), WIDTH), dtype=np.uint8)
     for start in range(0, len(x), _CHUNK):
-        _fill(x[start:start + _CHUNK], out[start:start + _CHUNK])
+        _fill(x[start:start + _CHUNK], out[start:start + _CHUNK], style)
     return out.reshape(shape + (WIDTH,))
 
 
-def _fill(x, out):
-    """Write the fields of x into the zeroed rows of out."""
-    n, e, exact = _significands(x)
+def _fill(x, out, style):
+    """Write the fields of x, spelled as style says, into the zeroed rows of out."""
+    n, e, exact = style.digits(x)
     body = _digit_words(n)
-    fixed = (e >= -4) & (e < 17)
+    fixed = (e >= -4) & (e < style.sci_from)
     # digits before the point: X + 1 in fixed notation, none below 1, one in e-notation
     lead = np.where(fixed, np.maximum(e + 1, 0), 1)
     # last nonzero digit, from the highest nonzero byte of each word; the
@@ -189,7 +282,8 @@ def _fill(x, out):
     # into the next power of two
     high = (np.frexp(body[:2].astype(np.float64))[1] - 1) >> 3
     last = np.where(body[2] != 0, 16, np.where(high[1] >= 0, high[1] + 8, high[0]))
-    keep = np.maximum(lead, last + 1)                     # trailing zeros dropped
+    # trailing zeros dropped, but for one after the point if style keeps it
+    keep = np.maximum(lead + fixed if style.point_zero else lead, last + 1)
     body |= _ASCII_ZEROS
     body &= _BELOW.take(keep, axis=1)
     # the point goes in at byte lead, the digits from there on one byte up
@@ -208,16 +302,16 @@ def _fill(x, out):
     words[:, 0] = leading
     words[:, 1:] = body.T
     for i in np.flatnonzero(~exact):
-        text = b"%.17g" % x[i]
+        text = style.fallback(x[i]).encode()
         out[i] = 0
         out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
 
 
-def csv_rows(columns, tail):
-    """Yield the text of CSV rows, _BLOCK_ROWS rows at a time.
+def text_rows(columns, tail, style):
+    """Yield the text of rows, _BLOCK_ROWS rows at a time.
 
-    columns holds equal-length sequences of floats, whose cells are
-    '%.17g' % x, and strings written in every row; cells are joined by ","
+    columns holds equal-length sequences of floats, whose cells are spelled
+    as style says, and strings written in every row; cells are joined by ","
     and each row ends with tail.  A string must not contain NUL.
     """
     # one row's bytes, with a NUL field where each array's cell goes
@@ -234,7 +328,7 @@ def csv_rows(columns, tail):
     line = np.frombuffer(bytes(line + tail.encode()), dtype=np.uint8)
     for start in range(0, len(arrays[0]) if arrays else 0, _BLOCK_ROWS):
         fields = format_cells(np.column_stack([col[start:start + _BLOCK_ROWS]
-                                               for col in arrays]))
+                                               for col in arrays]), style)
         rows = np.empty((len(fields), len(line)), dtype=np.uint8)
         rows[:] = line
         for k, offset in enumerate(offsets):

@@ -150,6 +150,61 @@ class TestScenarioKeysPerMode:
             f"beam.density_path is read only by 'moments', not by {command!r}")
 
 
+# a valid value for each section some command does not read, and the
+# shipped config each command runs on
+SECTION_VALUES = {"scenario": {"mode": "frozen", "t_end_s": 1.0, "steps": 8},
+                  "scan": {"points": 3}, "oracle": {"enabled": False}}
+COMMAND_CONFIGS = {"freeze": "ring300kev.json", "moments": "moments100.json",
+                   "simulate": "frozen_sim.json"}
+
+
+def shipped_doc_with(command, section, value):
+    doc = json.loads((CONFIG_DIR / COMMAND_CONFIGS[command]).read_text())
+    doc[section] = value
+    return doc
+
+
+class TestSectionsPerCommand:
+    @pytest.mark.parametrize("command, section", [
+        ("freeze", "scenario"), ("freeze", "scan"), ("freeze", "oracle"),
+        ("moments", "scenario"), ("moments", "scan"), ("moments", "oracle"),
+        ("simulate", "scan")])
+    def test_section_the_command_does_not_read_rejected(self, command, section,
+                                                        tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(shipped_doc_with(command, section, SECTION_VALUES[section])))
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "config", "message": f"section {section!r} is not read by {command!r}"}
+
+    @pytest.mark.parametrize("command", ["freeze", "moments"])
+    def test_report_output_format_rejected(self, command, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(shipped_doc_with(command, "output", {"format": "json"})))
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["message"] == (
+            f"output.format is not read by {command!r}: --format json|text sets its format")
+
+    @pytest.mark.parametrize("command, fmt", [
+        ("freeze", "text"), ("freeze", "json"), ("moments", "text"), ("moments", "json")])
+    def test_report_output_path_writes_the_bytes_of_stdout(self, command, fmt,
+                                                           tmp_path, capsys):
+        shipped = str(CONFIG_DIR / COMMAND_CONFIGS[command])
+        code, printed, _ = run_cli([command, "--config", shipped, "--format", fmt], capsys)
+        assert code == 0
+        target = tmp_path / "report.txt"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(shipped_doc_with(command, "output", {"path": str(target)})))
+        code, out, _ = run_cli([command, "--config", str(path), "--format", fmt], capsys)
+        assert code == 0
+        assert out == ""
+        assert target.read_text() == printed
+
+
 class TestConstantsCommand:
     def test_text_report(self, capsys):
         code, out, _ = run_cli(["constants"], capsys)
