@@ -10,6 +10,7 @@ for scan.  Exit codes: 0 success, 1 verification/numerical failure,
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -279,7 +280,10 @@ def cmd_verify(args):
     return 0 if all(r.passed for r in results) else 1
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call; every later main call in
+    the process parses with the same one."""
     parser = argparse.ArgumentParser(
         prog="oamsim",
         description="Twisted-electron moments and intrinsic-OAM ring dynamics")
@@ -312,7 +316,7 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:

@@ -75,6 +75,15 @@ READS = {
     "simulate": ("beam", "ring", "scenario", "output", "oracle"),
     "scan": ("beam", "ring", "scenario", "scan", "output", "oracle"),
 }
+# keys each command reads within a section it reads, where that is fewer
+# than the schema has; any other key there would be dropped unread
+KEYS_READ = {
+    "freeze": {"beam": ("kinetic_energy_eV",)},
+    "moments": {"beam": ("kinetic_energy_eV", "L", "density_path")},
+    "simulate": {"beam": ("kinetic_energy_eV", "L", "theta", "psi", "kind")},
+    "scan": {"beam": ("kinetic_energy_eV", "L", "theta", "psi", "kind"),
+             "oracle": ("enabled",)},
+}
 # commands whose format only --format sets, so output.format is not read
 _REPORTS = ("freeze", "moments")
 
@@ -157,9 +166,10 @@ def validate_config(doc, command):
         for key in keys:
             if key not in out[section]:
                 raise ConfigError(f"command {command!r} requires {section}.{key}")
-    if "density_path" in out.get("beam", {}) and command != "moments":
-        raise ConfigError("beam.density_path is read only by 'moments', "
-                          f"not by {command!r}")
+    for section, reads in KEYS_READ[command].items():
+        for key in out.get(section, {}):
+            if key not in reads:
+                raise ConfigError(f"{section}.{key} is not read by {command!r}")
     scenario = out.get("scenario", {})
     if "mode" in scenario:
         mode = scenario["mode"]

@@ -48,14 +48,16 @@ _JSON_SEPARATOR = ",\n    "         # between the values of a JSON series column
 _MODES = ("tmp", "frozen", "resonance")
 _KINDS = ("vector", "tensor")
 _DRIVES = ("corotating", "linear")
-_BLOCK_BYTES = 2 * 2**20           # oracle members, or scan kernel arrays, per streamed block
+_BLOCK_BYTES = 2 * 2**20           # oracle members per streamed block; a scan block's kernel arrays
 _INTERVAL_BUDGET_BYTES = 2**30     # substep unitaries one _propagate run may compute
 _CHUNK_BYTES = 32 * 2**20          # substep unitaries it holds per streamed chunk
 # fourth-order commutator-free Magnus step: Gauss-Legendre nodes within a
 # substep and the weights of H at those nodes in the two exponentials
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _CF4_WEIGHTS = (0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0)
-_SCAN_ARRAYS = 8                   # arrays of the block's shape _resonance_pz holds at once
+# arrays of a scan block's shape, (rows, samples gathered per row), that
+# _resonance_pz holds at once
+_SCAN_ARRAYS = 8
 # the scan's peak search needs its margin above this share of |K0| + R + 1 +
 # R omega' t_end (4096 ulp); rounding in P_z and in the sample phases is
 # estimated at about 20 ulp of that scale
@@ -547,19 +549,27 @@ def closed_form(scn):
     return closed_form_resonance(scn)
 
 
-def _peak_samples(scn, omegas, n):
-    """Per-row indices of the samples that can hold |P_z|'s maximum, or None.
+def _peak_search(scn, omegas, n):
+    """How each drive frequency's peak |P_z| is found on the scenario's n-point grid.
 
-    One row per drive frequency, over the scenario's n-point time grid.  With
-    sin^2 x = (1 - cos 2x)/2 and sin x cos x = sin 2x / 2 the closed form
+    With sin^2 x = (1 - cos 2x)/2 and sin x cos x = sin 2x / 2 the closed form
     is P_z = K0 + R cos(omega' t - delta), with extrema at omega' t = delta +
-    pi k.  With h = omega' dt, the indices are j - 1 ... j + 2 for j =
-    floor((delta + pi k)/h) at each extremum in [0, omega' t_end], and the
-    first and last three samples.  P_z is monotone between extrema, so in
-    exact arithmetic every other sample lies below one of these in |P_z| by
-    at least R min(cos(h/2) - cos 2h, 2 sin^2(1.5 h)).  None means that some
-    row has h >= pi/2 or a gap within _SCAN_ROUNDING of its scale, or that
-    the rows need as many indices as the grid has samples.
+    pi k, and it is monotone between them.  With h = omega' dt, samples j and
+    j + 1 for j = floor((delta + pi k)/h) bracket an extremum: the nearer lies
+    within h/2 of it, every other sample on its flanks at least h from it.
+    Where a flank rises to an end of the run rather than to an extremum, the
+    end sample lies above the next by at least R (1 - cos h).  So in exact
+    arithmetic every sample other than these two per extremum in
+    [0, omega' t_end] and the first and last lies below one of them in |P_z|
+    by at least R min(cos(h/2) - cos h, 2 sin^2(h/2)), which is
+    R (cos(h/2) - cos h).
+
+    Returns (width, first, delta, h), one entry per frequency: width is the
+    number of samples the search gathers, two per extremum and the two ends,
+    and first is the k of the first extremum in the run.  width is n for a
+    frequency evaluated over the whole grid instead: one with h >= pi/2, a
+    margin within _SCAN_ROUNDING of its scale, or at least n samples to
+    gather.
     """
     # omega' = 0 or an overflow leaves NaN or inf here, and such a row fails the test
     with np.errstate(all="ignore"):
@@ -576,32 +586,58 @@ def _peak_samples(scn, omegas, n):
         r = np.hypot(k1, k2)
         h = omega_p * (scn.t_end / (n - 1))
         span = omega_p * scn.t_end
-        # cos(h/2) - cos 2h = 2 sin(1.25 h) sin(0.75 h), without cancellation
-        gap = 2.0 * r * np.minimum(np.sin(1.25 * h) * np.sin(0.75 * h), np.sin(1.5 * h)**2)
+        # R (cos(h/2) - cos h) = 2 R sin(0.75 h) sin(0.25 h), without cancellation
+        gap = 2.0 * r * np.sin(0.75 * h) * np.sin(0.25 * h)
         trusted = (h < 0.5 * math.pi) & (gap > _SCAN_ROUNDING * (np.abs(k0) + r + 1.0 + r * span))
-    if not trusted.all():
-        return None
-    delta = np.arctan2(k2, k1)
-    first = np.ceil(-delta / math.pi)
-    count = int(np.max(np.floor((span - delta) / math.pi) - first)) + 1
-    if 4 * count + 6 >= n:
-        return None
-    extrema = delta[:, None] + math.pi * (first[:, None] + np.arange(count))
-    near = np.floor(extrema / h[:, None])[:, :, None] + np.arange(-1.0, 3.0)
-    ends = np.broadcast_to([0.0, 1.0, 2.0, n - 3.0, n - 2.0, n - 1.0], (len(omegas), 6))
-    return np.clip(np.hstack([ends, near.reshape(len(omegas), -1)]), 0, n - 1).astype(np.intp)
+        delta = np.arctan2(k2, k1)
+        first = np.ceil(-delta / math.pi)
+        width = 2.0 * (np.floor((span - delta) / math.pi) - first) + 4.0
+    width = np.where(trusted & (width < n), width, n).astype(np.intp)
+    return width, first, delta, h
+
+
+def _peak_samples(n, first, delta, h, width):
+    """Indices (rows, width) of the samples the search gathers for a block of rows.
+
+    first, delta and h are _peak_search's entries for the rows, and width is
+    the widest row's; a row with fewer extrema fills its surplus with the last
+    sample.
+    """
+    rows = len(h)
+    extrema = delta[:, None] + math.pi * (first[:, None] + np.arange((width - 2) // 2))
+    near = np.floor(extrema / h[:, None])[:, :, None] + np.arange(2.0)
+    ends = np.broadcast_to([0.0, n - 1.0], (rows, 2))
+    return np.clip(np.hstack([ends, near.reshape(rows, -1)]), 0, n - 1).astype(np.intp)
+
+
+def _scan_blocks(rows, width, cap):
+    """The rows, in order of width, cut into blocks of at most cap samples.
+
+    A block of r rows whose widest has width w holds r w samples; each block
+    takes as many rows as fit, and at least one.
+    """
+    rows = rows[np.argsort(width[rows], kind="stable")]
+    start = 0
+    while start < len(rows):
+        ahead = width[rows[start:start + max(1, cap // width[rows[start]])]]
+        fits = np.searchsorted(np.arange(1, len(ahead) + 1) * ahead, cap, side="right")
+        stop = start + max(1, int(fits))
+        yield rows[start:stop]
+        start = stop
 
 
 def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
     """Peak |P_z| of the resonance closed form over a drive-frequency grid.
 
-    Each peak is the exact maximum over the time grid, found from the samples
-    next to each analytic extremum of P_z and at the ends (_peak_samples).  A
-    block of frequencies evaluates every sample instead when some frequency
-    has h = omega' dt >= pi/2 or a margin not far above rounding, or when the
-    search would not evaluate fewer samples.  Either way each evaluated sample
-    has the bits of the whole-grid closed form.  with_oracle adds the oracle's
-    peak per frequency, at tolerance oracle_rtol.
+    Each peak is the exact maximum over the time grid, found from the two
+    samples around each analytic extremum of P_z and the two ends
+    (_peak_search).  A frequency whose search cannot be trusted, or would
+    gather as many samples as the grid has, evaluates every sample instead.
+    Either way each evaluated sample has the bits of the whole-grid closed
+    form.  The frequencies are evaluated in blocks of rows in order of width:
+    each block takes as many rows as fit in _BLOCK_BYTES at its widest row's
+    width, with the whole-grid rows in blocks of their own.  with_oracle adds
+    the oracle's peak per frequency, at tolerance oracle_rtol.
     """
     omegas = np.asarray(list(omega_values), dtype=float)
     if omegas.size == 0:
@@ -616,17 +652,20 @@ def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
         series = evolve_oracle(scn, rtol=oracle_rtol)
         return float(np.max(np.abs(series.P[:, 2])))
 
-    # the closed form is evaluated over (frequencies, times) blocks; the
-    # kernel's arrays of the block's shape together hold about _BLOCK_BYTES,
-    # less where the search gathers fewer samples than the grid has
     times = base.times()
-    rows = max(1, _BLOCK_BYTES // (_SCAN_ARRAYS * times.nbytes))
+    n = len(times)
+    width, first, delta, h = _peak_search(base, omegas, n)
+    # samples per block: the kernel's _SCAN_ARRAYS arrays of a block's shape
+    # then hold at most _BLOCK_BYTES together
+    cap = _BLOCK_BYTES // (_SCAN_ARRAYS * times.itemsize)
     peaks = np.empty(len(omegas))
-    for start in range(0, len(omegas), rows):
-        block = omegas[start:start + rows]
-        idx = _peak_samples(base, block, len(times))
-        pz = _resonance_pz(base, block.tolist(), times if idx is None else times[idx])
-        peaks[start:start + rows] = np.nanmax(np.abs(pz), axis=1)
+    for rows in (np.flatnonzero(width < n), np.flatnonzero(width == n)):
+        for block in _scan_blocks(rows, width, cap):
+            w = int(width[block[-1]])
+            samples = times if w == n else times[_peak_samples(
+                n, first[block], delta[block], h[block], w)]
+            pz = _resonance_pz(base, omegas[block].tolist(), samples)
+            peaks[block] = np.nanmax(np.abs(pz), axis=1)
     oracle_peaks = np.array([oracle_peak(w) for w in omegas]) if with_oracle else None
     return ScanResult(omegas=omegas, peaks=peaks,
                       argmax_index=int(np.argmax(peaks)),

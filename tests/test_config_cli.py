@@ -136,26 +136,13 @@ class TestScenarioKeysPerMode:
         assert json.loads(err) == {"error": "config",
                                    "message": f"scenario.{key} is not read in {mode} mode"}
 
-    @pytest.mark.parametrize("command", ["freeze", "simulate", "scan"])
-    def test_density_path_outside_moments_rejected(self, command, tmp_path, capsys):
-        doc = json.loads((CONFIG_DIR / "resonance_scan.json").read_text())
-        doc["beam"]["density_path"] = str(tmp_path / "density.txt")
-        doc["ring"] = {"R0_m": 0.5, "n": 0.5}
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli([command, "--config", str(path)], capsys)
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["message"] == (
-            f"beam.density_path is read only by 'moments', not by {command!r}")
-
 
 # a valid value for each section some command does not read, and the
 # shipped config each command runs on
 SECTION_VALUES = {"scenario": {"mode": "frozen", "t_end_s": 1.0, "steps": 8},
                   "scan": {"points": 3}, "oracle": {"enabled": False}}
 COMMAND_CONFIGS = {"freeze": "ring300kev.json", "moments": "moments100.json",
-                   "simulate": "frozen_sim.json"}
+                   "simulate": "frozen_sim.json", "scan": "resonance_scan.json"}
 
 
 def shipped_doc_with(command, section, value):
@@ -178,6 +165,27 @@ class TestSectionsPerCommand:
         assert out == ""
         assert json.loads(err) == {
             "error": "config", "message": f"section {section!r} is not read by {command!r}"}
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("freeze", "beam", "density_path", "density.txt"),
+        ("simulate", "beam", "density_path", "density.txt"),
+        ("scan", "beam", "density_path", "density.txt"),
+        ("freeze", "beam", "L", 1), ("freeze", "beam", "theta", 1.1),
+        ("freeze", "beam", "psi", 0.7), ("freeze", "beam", "kind", "tensor"),
+        ("moments", "beam", "theta", 1.1), ("moments", "beam", "psi", 0.7),
+        ("moments", "beam", "kind", "tensor"), ("scan", "oracle", "tolerance", 1e-9)])
+    def test_key_the_command_does_not_read_rejected(self, command, section, key, value,
+                                                    tmp_path, capsys):
+        # the shipped config runs as it is; one key the command drops is a config error
+        doc = json.loads((CONFIG_DIR / COMMAND_CONFIGS[command]).read_text())
+        doc.setdefault(section, {})[key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "config", "message": f"{section}.{key} is not read by {command!r}"}
 
     @pytest.mark.parametrize("command", ["freeze", "moments"])
     def test_report_output_format_rejected(self, command, tmp_path, capsys):
@@ -498,6 +506,26 @@ class TestScanCommand:
                                 "--out", str(tmp_path / "s.csv")], capsys)
         assert code == 0
         assert "does not bracket" in err
+
+
+def test_parser_reused_across_calls_matches_fresh_runs(capsys):
+    # main parses every call with one parser: two commands with a usage error
+    # between them exit and print as they do each in its own interpreter
+    runs = [["freeze", "--config", str(CONFIG_DIR / "ring300kev.json"), "--format", "json"],
+            ["scan", "--config", "unused.json", "--format", "json"],
+            ["moments", "--config", str(CONFIG_DIR / "moments100.json")]]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "oamsim.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli._parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("command, fmt", [

@@ -610,6 +610,20 @@ class TestClosedFormResonance:
         assert rep.max_abs_deviation < rep.rwa_amplitude_bound
 
 
+def record_kernel_calls(monkeypatch):
+    """Record each call of the scan's closed-form kernel, in order: its
+    frequencies, the samples it evaluates per row, and whether it evaluates
+    the whole grid."""
+    kernel, calls = dy._resonance_pz, []
+
+    def recorded(scn, omegas, times):
+        calls.append((list(omegas), np.shape(times)[-1], np.ndim(times) == 1))
+        return kernel(scn, omegas, times)
+
+    monkeypatch.setattr(dy, "_resonance_pz", recorded)
+    return calls
+
+
 class TestResonanceScan:
     def test_argmax_and_envelope(self):
         base = resonance_scn(Omega=50.0, omega_drive=100.0, t_end=np.pi, steps=2001)
@@ -632,17 +646,26 @@ class TestResonanceScan:
 
     @pytest.mark.parametrize("kind", ["vector", "tensor"])
     def test_blocks_match_per_frequency_closed_form(self, kind, monkeypatch):
-        # 23 frequencies, with 2 Omega among them, in blocks of 1, 4 (with a
-        # 3-row remainder) and all at once
+        # 23 frequencies, with 2 Omega among them, gathering 4 to 24 samples
+        # each: in blocks of 1 row, in blocks of 4 rows at the widest width
+        # (narrower rows more to a block, padded to its widest row, and a
+        # 1-row remainder), and all in one block
         base = resonance_scn(kind=kind, Omega=50.0, phi=0.4, theta=1.1, psi=0.3,
                              t_end=np.pi, steps=1001)
         grid = np.linspace(89.0, 111.0, 23)
         expected = [np.nanmax(np.abs(dy.closed_form_resonance(
             replace(base, omega_drive=w)).P[:, 2])) for w in grid]
-        row_bytes = dy._SCAN_ARRAYS * base.times().nbytes
-        for rows in (1, 4, len(grid)):
-            monkeypatch.setattr(dy, "_BLOCK_BYTES", rows * row_bytes)
+        widest = 24
+        assert dy._peak_search(base, grid, base.steps)[0].max() == widest
+        sample_bytes = dy._SCAN_ARRAYS * base.times().itemsize
+        for samples, blocks in ((1, [1] * 23), (4 * widest, [8, 6, 4, 4, 1]),
+                                (23 * widest, [23])):
+            monkeypatch.setattr(dy, "_BLOCK_BYTES", samples * sample_bytes)
+            calls = record_kernel_calls(monkeypatch)
             assert np.array_equal(dy.resonance_scan(base, grid).peaks, expected)
+            assert [len(omegas) for omegas, _, _ in calls] == blocks
+            assert all(len(omegas) * width <= samples or len(omegas) == 1
+                       for omegas, width, _ in calls)
 
     # id: (scenario overrides, drive frequencies, how the scan evaluates them);
     # "search" gathers the samples next to each extremum and at the ends,
@@ -652,8 +675,8 @@ class TestResonanceScan:
         "vector": ({"kind": "vector"}, GRID, {"search"}),
         "tensor": ({}, GRID, {"search"}),
         "tensor-theta-0": ({"theta": 0.0}, GRID, {"whole"}),
-        # 2 psi - phi = 0: the tensor P_z vanishes at 2 Omega, whose block
-        # then has no margin
+        # 2 psi - phi = 0: the tensor P_z vanishes at 2 Omega, which then has
+        # no margin
         "tensor-alpha-0": ({"phi": 0.6}, GRID, {"search", "whole"}),
         "vector-alpha-0": ({"kind": "vector", "phi": 0.6}, GRID, {"search"}),
         "vector-alpha-quarter": ({"kind": "vector", "phi": 0.6 - np.pi / 2},
@@ -665,9 +688,10 @@ class TestResonanceScan:
         "steps-2": ({"steps": 2}, GRID, {"whole"}),
         "steps-3": ({"steps": 3}, GRID, {"whole"}),
         "steps-4": ({"steps": 4}, GRID, {"whole"}),
-        # h = omega' dt > pi/2 away from resonance
+        # h = omega' dt > pi/2 away from resonance; within 5 of 2 Omega it is
+        # below pi/2, and those three frequencies search
         "undersampled": ({"kind": "vector", "steps": 16}, np.linspace(0.0, 200.0, 41),
-                         {"whole"}),
+                         {"search", "whole"}),
         "long-run": ({"kind": "vector", "t_end": 1e3, "steps": 4001},
                      100.0 + np.linspace(-1.5, 1.5, 7), {"search"}),
         # 2 psi - phi = -0.5: near 2 Omega, |P_z| falls from its first sample
@@ -676,23 +700,82 @@ class TestResonanceScan:
                       100.0 + np.linspace(-8.0, 0.0, 5), {"search"}),
     }
 
+    @staticmethod
+    def search_scn(overrides):
+        return resonance_scn(**{"Omega": 50.0, "theta": 1.1, "psi": 0.3, "phi": 0.4,
+                                "t_end": np.pi, "steps": 1001, **overrides})
+
     @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
     def test_peak_search_equals_whole_grid_maximum(self, case, monkeypatch):
         overrides, grid, paths = self.SEARCH_CASES[case]
-        base = resonance_scn(**{"Omega": 50.0, "theta": 1.1, "psi": 0.3, "phi": 0.4,
-                                "t_end": np.pi, "steps": 1001, **overrides})
+        base = self.search_scn(overrides)
         expected = [np.nanmax(np.abs(dy._resonance_pz(base, [w], base.times())))
                     for w in grid]
-        kernel, rows = dy._resonance_pz, {"search": 0, "whole": 0}
-
-        def counted(scn, omegas, times):
-            rows["search" if np.ndim(times) == 2 else "whole"] += len(omegas)
-            return kernel(scn, omegas, times)
-
-        monkeypatch.setattr(dy, "_resonance_pz", counted)
+        calls = record_kernel_calls(monkeypatch)
         assert np.array_equal(dy.resonance_scan(base, grid).peaks, expected)
-        assert {path for path, n in rows.items() if n} == paths
-        assert sum(rows.values()) == len(grid)
+        assert {"whole" if whole else "search" for _, _, whole in calls} == paths
+        assert sum(len(omegas) for omegas, _, _ in calls) == len(grid)
+
+    def test_fallback_is_per_frequency(self, monkeypatch):
+        # the frequencies a 41-frequency scan evaluates over the whole grid are
+        # those a scan of each frequency alone does: here only 2 Omega itself
+        overrides, grid, _ = self.SEARCH_CASES["tensor-alpha-0"]
+        base = self.search_scn(overrides)
+        calls = record_kernel_calls(monkeypatch)
+        for w in grid:
+            dy.resonance_scan(base, [w])
+        untrusted = [w for omegas, _, whole in calls if whole for w in omegas]
+        calls.clear()
+        dy.resonance_scan(base, grid)
+        whole_rows = [w for omegas, _, whole in calls if whole for w in omegas]
+        assert untrusted == [100.0]
+        assert sorted(whole_rows) == untrusted
+
+    @pytest.mark.parametrize("kind", ["vector", "tensor"])
+    def test_large_scan_blocks_stay_in_bound_and_few(self, kind, monkeypatch):
+        # 2001 frequencies x 4001 steps: the kernel's arrays hold at most
+        # _BLOCK_BYTES, and the scan takes a handful of kernel calls
+        base = self.search_scn({"kind": kind, "steps": 4001})
+        calls = record_kernel_calls(monkeypatch)
+        dy.resonance_scan(base, np.linspace(80.0, 120.0, 2001))
+        itemsize = base.times().itemsize
+        assert all(len(omegas) * width * itemsize <= dy._BLOCK_BYTES / dy._SCAN_ARRAYS
+                   for omegas, width, _ in calls)
+        assert sum(len(omegas) for omegas, _, _ in calls) == 2001
+        assert len(calls) <= 4
+
+    def test_random_scans_equal_whole_grid_maxima(self):
+        # seeded scenarios over both kinds, 2 to 4001 steps, A from 1e-7 and
+        # t_end up to 1e3, with 2 psi - phi near 0 in a third of them, and
+        # detunings out to h = omega' dt of about 1.6, so both the search and
+        # the whole-grid fallback run
+        seen = {"steps": set(), "A": [], "t_end": [], "paths": set()}
+        for seed in range(320):
+            rng = np.random.default_rng(seed)
+            steps = int(round(np.exp(rng.uniform(np.log(2.0), np.log(4001.0)))))
+            psi = rng.uniform(-7.0, 7.0)
+            near_zero = rng.uniform() < 1.0 / 3.0
+            base = resonance_scn(
+                kind=("vector", "tensor")[seed % 2], steps=steps,
+                Omega=rng.uniform(1.0, 100.0), A=10.0**rng.uniform(-7.0, 0.5),
+                t_end=10.0**rng.uniform(-2.0, 3.0), theta=rng.uniform(0.0, np.pi),
+                psi=psi, phi=2.0 * psi + (rng.normal(scale=1e-3) if near_zero
+                                          else rng.uniform(-7.0, 7.0)))
+            reach = rng.uniform(0.01, 1.6) * (steps - 1) / base.t_end
+            grid = 2.0 * base.Omega + reach * rng.uniform(-1.0, 1.0, int(rng.integers(1, 30)))
+            if seed % 5 == 0:
+                grid = np.append(grid, 2.0 * base.Omega)
+            expected = [np.nanmax(np.abs(dy._resonance_pz(base, [w], base.times())))
+                        for w in grid]
+            assert np.array_equal(dy.resonance_scan(base, grid).peaks, expected), seed
+            width = dy._peak_search(base, grid, steps)[0]
+            seen["paths"] |= {"whole" if w == steps else "search" for w in width}
+            seen["steps"].add(steps)
+            seen["A"].append(base.A)
+            seen["t_end"].append(base.t_end)
+        assert seen["paths"] == {"search", "whole"}
+        assert min(seen["steps"]) == 2 and max(seen["steps"]) > 3000
+        assert min(seen["A"]) < 1e-6 and max(seen["t_end"]) > 500.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_frequency_raises(self, bad, monkeypatch):
