@@ -19,21 +19,37 @@ _NORM_TOL = 1e-12
 _EIG_TOL = 1e-10
 # tensor components (i, j) in the order of AmOperators.observables[3:]
 TENSOR_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# basis indices of the two eigenspaces of exp(i pi Lz), even and odd L - m;
+# an operator that couples m only to m and m +- 2 is block diagonal in them
+PARITY_BLOCKS = (slice(0, None, 2), slice(1, None, 2))
 
 
 @dataclass(frozen=True)
 class AmOperators:
-    """Dense Hermitian matrices Lx, Ly, Lz (and Lx^2+Ly^2+Lz^2) for quantum number L."""
+    """The angular-momentum algebra for quantum number L, basis m = L, L-1, ..., -L.
+
+    m (dim,) is the diagonal of Lz and c (dim-1,) the one nonzero diagonal
+    of L+: c[i] = <m_i|L+|m_{i+1}> = sqrt(L(L+1) - m_{i+1}(m_{i+1} + 1)).
+    Every operator here is banded in this basis, and polarization_batch
+    reads only m and c.  The dense Hermitian matrices Lx, Ly and Lz are
+    built from them for the public API, the Hamiltonians and the algebra
+    checks; Lsq = Lx^2+Ly^2+Lz^2 only for the checks, on first use.
+    """
 
     L: int
+    m: np.ndarray
+    c: np.ndarray
     Lx: np.ndarray
     Ly: np.ndarray
     Lz: np.ndarray
-    Lsq: np.ndarray
 
     @property
     def dim(self):
         return 2 * self.L + 1
+
+    @cached_property
+    def Lsq(self):
+        return self.Lx @ self.Lx + self.Ly @ self.Ly + self.Lz @ self.Lz
 
     @cached_property
     def observables(self):
@@ -77,26 +93,26 @@ class PolarizationState(NamedTuple):
 
 
 def build_operators(L):
-    """Construct dense angular-momentum matrices for integer L >= 1.
+    """Construct the angular-momentum algebra for integer L >= 1.
 
-    Uses the ladder operators L+- with matrix elements
-    sqrt(L(L+1) - m(m+-1)) in the descending-m basis, so Lz is
+    The ladder coefficients c are the matrix elements
+    sqrt(L(L+1) - m(m+-1)) of L+- in the descending-m basis, so Lz is
     diag(L, L-1, ..., -L) and [Li, Lj] = i e_ijk Lk holds to rounding.
     """
     require_int("L", L, 1)
     L = int(L)
     m = np.arange(L, -L - 1, -1, dtype=float)
+    c = np.sqrt(L * (L + 1.0) - m[1:] * (m[1:] + 1.0))
     dim = 2 * L + 1
     # L+ raises m; with descending ordering the raised state sits one row up.
     lp = np.zeros((dim, dim), dtype=complex)
-    lp[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(
-        L * (L + 1.0) - m[1:] * (m[1:] + 1.0))
+    lp[np.arange(dim - 1), np.arange(1, dim)] = c
     lm = lp.conj().T
     lx = 0.5 * (lp + lm)
     ly = -0.5j * (lp - lm)
     lz = np.diag(m).astype(complex)
-    lsq = lx @ lx + ly @ ly + lz @ lz
-    return AmOperators(L=L, Lx=lx, Ly=ly, Lz=lz, Lsq=lsq)
+    m.flags.writeable = c.flags.writeable = False
+    return AmOperators(L=L, m=m, c=c, Lx=lx, Ly=ly, Lz=lz)
 
 
 def expi_hermitian(matrix, scale=1.0):
@@ -169,7 +185,7 @@ def tensor_mixture(ops, theta, psi):
 
 
 def polarization_batch(data, ops, traceless=False):
-    """Vector and tensor polarization of a stack of states, in one contraction.
+    """Vector and tensor polarization of a stack of states, from the bands of the algebra.
 
     data is an (n, dim) stack of state vectors or an (n, dim, dim) stack of
     density matrices.  Returns P of shape (n, 3), P_i = <L_i>/L in cylindrical
@@ -180,22 +196,45 @@ def polarization_batch(data, ops, traceless=False):
     which is traceless by construction.  The default convention adds
     delta_ij/3 so that the tensor has unit trace (the maximally mixed state
     then maps to diag(1/3, 1/3, 1/3)); pass traceless=True for the bare form.
-    Only the real part of each expectation is kept: the imaginary residue of
-    a Hermitian observable is rounding.
+
+    Lz is diagonal, L+ has the one band c (AmOperators), and L-+ = (L+-)^H,
+    so the nine expectations take only the diagonals of rho = |psi><psi| (or
+    of each density matrix) at offsets 0, -1 and -2: the trace and five sums,
+
+        tr = Tr rho,  <Lz> = sum m rho_ii,  <Lz^2> = sum m^2 rho_ii,
+        <L+> = sum c_i rho_{i+1,i},  <{L+, Lz}> = sum c_i (m_i + m_{i+1}) rho_{i+1,i},
+        <L+^2> = sum c_i c_{i+1} rho_{i+2,i}.
+
+    Then <Lx> + i <Ly> = <L+>, <{Lx, Lz}> + i <{Ly, Lz}> = <{L+, Lz}>,
+    <{Lx, Lx}> = L(L+1) tr - <Lz^2> + Re <L+^2>, <{Ly, Ly}> the same with
+    -Re <L+^2>, <{Lz, Lz}> = 2 <Lz^2> and <{Lx, Ly}> = Im <L+^2>.  Time and
+    memory are O(n dim); the dense observables are never contracted.
     """
     data = np.asarray(data)
     n, dim = data.shape[:2]
     if dim != ops.dim:
         raise DomainError(
             f"state dimension {dim} does not match operators for L={ops.L}")
-    obs = ops.observables
-    if data.ndim == 2:
-        # <psi|O|psi> = sum_ij conj(psi_i) O_ij psi_j
-        ev = np.einsum("nkj,nj->nk", np.tensordot(data.conj(), obs, axes=(1, 1)), data).real
-    else:
-        # Tr(rho O) = sum_ij rho_ij O_ji = sum_ij rho_ij conj(O_ij) for Hermitian O
-        ev = (data.reshape(n, dim * dim) @ obs.reshape(len(obs), dim * dim).conj().T).real
+    m, c = ops.m, ops.c
+
+    def band(k):
+        """rho_{i+k,i} for every state, as a contiguous (n, dim - k) array."""
+        if data.ndim == 3:
+            return np.ascontiguousarray(np.diagonal(data, -k, 1, 2))
+        prod = data[:, :dim - k].conj()
+        prod *= data[:, k:]
+        return prod
+
+    # np.array(...).T rather than np.stack: this runs once per block or
+    # refinement level, where small stacks pay mostly call overhead
+    tr, lz, lzz = (np.ascontiguousarray(band(0).real) @ np.array([np.ones(dim), m, m * m]).T).T
+    lp, lpz = (band(1) @ np.array([c, c * (m[:-1] + m[1:])]).T).T
+    lpp = band(2) @ (c[:-1] * c[1:])
     L = ops.L
+    scalar = L * (L + 1.0) * tr - lzz
+    # <L_i> for i = x, y, z, then <{L_i, L_j}> in TENSOR_PAIRS order
+    ev = np.array([lp.real, lp.imag, lz, scalar + lpp.real, scalar - lpp.real, 2.0 * lzz,
+                   lpp.imag, lpz.real, lpz.imag]).T
     p = ev[:, :3] / L
     vals = 3.0 * ev[:, 3:]
     vals[:, :3] -= 2.0 * L * (L + 1.0)

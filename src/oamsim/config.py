@@ -170,6 +170,10 @@ def validate_config(doc, command):
         for key in out.get(section, {}):
             if key not in reads:
                 raise ConfigError(f"{section}.{key} is not read by {command!r}")
+    oracle = out.get("oracle", {})
+    if "tolerance" in oracle and not oracle.get("enabled", False):
+        raise ConfigError(f"oracle.tolerance is not read by {command!r} "
+                          "unless oracle.enabled is true")
     scenario = out.get("scenario", {})
     if "mode" in scenario:
         mode = scenario["mode"]

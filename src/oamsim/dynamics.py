@@ -18,9 +18,10 @@ rotating-wave truncation.  Every mode is one instance of
 
 built once by ``hamiltonian_terms``; ``tmp`` and ``frozen`` have no drive
 terms.  The verification oracle propagates these exactly from one
-eigendecomposition, the corotating drive in the frame rotating at
-omega/2 where it is static; only the linear drive uses a time-ordered
-fourth-order commutator-free Magnus propagator refined by substep halving.
+eigendecomposition per parity block of exp(i pi Lz), the corotating drive
+in the frame rotating at omega/2 where it is static; only the linear drive
+uses a time-ordered fourth-order commutator-free Magnus propagator refined
+by substep halving.
 """
 
 import json
@@ -31,8 +32,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import floattext
-from .am_core import (TENSOR_PAIRS, antiparallel_pair, build_operators, coherent_state,
-                      expi_hermitian, polarization_batch)
+from .am_core import (PARITY_BLOCKS, TENSOR_PAIRS, antiparallel_pair, build_operators,
+                      coherent_state, expi_hermitian, polarization_batch)
 # kept importable from dynamics: perfbench's tracer self-test patches it here
 from .am_core import polarization_tensor  # noqa: F401
 from .constants import HBAR
@@ -326,19 +327,40 @@ def _refine(scn, ops, weights, members, rtol, max_halvings, fixed_substeps):
 def _spectral_states(times, members, ops, h, frame, n_block):
     """Exact members U(t) m_k, U(t) = exp(-i frame t Lz) exp(-i h t), on the grid times.
 
-    One eigendecomposition of the time-independent h; the (n, k, dim)
-    members are then built n_block samples at a time.  The frame rotation
-    is an elementwise phase because Lz is diagonal.
+    h couples m only to m and m +- 2, as every static and corotating
+    Hamiltonian here does, so it commutes with exp(i pi Lz) and is block
+    diagonal in am_core.PARITY_BLOCKS.  Each block, about dim/2, gets one
+    eigendecomposition, or none when it is diagonal (tmp).  The (n, k, dim)
+    members are then built n_block samples at a time, with one projection
+    matmul per parity block.  The frame rotation is an elementwise phase
+    because Lz is diagonal, and is skipped for frame = 0.
     """
-    w, v = np.linalg.eigh(h)
-    m = ops.Lz.diagonal().real
     k, dim = members.shape
-    c0 = members @ v.conj()
+    parts = []
+    for rows in PARITY_BLOCKS:
+        hb = h[rows, rows]
+        if np.any(hb - np.diag(hb.diagonal())):
+            w, v = np.linalg.eigh(hb)
+            parts.append((rows, w, v, members[:, rows] @ v.conj()))
+        else:    # diagonal: the basis vectors are the eigenvectors
+            parts.append((rows, hb.diagonal().real, None, members[:, rows]))
     for start in range(0, len(times), n_block):
         t = times[start:start + n_block, None, None]
-        ph = np.exp(-1j * t * w)
-        frame_ph = np.exp(-1j * (frame * t) * m)
-        yield frame_ph * ((ph * c0).reshape(-1, dim) @ v.T).reshape(-1, k, dim)
+        out = np.empty((len(t), k, dim), dtype=complex)
+        for rows, w, v, c0 in parts:
+            # exp(-i t w) from cos and sin of the real phase, which takes
+            # less time than np.exp of a complex array
+            phase = t * w
+            rotation = np.empty(phase.shape, dtype=complex)
+            np.cos(phase, out=rotation.real)
+            np.sin(-phase, out=rotation.imag)
+            evolved = rotation * c0
+            if v is not None:
+                evolved = (evolved.reshape(-1, len(w)) @ v.T).reshape(evolved.shape)
+            out[:, :, rows] = evolved
+        if frame:
+            out *= np.exp(-1j * (frame * t) * ops.m)
+        yield out
 
 
 def _series_from_states(scn, ops, weights, blocks, diagnostics, keep_states):
@@ -401,8 +423,9 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
     * "spectral" (tmp, frozen, corotating drive): H is constant in the lab
       frame or in the frame rotating about z at omega_drive/2, so
       U(t) = exp(-i (omega_drive t/2) Lz) exp(-i H_rot t) is evaluated
-      exactly from one eigendecomposition; rtol and max_halvings do not
-      apply and fixed_substeps is rejected.
+      exactly from one eigendecomposition per parity block (see
+      _spectral_states); rtol and max_halvings do not apply and
+      fixed_substeps is rejected.
     * "piecewise" (linear drive): fourth-order commutator-free Magnus
       propagation, two exponentials per substep; the substep count per output
       interval is doubled until the final-time polarization (vector and
@@ -514,29 +537,32 @@ def closed_form_resonance(scn):
 
 
 def _resonance_pz(scn, omegas, times):
-    """Resonance closed-form P_z, one row per drive frequency in the list omegas.
+    """Resonance closed-form P_z, one row per drive frequency in omegas.
 
     times is either one grid (m,) shared by every row or one set of times per
-    row, (rows, m).  The per-frequency factors are Python floats and every
-    operation is elementwise, so each value has the bits of a one-frequency
-    evaluation at that time, whichever form times takes.
+    row, (rows, m).  The per-frequency factors have the bits of Python float
+    arithmetic: omega' comes from math.hypot and the square in the depth
+    from Python's **, because np.hypot and numpy's square differ from them
+    in the last bit for about one frequency in a thousand; the subtraction
+    and divisions are IEEE operations either way.  Every operation is
+    elementwise, so each value has the bits of a one-frequency evaluation at
+    that time, whichever form times takes.
     """
-    factors = []
-    for omega in omegas:
-        detuning = 2.0 * scn.Omega - omega
-        omega_p = math.hypot(detuning, scn.A)
-        if omega_p == 0.0:
-            raise DomainError("resonance closed form undefined for A = 0 at zero detuning")
-        factors.append((omega_p, scn.A / omega_p, detuning / omega_p,
-                        2.0 * (scn.A / omega_p)**2))
-    omega_p, amp, tilt, depth = np.array(factors).T[:, :, None]
-    half = 0.5 * omega_p * times
+    detuning = 2.0 * scn.Omega - np.asarray(omegas, dtype=float)
+    omega_p = np.array([math.hypot(d, scn.A) for d in detuning.tolist()])
+    if np.any(omega_p == 0.0):
+        raise DomainError("resonance closed form undefined for A = 0 at zero detuning")
+    amp = scn.A / omega_p
+    tilt = detuning / omega_p
+    half = 0.5 * omega_p[:, None] * times
     s_half, c_half = np.sin(half), np.cos(half)
     alpha = 2.0 * scn.psi - scn.phi
     s2 = np.sin(scn.theta) ** 2
-    pz = amp * s2 * s_half * (tilt * s_half * np.cos(alpha) + c_half * np.sin(alpha))
+    pz = amp[:, None] * s2 * s_half * (tilt[:, None] * s_half * np.cos(alpha)
+                                       + c_half * np.sin(alpha))
     if scn.kind == "vector":
-        pz = pz + (1.0 - depth * s_half**2) * np.cos(scn.theta)
+        depth = 2.0 * np.array([x**2 for x in amp.tolist()])
+        pz = pz + (1.0 - depth[:, None] * s_half**2) * np.cos(scn.theta)
     return pz
 
 
@@ -664,7 +690,7 @@ def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
             w = int(width[block[-1]])
             samples = times if w == n else times[_peak_samples(
                 n, first[block], delta[block], h[block], w)]
-            pz = _resonance_pz(base, omegas[block].tolist(), samples)
+            pz = _resonance_pz(base, omegas[block], samples)
             peaks[block] = np.nanmax(np.abs(pz), axis=1)
     oracle_peaks = np.array([oracle_peak(w) for w in omegas]) if with_oracle else None
     return ScanResult(omegas=omegas, peaks=peaks,

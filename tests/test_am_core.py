@@ -198,6 +198,75 @@ class TestBatchedExtraction:
         assert ops.observables is obs
 
 
+def _random_stacks(L, rng):
+    """Six normalized state vectors and four density matrices of rank 3 for L."""
+    dim = 2 * L + 1
+    vecs = rng.normal(size=(6, dim)) + 1j * rng.normal(size=(6, dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    raw = rng.normal(size=(4, dim, 3)) + 1j * rng.normal(size=(4, dim, 3))
+    rhos = raw @ raw.conj().swapaxes(1, 2)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    return vecs, rhos
+
+
+def _expectations(p, pt, L):
+    """The nine <L_i>, <{L_i, L_j}> (TENSOR_PAIRS order) that polarization_batch scaled."""
+    anti = np.stack([pt[:, i, j] for i, j in am.TENSOR_PAIRS], axis=1)
+    anti[:, :3] -= 1.0 / 3.0
+    anti = (anti * 2.0 * L * (2.0 * L - 1.0) + np.array([2.0] * 3 + [0.0] * 3) * L * (L + 1)) / 3.0
+    return np.hstack([p * L, anti])
+
+
+class TestBandedAlgebra:
+    def test_ladder_coefficients(self):
+        ops = am.build_operators(2)
+        assert np.array_equal(ops.m, [2.0, 1.0, 0.0, -1.0, -2.0])
+        assert np.array_equal(ops.c, np.sqrt([4.0, 6.0, 6.0, 4.0]))
+        lp = ops.Lx + 1j * ops.Ly
+        assert np.array_equal(lp, np.diag(ops.c, 1).astype(complex))
+        assert np.array_equal(ops.Lz, np.diag(ops.m).astype(complex))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 20, 100])
+    def test_matches_dense_contraction(self, L):
+        # the nine expectations against the dense contraction with the observables
+        ops = am.build_operators(L)
+        obs = ops.observables
+        vecs, rhos = _random_stacks(L, np.random.default_rng(L))
+        dense = {"pure": np.einsum("ni,kij,nj->nk", vecs.conj(), obs, vecs).real,
+                 "mixed": np.einsum("nij,kji->nk", rhos, obs).real}
+        for kind, data in (("pure", vecs), ("mixed", rhos)):
+            got = _expectations(*am.polarization_batch(data, ops), L)
+            assert np.max(np.abs(got - dense[kind])) <= 1e-12 * L * (L + 1), kind
+
+    @pytest.mark.parametrize("L", [1, 4])
+    def test_signs_of_the_ladder_band(self, L):
+        # <L+> = <Lx> + i <Ly>: psi = pi/2 points along phi, psi = 0 along rho,
+        # for a state vector and for its density matrix alike
+        ops = am.build_operators(L)
+        for psi, axis in ((np.pi / 2, 1), (0.0, 0)):
+            vec = am.coherent_state(ops, np.pi / 2, psi).data
+            rho = am.mixed_state(np.outer(vec, vec.conj())).data
+            for data in (vec[None], rho[None]):
+                p = am.polarization_batch(data, ops)[0][0]
+                assert p[axis] == pytest.approx(1.0, abs=1e-12)
+                assert np.max(np.abs(np.delete(p, axis))) < 1e-12
+
+    def test_extraction_memory_is_linear_in_the_stack(self):
+        # 4002 states at L = 100, as the frozen tensor oracle at 2001 steps extracts
+        import tracemalloc
+        ops = am.build_operators(100)
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=(4002, ops.dim)) + 1j * rng.normal(size=(4002, ops.dim))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            am.polarization_batch(data, ops)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * data.nbytes
+
+
 class TestInitialPolarizationClosed:
     def test_equatorial_vector(self):
         pol = am.initial_polarization_closed(np.pi / 2, 0.0, "vector")

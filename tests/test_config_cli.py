@@ -187,6 +187,20 @@ class TestSectionsPerCommand:
         assert json.loads(err) == {
             "error": "config", "message": f"{section}.{key} is not read by {command!r}"}
 
+    @pytest.mark.parametrize("oracle", [{"tolerance": 1e-3},
+                                        {"enabled": False, "tolerance": 1e-3}])
+    def test_tolerance_without_the_oracle_rejected(self, oracle, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / COMMAND_CONFIGS["simulate"]).read_text())
+        doc["oracle"] = oracle
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "config", "message": "oracle.tolerance is not read by 'simulate' "
+                                          "unless oracle.enabled is true"}
+
     @pytest.mark.parametrize("command", ["freeze", "moments"])
     def test_report_output_format_rejected(self, command, tmp_path, capsys):
         path = tmp_path / "run.json"

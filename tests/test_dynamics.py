@@ -413,6 +413,28 @@ class TestSpectralOracle:
         assert np.max(np.abs(series.P - p)) < 1e-10
         assert np.max(np.abs(series.Pt - pt)) < 1e-10
 
+    @pytest.mark.parametrize("L", [2, 3, 20])
+    @pytest.mark.parametrize("case", ["tmp", "frozen", "corotating", "corotating-phi0"])
+    def test_parity_blocks_match_dense_expm(self, case, L):
+        # the members themselves, phases included, against exp(-i frame t Lz) exp(-i h t)
+        # on the whole space; 7 samples in blocks of 3 so a block boundary is crossed
+        from scipy.linalg import expm
+        scn = {"tmp": tmp_scn(L=L, Omega=1.3, b=-0.61, theta=0.9, psi=0.4),
+               "frozen": frozen_scn(L=L, A=-0.37, theta=1.1, psi=2.3),
+               "corotating": resonance_scn(L=L, Omega=1.3, A=0.37, omega_drive=2.1, phi=0.4,
+                                           theta=1.2, psi=0.6),
+               "corotating-phi0": resonance_scn(L=L, Omega=1.3, A=0.37, omega_drive=2.1,
+                                                theta=1.2, psi=0.6)}[case]
+        ops = am.build_operators(L)
+        _, members = dy.initial_state(scn, ops)
+        frame = 0.5 * scn.omega_drive
+        h = dy.build_hamiltonian(scn, ops, 0.0) - frame * ops.Lz
+        times = np.linspace(0.0, 3.0, 7)
+        got = np.concatenate(list(dy._spectral_states(times, members, ops, h, frame, 3)))
+        for t, states in zip(times, got):
+            u = expm(-1j * frame * t * ops.Lz) @ expm(-1j * t * h)
+            assert np.max(np.abs(states - members @ u.T)) < 1e-10
+
     def test_corotating_frame_solves_lab_equation(self):
         # independent of the frame reduction: i d(rho)/dt = [H(t), rho] with the lab H(t)
         scn = resonance_scn(L=2, phi=0.4, omega_drive=0.6, t_end=3.0, steps=30001)
