@@ -17,8 +17,28 @@ from .errors import DomainError, require_int
 _HERM_TOL = 1e-12
 _NORM_TOL = 1e-12
 _EIG_TOL = 1e-10
-# tensor components (i, j) in the order of AmOperators.observables[3:]
+# tensor components (i, j) in the order of OBSERVABLES[3:]
 TENSOR_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# Lx, Ly, Lz, then {L_i, L_j} in TENSOR_PAIRS order, as rows t over the band
+# quantities Q of AmOperators.bands: O = sum_q t_q Q_q, each Q above the diagonal
+# plus its adjoint, so <O> sums t_q <Q_q> on the diagonal, 2 Re(t_q <Q_q>) above.
+OBSERVABLES = np.array([
+    # L(L+1) Lz  Lz^2  L+     {L+,Lz} L+^2
+    [0,      0,  0,    0.5,   0,      0],        # Lx = (L+ + L-)/2
+    [0,      0,  0,    -0.5j, 0,      0],        # Ly = (L+ - L-)/2i
+    [0,      1,  0,    0,     0,      0],        # Lz
+    [1,      0,  -1,   0,     0,      0.5],      # {Lx, Lx} = L(L+1) - Lz^2 + (L+^2 + L-^2)/2
+    [1,      0,  -1,   0,     0,      -0.5],     # {Ly, Ly} = L(L+1) - Lz^2 - (L+^2 + L-^2)/2
+    [0,      0,  2,    0,     0,      0],        # {Lz, Lz}
+    [0,      0,  0,    0,     0,      -0.5j],    # {Lx, Ly} = (L+^2 - L-^2)/2i
+    [0,      0,  0,    0,     0.5,    0],        # {Lx, Lz} = ({L+, Lz} + {L-, Lz})/2
+    [0,      0,  0,    0,     -0.5j,  0],        # {Ly, Lz} = ({L+, Lz} - {L-, Lz})/2i
+])
+OBSERVABLES.flags.writeable = False
+# the rows as real weights on the diagonal <Q>, then on Re and Im of each band
+# <Q>, as 2 Re(t <Q>) = 2 Re t Re<Q> - 2 Im t Im<Q>: contiguous, for BLAS
+_WEIGHTS = np.hstack([OBSERVABLES[:, :3].real, 2.0 * np.stack(
+    [OBSERVABLES[:, 3:].real, -OBSERVABLES[:, 3:].imag], axis=-1).reshape(9, 6)])
 # basis indices of the two eigenspaces of exp(i pi Lz), even and odd L - m;
 # an operator that couples m only to m and m +- 2 is block diagonal in them
 PARITY_BLOCKS = (slice(0, None, 2), slice(1, None, 2))
@@ -30,35 +50,42 @@ class AmOperators:
 
     m (dim,) is the diagonal of Lz and c (dim-1,) the one nonzero diagonal
     of L+: c[i] = <m_i|L+|m_{i+1}> = sqrt(L(L+1) - m_{i+1}(m_{i+1} + 1)).
-    Every operator here is banded in this basis, and polarization_batch
-    reads only m and c.  The dense Hermitian matrices Lx, Ly and Lz are
-    built from them for the public API, the Hamiltonians and the algebra
-    checks; Lsq = Lx^2+Ly^2+Lz^2 only for the checks, on first use.
+    Every operator here is banded: bands holds the band quantities Q of
+    OBSERVABLES, and observable(t) makes a row t a dense Hermitian matrix.
+    Lx, Ly, Lz and Lsq = Lx^2 + Ly^2 + Lz^2 (public API, checks) are built on first use.
     """
 
     L: int
     m: np.ndarray
     c: np.ndarray
-    Lx: np.ndarray
-    Ly: np.ndarray
-    Lz: np.ndarray
+    Lx = cached_property(lambda self: self.observable(OBSERVABLES[0]))
+    Ly = cached_property(lambda self: self.observable(OBSERVABLES[1]))
+    Lz = cached_property(lambda self: self.observable(OBSERVABLES[2]))
+    Lsq = cached_property(lambda self: self.Lx @ self.Lx + self.Ly @ self.Ly + self.Lz @ self.Lz)
 
     @property
     def dim(self):
         return 2 * self.L + 1
 
     @cached_property
-    def Lsq(self):
-        return self.Lx @ self.Lx + self.Ly @ self.Ly + self.Lz @ self.Lz
+    def bands(self):
+        """The Q of OBSERVABLES at offsets 0, 1, 2: (1, Lz, Lz^2), (L+, {L+, Lz}), (L+^2,)."""
+        m, c = self.m, self.c
+        return (np.array([np.ones(self.dim), m, m * m]), np.array([c, c * (m[:-1] + m[1:])]),
+                (c[:-1] * c[1:])[None])
 
-    @cached_property
-    def observables(self):
-        """(9, dim, dim) stack: Lx, Ly, Lz, then {Li, Lj} for ij = xx, yy, zz, xy, xz, yz."""
-        comps = (self.Lx, self.Ly, self.Lz)
-        anti = [comps[i] @ comps[j] + comps[j] @ comps[i] for i, j in TENSOR_PAIRS]
-        obs = np.stack(list(comps) + anti)
-        obs.flags.writeable = False    # callers keep views of it, e.g. as Hamiltonian terms
-        return obs
+    def observable(self, coeffs):
+        """Dense matrix of a row of OBSERVABLES or a real combination of rows; the
+        diagonal t_0 L(L+1) + t_1 m + t_2 m^2 is exact for integer t_0, t_1, t_2."""
+        t, d = np.asarray(coeffs), self.dim
+        diag, up1, up2 = self.bands
+        out = np.zeros((d, d), dtype=complex)
+        flat = out.reshape(-1)      # diagonal k of out is flat[k::d + 1], cut at row d - k
+        flat[::d + 1] = (t[:3].real * (self.L * (self.L + 1.0), 1.0, 1.0)) @ diag
+        for k, band in ((1, t[3:5] @ up1), (2, t[5:] @ up2)):
+            flat[k:(d - k) * d:d + 1] = band
+            flat[k * d::d + 1] = band.conj()
+        return out
 
 
 class QuantumState(NamedTuple):
@@ -75,14 +102,6 @@ class QuantumState(NamedTuple):
         if self.kind == "pure":
             return np.outer(self.data, self.data.conj())
         return self.data
-
-    def expectation(self, op):
-        """Real part of <op>; the imaginary residue of Hermitian observables is discarded."""
-        if self.kind == "pure":
-            val = np.vdot(self.data, op @ self.data)
-        else:
-            val = np.trace(self.data @ op)
-        return float(val.real)
 
 
 class PolarizationState(NamedTuple):
@@ -103,16 +122,8 @@ def build_operators(L):
     L = int(L)
     m = np.arange(L, -L - 1, -1, dtype=float)
     c = np.sqrt(L * (L + 1.0) - m[1:] * (m[1:] + 1.0))
-    dim = 2 * L + 1
-    # L+ raises m; with descending ordering the raised state sits one row up.
-    lp = np.zeros((dim, dim), dtype=complex)
-    lp[np.arange(dim - 1), np.arange(1, dim)] = c
-    lm = lp.conj().T
-    lx = 0.5 * (lp + lm)
-    ly = -0.5j * (lp - lm)
-    lz = np.diag(m).astype(complex)
     m.flags.writeable = c.flags.writeable = False
-    return AmOperators(L=L, m=m, c=c, Lx=lx, Ly=ly, Lz=lz)
+    return AmOperators(L=L, m=m, c=c)
 
 
 def expi_hermitian(matrix, scale=1.0):
@@ -162,7 +173,8 @@ def coherent_state(ops, theta, psi):
     |L, L>, i.e. a rotation by theta about the axis obtained by turning
     e_y through psi about z.
     """
-    generator = theta * (-np.sin(psi) * ops.Lx + np.cos(psi) * ops.Ly)
+    generator = theta * ops.observable(-np.sin(psi) * OBSERVABLES[0]
+                                       + np.cos(psi) * OBSERVABLES[1])
     u = expi_hermitian(generator)
     vec = u[:, 0].copy()   # |L, L> is the first basis vector
     return pure_state(vec)
@@ -203,19 +215,17 @@ def polarization_batch(data, ops, traceless=False):
 
         tr = Tr rho,  <Lz> = sum m rho_ii,  <Lz^2> = sum m^2 rho_ii,
         <L+> = sum c_i rho_{i+1,i},  <{L+, Lz}> = sum c_i (m_i + m_{i+1}) rho_{i+1,i},
-        <L+^2> = sum c_i c_{i+1} rho_{i+2,i}.
+        <L+^2> = sum c_i c_{i+1} rho_{i+2,i},
 
-    Then <Lx> + i <Ly> = <L+>, <{Lx, Lz}> + i <{Ly, Lz}> = <{L+, Lz}>,
-    <{Lx, Lx}> = L(L+1) tr - <Lz^2> + Re <L+^2>, <{Ly, Ly}> the same with
-    -Re <L+^2>, <{Lz, Lz}> = 2 <Lz^2> and <{Lx, Ly}> = Im <L+^2>.  Time and
-    memory are O(n dim); the dense observables are never contracted.
+    the <Q> of OBSERVABLES, whose rows combine them into the nine, e.g.
+    <{Lx, Lx}> = L(L+1) tr - <Lz^2> + Re <L+^2>.  Time and memory are
+    O(n dim); no dense observable is built.
     """
     data = np.asarray(data)
     n, dim = data.shape[:2]
     if dim != ops.dim:
         raise DomainError(
             f"state dimension {dim} does not match operators for L={ops.L}")
-    m, c = ops.m, ops.c
 
     def band(k):
         """rho_{i+k,i} for every state, as a contiguous (n, dim - k) array."""
@@ -225,18 +235,15 @@ def polarization_batch(data, ops, traceless=False):
         prod *= data[:, k:]
         return prod
 
-    # np.array(...).T rather than np.stack: this runs once per block or
-    # refinement level, where small stacks pay mostly call overhead
-    tr, lz, lzz = (np.ascontiguousarray(band(0).real) @ np.array([np.ones(dim), m, m * m]).T).T
-    lp, lpz = (band(1) @ np.array([c, c * (m[:-1] + m[1:])]).T).T
-    lpp = band(2) @ (c[:-1] * c[1:])
-    L = ops.L
-    scalar = L * (L + 1.0) * tr - lzz
-    # <L_i> for i = x, y, z, then <{L_i, L_j}> in TENSOR_PAIRS order
-    ev = np.array([lp.real, lp.imag, lz, scalar + lpp.real, scalar - lpp.real, 2.0 * lzz,
-                   lpp.imag, lpz.real, lpz.imag]).T
-    p = ev[:, :3] / L
-    vals = 3.0 * ev[:, 3:]
+    L, q = ops.L, ops.bands
+    diag = np.ascontiguousarray(band(0).real) @ q[0].T
+    diag[:, 0] *= L * (L + 1.0)
+    upper = np.hstack([band(k) @ q[k].T for k in (1, 2)])
+    # rows <L_i> for i = x, y, z, then <{L_i, L_j}> in TENSOR_PAIRS order
+    ev = _WEIGHTS[:, :3] @ diag.T
+    ev += _WEIGHTS[:, 3:] @ upper.view(float).T
+    p = ev[:3].T / L
+    vals = 3.0 * ev[3:].T
     vals[:, :3] -= 2.0 * L * (L + 1.0)
     vals /= 2.0 * L * (2.0 * L - 1.0)
     pt = np.empty((n, 3, 3))
@@ -258,36 +265,15 @@ def polarization_tensor(state, ops, traceless=False):
 
 
 def initial_polarization_closed(theta, psi, kind):
-    """Classical-limit initial polarization for a beam aimed along (theta, psi).
+    """Classical-limit initial polarization for a beam aimed along n(theta, psi).
 
-    Evaluates the closed-form parametrization
-
-        P_rr = (3 sin^2(th) cos^2(ps) - 1)/2,  P_pp = (3 sin^2(th) sin^2(ps) - 1)/2,
-        P_zz = (3 cos^2(th) - 1)/2,            P_rp = 3/4 sin^2(th) sin(2 ps),
-        P_rz = 3/4 sin(2 th) cos(ps),          P_pz = 3/4 sin(2 th) sin(ps),
-
-    whose diagonal sums to zero (traceless convention; this differs from the
-    unit-trace convention of polarization_tensor by delta_ij/3).  For
-    kind="vector" the vector part is (sin(th)cos(ps), sin(th)sin(ps), cos(th));
-    for kind="tensor" it is zero and the tensor is unchanged.
+    n = (sin(th) cos(ps), sin(th) sin(ps), cos(th)) is the vector part for
+    kind="vector" and zero for kind="tensor".  Both have the traceless tensor
+    P_ij = (3 n_i n_j - delta_ij)/2, e.g. P_rz = 3/4 sin(2 th) cos(ps); the
+    unit-trace convention of polarization_tensor adds delta_ij/3.
     """
     if kind not in ("vector", "tensor"):
         raise DomainError(f"kind must be 'vector' or 'tensor', got {kind!r}")
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(psi), np.cos(psi)
-    if kind == "vector":
-        p = np.array([st * cp, st * sp, ct])
-    else:
-        p = np.zeros(3)
-    pt = np.array([
-        [0.5 * (3.0 * st**2 * cp**2 - 1.0),
-         0.75 * st**2 * np.sin(2.0 * psi),
-         0.75 * np.sin(2.0 * theta) * cp],
-        [0.75 * st**2 * np.sin(2.0 * psi),
-         0.5 * (3.0 * st**2 * sp**2 - 1.0),
-         0.75 * np.sin(2.0 * theta) * sp],
-        [0.75 * np.sin(2.0 * theta) * cp,
-         0.75 * np.sin(2.0 * theta) * sp,
-         0.5 * (3.0 * ct**2 - 1.0)],
-    ])
-    return PolarizationState(P=p, Pt=pt)
+    n = np.array([np.sin(theta) * np.cos(psi), np.sin(theta) * np.sin(psi), np.cos(theta)])
+    pt = 1.5 * np.outer(n, n) - 0.5 * np.eye(3)
+    return PolarizationState(P=n if kind == "vector" else np.zeros(3), Pt=pt)

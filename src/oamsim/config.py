@@ -82,6 +82,8 @@ KEYS_READ = {
     "moments": {"beam": ("kinetic_energy_eV", "L", "density_path")},
     "simulate": {"beam": ("kinetic_energy_eV", "L", "theta", "psi", "kind")},
     "scan": {"beam": ("kinetic_energy_eV", "L", "theta", "psi", "kind"),
+             # the scan grid sets the drive frequency
+             "scenario": tuple(k for k in SCHEMA["scenario"] if k != "omega_drive"),
              "oracle": ("enabled",)},
 }
 # commands whose format only --format sets, so output.format is not read
@@ -205,12 +207,16 @@ def load_config(path, command):
 def scan_omegas(doc):
     """Resolve the drive-frequency grid of a scan section."""
     scan = doc.get("scan", {})
+    needed = ("omega_min_rad_s", "omega_max_rad_s", "points")
     if "omega_values_rad_s" in scan:
         values = scan["omega_values_rad_s"]
         if not values:
             raise ConfigError("scan.omega_values_rad_s must be nonempty")
+        for key in needed:
+            if key in scan:
+                raise ConfigError(f"scan.omega_values_rad_s and scan.{key} are exclusive: "
+                                  "give the list or omega_min/omega_max/points")
         return list(values)
-    needed = ("omega_min_rad_s", "omega_max_rad_s", "points")
     if all(k in scan for k in needed):
         import numpy as np
         return list(np.linspace(scan["omega_min_rad_s"], scan["omega_max_rad_s"],

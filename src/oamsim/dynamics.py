@@ -32,8 +32,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import floattext
-from .am_core import (PARITY_BLOCKS, TENSOR_PAIRS, antiparallel_pair, build_operators,
-                      coherent_state, expi_hermitian, polarization_batch)
+from .am_core import (OBSERVABLES, PARITY_BLOCKS, TENSOR_PAIRS, antiparallel_pair,
+                      build_operators, coherent_state, expi_hermitian, polarization_batch)
 # kept importable from dynamics: perfbench's tracer self-test patches it here
 from .am_core import polarization_tensor  # noqa: F401
 from .constants import HBAR
@@ -206,25 +206,31 @@ def hamiltonian_terms(scn, ops):
 
     Returns (H0, ((a_k, f_k, H_k), ...)) with H(t) = H0 + sum_k a_k f_k(phase) H_k
     and phase = omega_drive t + phi; an empty tuple means H is time-independent.
-    The products are the anticommutators {L_i, L_j} of ops.observables, so
-    2 Lx^2 is {Lx, Lx}.
+    Every matrix is a row of am_core.OBSERVABLES made dense: 2 Lx^2 is {Lx, Lx},
+    and the two corotating terms sum to (A/4) (L+^2 exp(-i phase) + h.c.).
     """
     if ops.L != scn.L:
         raise DomainError(f"operators are for L={ops.L}, scenario has L={scn.L}")
-    _, _, lz, axx, ayy, azz, axy, _, _ = ops.observables
+    lz, xx, yy, zz, xy = OBSERVABLES[2:7]
     if scn.mode == "tmp":
-        return scn.Omega * lz + 0.5 * scn.b * azz, ()
+        return scn.Omega * ops.observable(lz) + 0.5 * scn.b * ops.observable(zz), ()
     if scn.mode == "frozen":
-        return scn.A * axx, ()
-    h0 = scn.Omega * lz
+        return scn.A * ops.observable(xx), ()
+    h0 = scn.Omega * ops.observable(lz)
     if scn.drive == "linear":
-        return h0, ((scn.A, np.cos, axx),)
-    return h0, ((0.25 * scn.A, np.cos, axx - ayy), (0.5 * scn.A, np.sin, axy))
+        return h0, ((scn.A, np.cos, ops.observable(xx)),)
+    return h0, ((0.25 * scn.A, np.cos, ops.observable(xx - yy)),
+                (0.5 * scn.A, np.sin, ops.observable(xy)))
 
 
 def build_hamiltonian(scn, ops, t):
     """Effective Hamiltonian at time t; an array of n times gives an (n, dim, dim) stack."""
-    h, terms = hamiltonian_terms(scn, ops)
+    return _evaluate(scn, hamiltonian_terms(scn, ops), t)
+
+
+def _evaluate(scn, decomposition, t):
+    """H(t) from hamiltonian_terms' (H0, terms), built once per oracle run."""
+    h, terms = decomposition
     phase = scn.omega_drive * t + scn.phi
     for a, f, hk in terms:
         h = h + np.asarray(a * f(phase))[..., None, None] * hk
@@ -249,7 +255,7 @@ def _density_matrices(weights, members):
     return (members.swapaxes(1, 2) * weights) @ members.conj()
 
 
-def _propagate(scn, ops, members, n_sub):
+def _propagate(scn, decomposition, members, n_sub):
     """Propagate a (k, dim) member stack; returns the (n, k, dim) members at every sample.
 
     Each output interval takes n_sub fourth-order commutator-free Magnus
@@ -262,7 +268,7 @@ def _propagate(scn, ops, members, n_sub):
     """
     times = scn.times()
     n_out = len(times) - 1
-    dim = ops.dim
+    dim = members.shape[1]
     need = n_out * n_sub * dim**2 * 16
     if need > _INTERVAL_BUDGET_BYTES:
         raise ConvergenceError(
@@ -277,7 +283,7 @@ def _propagate(scn, ops, members, n_sub):
     for start in range(0, n_out, per_chunk):
         # substep-major, so each substep's unitaries over the chunk are contiguous
         s = (sub_starts[:, None] + times[:-1][start:start + per_chunk]).ravel()
-        h1, h2 = (build_hamiltonian(scn, ops, s + c * dt_sub) for c in _GAUSS_NODES)
+        h1, h2 = (_evaluate(scn, decomposition, s + c * dt_sub) for c in _GAUSS_NODES)
         # the later exponential acts on the left
         u = np.matmul(expi_hermitian(a2 * h1 + a1 * h2, dt_sub),
                       expi_hermitian(a1 * h1 + a2 * h2, dt_sub)).reshape(n_sub, -1, dim, dim)
@@ -300,7 +306,7 @@ def _ensemble_polarization(weights, members, ops):
     return weights @ p.reshape(n, k, 3), (weights @ pt.reshape(n, k, 9)).reshape(n, 3, 3)
 
 
-def _refine(scn, ops, weights, members, rtol, max_halvings, fixed_substeps):
+def _refine(scn, ops, decomposition, weights, members, rtol, max_halvings, fixed_substeps):
     """Piecewise propagation, substeps doubled until the final state converges.
 
     Returns the (n, k, dim) members and the refinement record.
@@ -308,7 +314,7 @@ def _refine(scn, ops, weights, members, rtol, max_halvings, fixed_substeps):
     prev = None
     n_sub = 1 if fixed_substeps is None else fixed_substeps
     for level in range(max_halvings + 1):
-        data = _propagate(scn, ops, members, n_sub)
+        data = _propagate(scn, decomposition, members, n_sub)
         if fixed_substeps is not None:
             return data, dict(n_substeps=n_sub, refinement_delta=None)
         p_final, pt_final = _ensemble_polarization(weights, data[-1:], ops)
@@ -449,7 +455,7 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
         require_int("fixed_substeps", fixed_substeps, 1)
     if ops is None:
         ops = build_operators(scn.L)
-    h0, terms = hamiltonian_terms(scn, ops)
+    decomposition = h0, terms = hamiltonian_terms(scn, ops)
     weights, members = initial_state(scn, ops)
     n_block = max(1, _BLOCK_BYTES // members.nbytes)
     if not terms or scn.drive == "corotating":
@@ -458,11 +464,11 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
                               "propagator of the linear drive")
         # the corotating drive is static in the frame rotating at omega_drive/2
         frame = 0.5 * scn.omega_drive if terms else 0.0
-        h = build_hamiltonian(scn, ops, 0.0) - frame * ops.Lz if terms else h0
+        h = _evaluate(scn, decomposition, 0.0) - frame * ops.Lz if terms else h0
         blocks = _spectral_states(scn.times(), members, ops, h, frame, n_block)
         diag = {"propagator": "spectral"}
     else:
-        data, diag = _refine(scn, ops, weights, members, rtol, max_halvings,
+        data, diag = _refine(scn, ops, decomposition, weights, members, rtol, max_halvings,
                              fixed_substeps)
         diag["propagator"] = "piecewise"
         blocks = (data[i:i + n_block] for i in range(0, len(data), n_block))

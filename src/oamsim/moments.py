@@ -154,20 +154,17 @@ def spectroscopic_eqm(Q0, j, K):
 def quadrupole_tensor_operator(ops, Qs):
     """Quadrupole tensor operator on the operators' |L, m> space, as a 3x3 nest of matrices.
 
-    Q_ij = 3 Qs / (2 L (2L-1)) * [ {L_i, L_j} - (2/3) delta_ij L(L+1) ],
-    with the anticommutators of ops.observables.
-
-    Each component is Hermitian and the ij-trace Q_xx + Q_yy + Q_zz vanishes.
-    The stretched-state expectation <L,L|Q_zz|L,L> equals Qs.
+    Q_ij = Qs / (2 L (2L-1)) * [ 3 {L_i, L_j} - 2 delta_ij L(L+1) ], the
+    brackets from rows of am_core.OBSERVABLES.  Each component is Hermitian;
+    the diagonals are integer before the prefactor, so Q_xx + Q_yy + Q_zz
+    vanishes exactly.  The stretched-state expectation <L,L|Q_zz|L,L> equals Qs.
     """
-    import numpy as np
-    from .am_core import TENSOR_PAIRS
-    L = ops.L
-    shift = (2.0 / 3.0) * L * (L + 1.0) * np.eye(ops.dim)
-    pref = 3.0 * Qs / (2.0 * L * (2.0 * L - 1.0))
+    from .am_core import OBSERVABLES, TENSOR_PAIRS
+    pref = Qs / (2.0 * ops.L * (2.0 * ops.L - 1.0))
     out = [[None] * 3 for _ in range(3)]
-    for (a, b), anti in zip(TENSOR_PAIRS, ops.observables[3:]):
-        out[a][b] = out[b][a] = pref * (anti - shift if a == b else anti)
+    for (a, b), row in zip(TENSOR_PAIRS, OBSERVABLES[3:]):
+        bracket = 3.0 * row - (2.0 * (a == b), 0, 0, 0, 0, 0)   # 3 {L_a, L_b} - 2 delta_ab L(L+1)
+        out[a][b] = out[b][a] = pref * ops.observable(bracket)
     return out
 
 

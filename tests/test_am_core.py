@@ -153,13 +153,18 @@ class TestPolarizationExtraction:
 
 
 def _per_state_polarization(state, ops):
-    """Reference: one expectation per observable, anticommutators rebuilt."""
+    """Reference: one dense expectation per observable, anticommutators rebuilt."""
+    rho = state.density_matrix()
+
+    def expectation(op):
+        return np.trace(rho @ op).real
+
     comps = (ops.Lx, ops.Ly, ops.Lz)
-    p = np.array([state.expectation(op) / ops.L for op in comps])
+    p = np.array([expectation(op) / ops.L for op in comps])
     t = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
-            val = 3.0 * state.expectation(comps[i] @ comps[j] + comps[j] @ comps[i])
+            val = 3.0 * expectation(comps[i] @ comps[j] + comps[j] @ comps[i])
             if i == j:
                 val -= 2.0 * ops.L * (ops.L + 1.0)
             t[i, j] = val / (2.0 * ops.L * (2.0 * ops.L - 1.0))
@@ -189,13 +194,30 @@ class TestBatchedExtraction:
             assert np.max(np.abs(am.polarization_vector(st, ops) - p_ref)) < 1e-12
             assert np.max(np.abs(am.polarization_tensor(st, ops) - pt_ref)) < 1e-12
 
-    def test_observable_stack(self):
-        ops = am.build_operators(3)
-        obs = ops.observables
-        assert obs.shape == (9, 7, 7)
-        assert np.array_equal(obs[2], ops.Lz)
-        assert np.allclose(obs[6], ops.Lx @ ops.Ly + ops.Ly @ ops.Lx, atol=0)
-        assert ops.observables is obs
+
+class TestObservableTable:
+    @pytest.mark.parametrize("L", [1, 2, 3, 20, 100])
+    def test_rows_match_dense_products(self, L):
+        ops = am.build_operators(L)
+        comps = (ops.Lx, ops.Ly, ops.Lz)
+        obs = [ops.observable(row) for row in am.OBSERVABLES]
+        for k in range(3):
+            assert np.array_equal(obs[k], comps[k])
+        lp = np.diag(ops.c, 1)
+        assert np.array_equal(ops.Lx, (0.5 * (lp + lp.T)).astype(complex))
+        assert np.array_equal(ops.Ly, -0.5j * (lp - lp.T))
+        # one rounding per product term of a dense entry: 4 ulp of L(L+1)
+        tol = 4.0 * 2.0**-52 * L * (L + 1)
+        for (i, j), anti in zip(am.TENSOR_PAIRS, obs[3:]):
+            dense = comps[i] @ comps[j] + comps[j] @ comps[i]
+            assert np.max(np.abs(anti - dense)) <= tol, (i, j)
+            assert np.array_equal(anti, anti.conj().T)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 20, 100])
+    def test_casimir_bit_for_bit(self, L):
+        ops = am.build_operators(L)
+        xx, yy, zz = (ops.observable(row) for row in am.OBSERVABLES[3:6])
+        assert np.array_equal(xx + yy + zz, 2.0 * L * (L + 1) * np.eye(ops.dim))
 
 
 def _random_stacks(L, rng):
@@ -228,9 +250,11 @@ class TestBandedAlgebra:
 
     @pytest.mark.parametrize("L", [1, 2, 3, 5, 20, 100])
     def test_matches_dense_contraction(self, L):
-        # the nine expectations against the dense contraction with the observables
+        # the nine expectations against the dense contraction with the products
         ops = am.build_operators(L)
-        obs = ops.observables
+        comps = (ops.Lx, ops.Ly, ops.Lz)
+        obs = np.stack(list(comps) + [comps[i] @ comps[j] + comps[j] @ comps[i]
+                                      for i, j in am.TENSOR_PAIRS])
         vecs, rhos = _random_stacks(L, np.random.default_rng(L))
         dense = {"pure": np.einsum("ni,kij,nj->nk", vecs.conj(), obs, vecs).real,
                  "mixed": np.einsum("nij,kji->nk", rhos, obs).real}

@@ -93,6 +93,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg.scan_omegas({"scan": {}})
 
+    @pytest.mark.parametrize("key, value", [("omega_min_rad_s", 0.0),
+                                            ("omega_max_rad_s", 1.0), ("points", 3)])
+    def test_scan_grid_forms_exclusive(self, key, value, tmp_path, capsys):
+        # the list would win and the range be dropped unread
+        doc = json.loads((CONFIG_DIR / "resonance_scan.json").read_text())
+        doc["scan"] = {"omega_values_rad_s": [90.0, 100.0, 110.0], key: value}
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["scan", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "config",
+            "message": f"scan.omega_values_rad_s and scan.{key} are exclusive: "
+                       "give the list or omega_min/omega_max/points"}
+
     def test_shipped_configs_validate(self):
         cfg.load_config(CONFIG_DIR / "ring300kev.json", "freeze")
         cfg.load_config(CONFIG_DIR / "moments100.json", "moments")
@@ -173,7 +189,8 @@ class TestSectionsPerCommand:
         ("freeze", "beam", "L", 1), ("freeze", "beam", "theta", 1.1),
         ("freeze", "beam", "psi", 0.7), ("freeze", "beam", "kind", "tensor"),
         ("moments", "beam", "theta", 1.1), ("moments", "beam", "psi", 0.7),
-        ("moments", "beam", "kind", "tensor"), ("scan", "oracle", "tolerance", 1e-9)])
+        ("moments", "beam", "kind", "tensor"), ("scan", "oracle", "tolerance", 1e-9),
+        ("scan", "scenario", "omega_drive", 12345.0)])
     def test_key_the_command_does_not_read_rejected(self, command, section, key, value,
                                                     tmp_path, capsys):
         # the shipped config runs as it is; one key the command drops is a config error

@@ -179,7 +179,8 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize("L", [1, 3])
     @pytest.mark.parametrize("mode", ["tmp", "frozen", "linear", "corotating"])
     def test_explicit_products_bit_for_bit(self, mode, L):
-        # the products written out as in the module docstring; equal bit for bit
+        # the band entries written out from m and c, equal bit for bit; the
+        # dense products of the module docstring within 4 ulp of L(L+1)
         ops = am.build_operators(L)
         lx, ly, lz = ops.Lx, ops.Ly, ops.Lz
         if mode == "tmp":
@@ -189,8 +190,24 @@ class TestBuildHamiltonian:
         else:
             scn = resonance_scn(L=L, Omega=1.3, A=0.37, omega_drive=2.1, phi=0.4,
                                 drive=mode)
+        m = ops.m
+        lpp = np.diag(ops.c[:-1] * ops.c[1:], 2)                  # L+^2
+        axx = np.diag(L * (L + 1.0) - m * m) + 0.5 * (lpp + lpp.T)  # 2 Lx^2
 
-        def expected(t):
+        def banded(t):
+            phase = scn.omega_drive * t + scn.phi
+            cos = np.asarray(scn.A * np.cos(phase))[..., None, None]
+            if mode == "tmp":
+                return scn.Omega * lz + scn.b * np.diag(m * m)
+            if mode == "frozen":
+                return scn.A * axx
+            if mode == "linear":
+                return scn.Omega * lz + cos * axx
+            sin = np.asarray(0.5 * scn.A * np.sin(phase))[..., None, None]
+            return (scn.Omega * lz + 0.25 * cos * (lpp + lpp.T)
+                    + sin * (-0.5j * lpp + 0.5j * lpp.T))
+
+        def dense(t):
             phase = scn.omega_drive * t + scn.phi
             cos = np.asarray(np.cos(phase))[..., None, None]
             sin = np.asarray(np.sin(phase))[..., None, None]
@@ -203,8 +220,12 @@ class TestBuildHamiltonian:
             return (scn.Omega * lz + 0.5 * scn.A * cos * (lx @ lx - ly @ ly)
                     + 0.5 * scn.A * sin * (lx @ ly + ly @ lx))
 
+        # per unit coefficient of a product: |Omega| + |b| + 2 |A| bounds their sum
+        tol = 4.0 * 2.0**-52 * L * (L + 1) * (abs(scn.Omega) + abs(scn.b) + 2.0 * abs(scn.A))
         for t in (0.0, 0.37, 2.9, np.array([0.0, 0.37, 2.9, 11.3])):
-            assert np.array_equal(dy.build_hamiltonian(scn, ops, t), expected(t))
+            h = dy.build_hamiltonian(scn, ops, t)
+            assert np.array_equal(h, banded(t))
+            assert np.max(np.abs(h - dense(t))) <= tol
 
 
 class TestQuadrupoleCoefficients:
@@ -515,9 +536,10 @@ class TestPiecewiseOracle:
         scn = resonance_scn(steps=64, drive="linear")
         ops = am.build_operators(1)
         _, members = dy.initial_state(scn, ops)
-        whole = dy._propagate(scn, ops, members, 8)
+        decomposition = dy.hamiltonian_terms(scn, ops)
+        whole = dy._propagate(scn, decomposition, members, 8)
         monkeypatch.setattr(dy, "_CHUNK_BYTES", intervals_per_chunk * 8 * ops.dim**2 * 16)
-        split = dy._propagate(scn, ops, members, 8)
+        split = dy._propagate(scn, decomposition, members, 8)
         assert np.max(np.abs(split - whole)) <= 1e-15
 
 

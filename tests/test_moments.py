@@ -154,14 +154,14 @@ class TestSpectroscopicEqm:
 
 
 class TestQuadrupoleTensorOperator:
-    def test_traceless_and_hermitian(self):
-        ops = am.build_operators(3)
+    @pytest.mark.parametrize("L", [3, 100])
+    def test_traceless_and_hermitian(self, L):
+        ops = am.build_operators(L)
         q = mo.quadrupole_tensor_operator(ops, 2.5)
-        total = q[0][0] + q[1][1] + q[2][2]
-        assert np.max(np.abs(total)) < 1e-12
+        assert np.array_equal(q[0][0] + q[1][1] + q[2][2], np.zeros((ops.dim, ops.dim)))
         for a in range(3):
             for b in range(3):
-                assert np.max(np.abs(q[a][b] - q[a][b].conj().T)) < 1e-12
+                assert np.array_equal(q[a][b], q[a][b].conj().T)
 
     def test_stretched_expectation_is_qs(self):
         for L in (1, 2, 5):
@@ -182,17 +182,30 @@ class TestQuadrupoleTensorOperator:
 
     @pytest.mark.parametrize("L", [1, 2, 5, 20, 100])
     def test_components_from_anticommutators_bit_for_bit(self, L):
+        # Q_ij = pref (3 {L_i, L_j} - 2 delta_ij L(L+1)): the bracket's band
+        # entries written out from m and c, equal bit for bit; the dense
+        # anticommutators within 4 ulp of L(L+1) per unit coefficient
         ops = am.build_operators(L)
+        m, c = ops.m, ops.c
+        lpp = np.diag(c[:-1] * c[1:], 2)                 # L+^2
+        lpz = np.diag(c * (m[:-1] + m[1:]), 1)           # {L+, Lz}
+        ll = L * (L + 1.0)
+        banded = {(0, 0): np.diag(ll - 3.0 * m * m) + 1.5 * (lpp + lpp.T),
+                  (1, 1): np.diag(ll - 3.0 * m * m) - 1.5 * (lpp + lpp.T),
+                  (2, 2): np.diag(6.0 * m * m - 2.0 * ll),
+                  (0, 1): -1.5j * lpp + 1.5j * lpp.T,
+                  (0, 2): 1.5 * (lpz + lpz.T),
+                  (1, 2): -1.5j * lpz + 1.5j * lpz.T}
         comps = (ops.Lx, ops.Ly, ops.Lz)
         qs = -1.3e-36
-        pref = 3.0 * qs / (2.0 * L * (2.0 * L - 1.0))
+        pref = qs / (2.0 * L * (2.0 * L - 1.0))
         q = mo.quadrupole_tensor_operator(ops, qs)
-        for a in range(3):
-            for b in range(3):
-                anti = comps[a] @ comps[b] + comps[b] @ comps[a]
-                if a == b:
-                    anti = anti - (2.0 / 3.0) * L * (L + 1.0) * np.eye(ops.dim)
-                assert np.array_equal(q[a][b], pref * anti)
+        for (a, b), bracket in banded.items():
+            assert np.array_equal(q[a][b], pref * bracket)
+            assert np.array_equal(q[b][a], q[a][b])
+            anti = comps[a] @ comps[b] + comps[b] @ comps[a]
+            dense = pref * (3.0 * anti - 2.0 * ll * (a == b) * np.eye(ops.dim))
+            assert np.max(np.abs(q[a][b] - dense)) <= 4.0 * 2.0**-52 * ll * 3.0 * abs(pref)
 
     def test_zz_commutes_with_lz(self):
         ops = am.build_operators(2)
