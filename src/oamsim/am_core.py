@@ -6,6 +6,7 @@ cylindrical axes (rho, phi, z) treated as a fixed right-handed frame of the
 co-moving beam description, so (rho, phi, z) map onto Cartesian (x, y, z).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -171,13 +172,30 @@ def coherent_state(ops, theta, psi):
 
     The rotation is exp(-i theta (-sin(psi) Lx + cos(psi) Ly)) applied to
     |L, L>, i.e. a rotation by theta about the axis obtained by turning
-    e_y through psi about z.
+    e_y through psi about z.  Its amplitudes are binomial: with k = L - m,
+
+        c_k = sqrt(C(2L, k)) cos^(2L-k)(theta/2) sin^k(theta/2) exp(i k psi),
+
+    taken in log space with the sign of each factor, so that none overflows
+    or underflows before the product does.  At theta = 0 and theta = pi the
+    state is exactly |L, L> and exp(2i L psi) |L, -L>.
     """
-    generator = theta * ops.observable(-np.sin(psi) * OBSERVABLES[0]
-                                       + np.cos(psi) * OBSERVABLES[1])
-    u = expi_hermitian(generator)
-    vec = u[:, 0].copy()   # |L, L> is the first basis vector
-    return pure_state(vec)
+    n = 2 * ops.L
+    if theta == 0.0 or theta == np.pi:
+        # a vanishing half-angle factor would make 0 log 0 = NaN
+        end = 0 if theta == 0.0 else n
+        vec = np.zeros(n + 1, dtype=complex)
+        vec[end] = np.exp(1j * end * psi)
+        return pure_state(vec)
+    binom = [1]                 # C(2L, k) as exact integers, whose logs round once
+    for j in range(n):
+        binom.append(binom[-1] * (n - j) // (j + 1))
+    k = np.arange(n + 1)
+    cos_half, sin_half = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    log_abs = (0.5 * np.array([math.log(b) for b in binom])
+               + (n - k) * math.log(abs(cos_half)) + k * math.log(abs(sin_half)))
+    sign = np.sign(cos_half) ** (n - k) * np.sign(sin_half) ** k
+    return pure_state(sign * np.exp(log_abs) * np.exp(1j * k * psi))
 
 
 def antiparallel_pair(ops, theta, psi):

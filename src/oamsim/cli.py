@@ -26,9 +26,17 @@ from .reference import constants_report
 # them where they run: constants, freeze and moments start without numpy.
 
 
+def _open_out(path, newline=None):
+    """Open an output file for writing; a path that cannot be opened is a ConfigError."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot open output path {path!r}: {exc.strerror}") from None
+
+
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as f:
+        with _open_out(out_path) as f:
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -199,7 +207,7 @@ def _write_series(series, fmt, path):
     from . import dynamics
     write = dynamics.write_series_csv if fmt == "csv" else dynamics.write_series_json
     if path:
-        with open(path, "w", newline="") as f:
+        with _open_out(path, newline="") as f:
             write(series, f)
     else:
         write(series, sys.stdout)

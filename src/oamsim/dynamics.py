@@ -56,9 +56,9 @@ _CHUNK_BYTES = 32 * 2**20          # substep unitaries it holds per streamed chu
 # substep and the weights of H at those nodes in the two exponentials
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _CF4_WEIGHTS = (0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0)
-# arrays of a scan block's shape, (rows, samples gathered per row), that
-# _resonance_pz holds at once
-_SCAN_ARRAYS = 8
+# float64 arrays of a kernel call's sample count that resonance_scan,
+# _peak_samples and _resonance_pz hold at once (about 10 per sample, measured)
+_SCAN_ARRAYS = 10
 # the scan's peak search needs its margin above this share of |K0| + R + 1 +
 # R omega' t_end (4096 ulp); rounding in P_z and in the sample phases is
 # estimated at about 20 ulp of that scale
@@ -538,37 +538,43 @@ def closed_form_resonance(scn):
     if scn.mode != "resonance":
         raise DomainError("closed_form_resonance requires mode='resonance'")
     times, p, pt = _nan_series(scn)
-    p[:, 2] = _resonance_pz(scn, [scn.omega_drive], times)[0]
+    p[:, 2] = _resonance_pz(scn, _resonance_factors(scn, [scn.omega_drive]), 0, times)
     return PolarizationSeries(times=times, P=p, Pt=pt, source="closed_form")
 
 
-def _resonance_pz(scn, omegas, times):
-    """Resonance closed-form P_z, one row per drive frequency in omegas.
+def _resonance_factors(scn, omegas):
+    """(omega', A/omega', detuning/omega', depth) of each drive frequency in omegas.
 
-    times is either one grid (m,) shared by every row or one set of times per
-    row, (rows, m).  The per-frequency factors have the bits of Python float
-    arithmetic: omega' comes from math.hypot and the square in the depth
-    from Python's **, because np.hypot and numpy's square differ from them
-    in the last bit for about one frequency in a thousand; the subtraction
-    and divisions are IEEE operations either way.  Every operation is
-    elementwise, so each value has the bits of a one-frequency evaluation at
-    that time, whichever form times takes.
+    depth, 2 (A/omega')^2, is None for the tensor kind, which has no depth
+    term.  The factors have the bits of Python float arithmetic: omega' comes
+    from math.hypot and the square in depth from Python's **, because np.hypot
+    and numpy's square differ from them in the last bit for about one
+    frequency in a thousand; the subtraction and divisions are IEEE
+    operations either way.
     """
     detuning = 2.0 * scn.Omega - np.asarray(omegas, dtype=float)
     omega_p = np.array([math.hypot(d, scn.A) for d in detuning.tolist()])
     if np.any(omega_p == 0.0):
         raise DomainError("resonance closed form undefined for A = 0 at zero detuning")
     amp = scn.A / omega_p
-    tilt = detuning / omega_p
-    half = 0.5 * omega_p[:, None] * times
+    depth = 2.0 * np.array([x**2 for x in amp.tolist()]) if scn.kind == "vector" else None
+    return omega_p, amp, detuning / omega_p, depth
+
+
+def _resonance_pz(scn, factors, row, times):
+    """Resonance closed-form P_z at times, each at frequency row (one, or one per time) of factors.
+
+    Every operation is elementwise, so each value has the bits of a
+    one-frequency evaluation at that time.
+    """
+    omega_p, amp, tilt, depth = factors
+    half = 0.5 * omega_p[row] * times
     s_half, c_half = np.sin(half), np.cos(half)
     alpha = 2.0 * scn.psi - scn.phi
     s2 = np.sin(scn.theta) ** 2
-    pz = amp[:, None] * s2 * s_half * (tilt[:, None] * s_half * np.cos(alpha)
-                                       + c_half * np.sin(alpha))
+    pz = amp[row] * s2 * s_half * (tilt[row] * s_half * np.cos(alpha) + c_half * np.sin(alpha))
     if scn.kind == "vector":
-        depth = 2.0 * np.array([x**2 for x in amp.tolist()])
-        pz = pz + (1.0 - depth[:, None] * s_half**2) * np.cos(scn.theta)
+        pz = pz + (1.0 - depth[row] * s_half**2) * np.cos(scn.theta)
     return pz
 
 
@@ -581,11 +587,12 @@ def closed_form(scn):
     return closed_form_resonance(scn)
 
 
-def _peak_search(scn, omegas, n):
+def _peak_search(scn, factors, n):
     """How each drive frequency's peak |P_z| is found on the scenario's n-point grid.
 
-    With sin^2 x = (1 - cos 2x)/2 and sin x cos x = sin 2x / 2 the closed form
-    is P_z = K0 + R cos(omega' t - delta), with extrema at omega' t = delta +
+    factors is _resonance_factors' tuple for the frequencies.  With
+    sin^2 x = (1 - cos 2x)/2 and sin x cos x = sin 2x / 2 the closed form is
+    P_z = K0 + R cos(omega' t - delta), with extrema at omega' t = delta +
     pi k, and it is monotone between them.  With h = omega' dt, samples j and
     j + 1 for j = floor((delta + pi k)/h) bracket an extremum: the nearer lies
     within h/2 of it, every other sample on its flanks at least h from it.
@@ -603,18 +610,16 @@ def _peak_search(scn, omegas, n):
     margin within _SCAN_ROUNDING of its scale, or at least n samples to
     gather.
     """
-    # omega' = 0 or an overflow leaves NaN or inf here, and such a row fails the test
+    omega_p, amp, tilt, depth = factors
+    # an overflow leaves NaN or inf here, and such a row fails the test
     with np.errstate(all="ignore"):
-        detuning = 2.0 * scn.Omega - omegas
-        omega_p = np.hypot(detuning, scn.A)
-        amp = scn.A / omega_p
         s2 = math.sin(scn.theta) ** 2
         alpha = 2.0 * scn.psi - scn.phi
-        k0 = 0.5 * amp * s2 * (detuning / omega_p) * math.cos(alpha)
+        k0 = 0.5 * amp * s2 * tilt * math.cos(alpha)
         k1, k2 = -k0, 0.5 * amp * s2 * math.sin(alpha)
         if scn.kind == "vector":
-            k0 = k0 + (1.0 - amp**2) * math.cos(scn.theta)
-            k1 = k1 + amp**2 * math.cos(scn.theta)
+            k0 = k0 + (1.0 - 0.5 * depth) * math.cos(scn.theta)
+            k1 = k1 + 0.5 * depth * math.cos(scn.theta)
         r = np.hypot(k1, k2)
         h = omega_p * (scn.t_end / (n - 1))
         span = omega_p * scn.t_end
@@ -628,34 +633,21 @@ def _peak_search(scn, omegas, n):
     return width, first, delta, h
 
 
-def _peak_samples(n, first, delta, h, width):
-    """Indices (rows, width) of the samples the search gathers for a block of rows.
+def _peak_samples(n, rows, width, first, delta, h):
+    """(row, index) of the width samples of each frequency in rows, contiguous and in order.
 
-    first, delta and h are _peak_search's entries for the rows, and width is
-    the widest row's; a row with fewer extrema fills its surplus with the last
-    sample.
+    A searched frequency takes its first and last sample, then j and j + 1 at
+    each extremum (_peak_search); a whole-grid frequency takes every sample.
     """
-    rows = len(h)
-    extrema = delta[:, None] + math.pi * (first[:, None] + np.arange((width - 2) // 2))
-    near = np.floor(extrema / h[:, None])[:, :, None] + np.arange(2.0)
-    ends = np.broadcast_to([0.0, n - 1.0], (rows, 2))
-    return np.clip(np.hstack([ends, near.reshape(rows, -1)]), 0, n - 1).astype(np.intp)
-
-
-def _scan_blocks(rows, width, cap):
-    """The rows, in order of width, cut into blocks of at most cap samples.
-
-    A block of r rows whose widest has width w holds r w samples; each block
-    takes as many rows as fit, and at least one.
-    """
-    rows = rows[np.argsort(width[rows], kind="stable")]
-    start = 0
-    while start < len(rows):
-        ahead = width[rows[start:start + max(1, cap // width[rows[start]])]]
-        fits = np.searchsorted(np.arange(1, len(ahead) + 1) * ahead, cap, side="right")
-        stop = start + max(1, int(fits))
-        yield rows[start:stop]
-        start = stop
+    row = np.repeat(rows, width[rows])
+    # each sample's place among its frequency's, the index itself on a whole-grid row
+    index = np.arange(len(row)) - np.repeat(np.cumsum(width[rows]) - width[rows], width[rows])
+    searched = np.flatnonzero(width[row] < n)
+    # places 0 and 1 are the ends, 2 e + 2 and 2 e + 3 are j and j + 1 at extremum e
+    r, p = row[searched], index[searched] - 2
+    near = np.floor((delta[r] + math.pi * (first[r] + p // 2)) / h[r]) + p % 2
+    index[searched] = np.where(p < 0, (p + 2) * (n - 1), np.clip(near, 0, n - 1))
+    return row, index
 
 
 def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
@@ -666,10 +658,9 @@ def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
     (_peak_search).  A frequency whose search cannot be trusted, or would
     gather as many samples as the grid has, evaluates every sample instead.
     Either way each evaluated sample has the bits of the whole-grid closed
-    form.  The frequencies are evaluated in blocks of rows in order of width:
-    each block takes as many rows as fit in _BLOCK_BYTES at its widest row's
-    width, with the whole-grid rows in blocks of their own.  with_oracle adds
-    the oracle's peak per frequency, at tolerance oracle_rtol.
+    form.  The frequencies are evaluated in grid order, each kernel call on
+    the samples of as many as fit in _BLOCK_BYTES, and at least one.
+    with_oracle adds the oracle's peak per frequency, at tolerance oracle_rtol.
     """
     omegas = np.asarray(list(omega_values), dtype=float)
     if omegas.size == 0:
@@ -686,18 +677,22 @@ def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
 
     times = base.times()
     n = len(times)
-    width, first, delta, h = _peak_search(base, omegas, n)
-    # samples per block: the kernel's _SCAN_ARRAYS arrays of a block's shape
-    # then hold at most _BLOCK_BYTES together
+    factors = _resonance_factors(base, omegas)
+    search = _peak_search(base, factors, n)
+    # samples per kernel call: the _SCAN_ARRAYS arrays of its samples then
+    # hold at most _BLOCK_BYTES together
     cap = _BLOCK_BYTES // (_SCAN_ARRAYS * times.itemsize)
+    ends = np.cumsum(search[0])
+    starts = ends - search[0]
     peaks = np.empty(len(omegas))
-    for rows in (np.flatnonzero(width < n), np.flatnonzero(width == n)):
-        for block in _scan_blocks(rows, width, cap):
-            w = int(width[block[-1]])
-            samples = times if w == n else times[_peak_samples(
-                n, first[block], delta[block], h[block], w)]
-            pz = _resonance_pz(base, omegas[block], samples)
-            peaks[block] = np.nanmax(np.abs(pz), axis=1)
+    start = 0
+    while start < len(omegas):
+        stop = max(start + 1, int(np.searchsorted(ends, starts[start] + cap, "right")))
+        row, index = _peak_samples(n, np.arange(start, stop), *search)
+        pz = _resonance_pz(base, factors, row, times[index])
+        # each frequency's maximum, ignoring NaN as np.nanmax does
+        peaks[start:stop] = np.fmax.reduceat(np.abs(pz), starts[start:stop] - starts[start])
+        start = stop
     oracle_peaks = np.array([oracle_peak(w) for w in omegas]) if with_oracle else None
     return ScanResult(omegas=omegas, peaks=peaks,
                       argmax_index=int(np.argmax(peaks)),

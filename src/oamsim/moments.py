@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .constants import (ALPHA, E_SIGNED, FM, GAUSSIAN_B2_J_PER_M3, HBAR,
                         HBAR_C_EV_M, LAMBDA_BAR_C)
-from .errors import DomainError, require_int
+from .errors import ConfigError, DomainError, require_int
 from .ring_config import landau_geometry
 
 
@@ -86,19 +86,36 @@ def tmp_energy_shift(beta_T_fm3, L, B, angle):
 def load_radial_density(path):
     """Read a two-column radial density file (r [m], density >= 0).
 
-    Lines starting with '#' are comments.  Returns (r, rho) arrays.
+    Lines starting with '#' are comments.  Returns (r, rho) arrays.  A path
+    that cannot be read is a ConfigError naming beam.density_path; a file
+    that is not text, or a row that is not two finite numbers, is a
+    DomainError naming the path (and line).
     """
     import numpy as np
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except OSError as exc:
+        raise ConfigError(f"beam.density_path {str(path)!r} cannot be read: "
+                          f"{exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DomainError(f"{path}: not a text file") from None
     rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise DomainError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-            rows.append((float(parts[0]), float(parts[1])))
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise DomainError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
+        try:
+            row = tuple(float(x) for x in parts)
+        except ValueError:
+            raise DomainError(f"{path}:{lineno}: entries must be numbers, "
+                              f"got {stripped!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise DomainError(f"{path}:{lineno}: entries must be finite, got {stripped!r}")
+        rows.append(row)
     if not rows:
         raise DomainError(f"{path}: no data rows")
     r = np.array([row[0] for row in rows])

@@ -71,6 +71,28 @@ class TestCoherentState:
                 assert np.max(np.abs(p - direction(theta, psi))) < 1e-10
                 assert abs(np.linalg.norm(p) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 20, 100])
+    def test_binomial_amplitudes_match_the_rotation(self, L):
+        # the closed form against exp(-i theta (-sin psi Lx + cos psi Ly)) |L, L>
+        ops = am.build_operators(L)
+        for theta, psi in ((0.4, 0.0), (np.pi / 2, np.pi / 4), (1.1, -2.3),
+                           (2.9, 5.0), (np.pi - 1e-6, 0.7), (-0.6, 1.2), (4.0, 0.3)):
+            generator = theta * ops.observable(-np.sin(psi) * am.OBSERVABLES[0]
+                                               + np.cos(psi) * am.OBSERVABLES[1])
+            rotated = am.expi_hermitian(generator)[:, 0]
+            got = am.coherent_state(ops, theta, psi).data
+            assert np.max(np.abs(got - rotated)) <= 1e-13, (theta, psi)
+
+    @pytest.mark.parametrize("L", [1, 4, 100])
+    def test_poles_are_exact_basis_vectors(self, L):
+        ops = am.build_operators(L)
+        north = np.zeros(2 * L + 1, dtype=complex)
+        north[0] = 1.0
+        assert np.array_equal(am.coherent_state(ops, 0.0, 2.3).data, north)
+        assert np.array_equal(am.coherent_state(ops, np.pi, 0.0).data, north[::-1])
+        south = am.coherent_state(ops, np.pi, 0.4).data
+        assert np.count_nonzero(south) == 1 and south[-1] == np.exp(2j * L * 0.4)
+
 
 class TestTensorMixture:
     @pytest.mark.parametrize("L,theta,psi", [(1, 0.7, 1.1), (2, np.pi / 2, 0.0),

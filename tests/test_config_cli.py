@@ -539,6 +539,70 @@ class TestScanCommand:
         assert "does not bracket" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["constants"],
+    ["freeze", "--config", str(CONFIG_DIR / "ring300kev.json")],
+    ["moments", "--config", str(CONFIG_DIR / "moments100.json")],
+    ["simulate", "--config", str(CONFIG_DIR / "frozen_sim.json")],
+    ["scan", "--config", str(CONFIG_DIR / "resonance_scan.json")],
+    ["verify"],
+], ids=["constants", "freeze", "moments", "simulate", "scan", "verify"])
+def test_output_path_that_cannot_be_opened_is_a_config_error(argv, tmp_path, monkeypatch,
+                                                              capsys):
+    from oamsim import verify
+    monkeypatch.setattr(verify, "run_all", lambda: [])
+    out_path = str(tmp_path / "missing" / "out")
+    code, out, err = run_cli(argv + ["--out", out_path], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "config",
+        "message": f"cannot open output path {out_path!r}: No such file or directory"}
+
+
+@pytest.mark.parametrize("blocked", ["out_oracle.csv", "out_comparison.json", "output.path"])
+def test_simulate_companion_file_that_cannot_be_opened_is_a_config_error(blocked, tmp_path,
+                                                                          capsys):
+    # a directory where simulate writes one of its three files; output.path
+    # names a file in a missing directory
+    doc = json.loads((CONFIG_DIR / "frozen_sim.json").read_text())
+    doc["scenario"] = {"mode": "frozen", "t_end_s": 1.0, "steps": 16, "A_rad_s": 3.0}
+    doc["beam"]["L"] = 1
+    doc["oracle"] = {"enabled": True}
+    doc["output"]["path"] = str(tmp_path / "out.csv")
+    if blocked == "output.path":
+        doc["output"]["path"] = str(tmp_path / "missing" / "out.csv")
+    else:
+        (tmp_path / blocked).mkdir()
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert error["message"].startswith("cannot open output path ")
+
+
+def test_density_file_errors_exit_without_traceback(tmp_path, capsys):
+    # a missing file is a config error (exit 2); a bad entry a numerical one (exit 1)
+    density = tmp_path / "density.txt"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "beam": {"kinetic_energy_eV": 3e5, "L": 10, "density_path": str(density)},
+        "ring": {"B0_T": 1.0}}))
+    code, out, err = run_cli(["moments", "--config", str(path)], capsys)
+    assert (code, out, json.loads(err)["error"]) == (2, "", "config")
+    assert "beam.density_path" in json.loads(err)["message"]
+    for row, reason in (("1e-9 x", "numbers"), ("1e-9 inf", "finite")):
+        density.write_text(f"0.0 1.0\n{row}\n2e-9 1.0\n")
+        code, out, err = run_cli(["moments", "--config", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "numerical",
+            "message": f"{density}:2: entries must be {reason}, got {row!r}"}
+
+
 def test_parser_reused_across_calls_matches_fresh_runs(capsys):
     # main parses every call with one parser: two commands with a usage error
     # between them exit and print as they do each in its own interpreter

@@ -655,17 +655,29 @@ class TestClosedFormResonance:
 
 
 def record_kernel_calls(monkeypatch):
-    """Record each call of the scan's closed-form kernel, in order: its
-    frequencies, the samples it evaluates per row, and whether it evaluates
-    the whole grid."""
+    """Record each call of the scan's closed-form kernel, in order: the
+    frequency rows it evaluates and the number of samples of each, its width;
+    a row whose width is the grid's evaluates the whole grid."""
     kernel, calls = dy._resonance_pz, []
 
-    def recorded(scn, omegas, times):
-        calls.append((list(omegas), np.shape(times)[-1], np.ndim(times) == 1))
-        return kernel(scn, omegas, times)
+    def recorded(scn, factors, row, times):
+        rows, width = np.unique(row, return_counts=True)
+        calls.append((rows.tolist(), width.tolist()))
+        return kernel(scn, factors, row, times)
 
     monkeypatch.setattr(dy, "_resonance_pz", recorded)
     return calls
+
+
+def whole_grid_maximum(base, w):
+    """The closed form's maximum |P_z| over the whole grid at drive frequency w."""
+    factors = dy._resonance_factors(base, [w])
+    return np.nanmax(np.abs(dy._resonance_pz(base, factors, 0, base.times())))
+
+
+def scan_widths(base, grid):
+    """The number of samples the scan evaluates for each frequency of grid."""
+    return dy._peak_search(base, dy._resonance_factors(base, grid), base.steps)[0]
 
 
 class TestResonanceScan:
@@ -691,25 +703,23 @@ class TestResonanceScan:
     @pytest.mark.parametrize("kind", ["vector", "tensor"])
     def test_blocks_match_per_frequency_closed_form(self, kind, monkeypatch):
         # 23 frequencies, with 2 Omega among them, gathering 4 to 24 samples
-        # each: in blocks of 1 row, in blocks of 4 rows at the widest width
-        # (narrower rows more to a block, padded to its widest row, and a
-        # 1-row remainder), and all in one block
+        # each: one frequency per call, calls of at most 4 widest rows' samples
+        # (as many frequencies as fit, in grid order), and all in one call
         base = resonance_scn(kind=kind, Omega=50.0, phi=0.4, theta=1.1, psi=0.3,
                              t_end=np.pi, steps=1001)
         grid = np.linspace(89.0, 111.0, 23)
         expected = [np.nanmax(np.abs(dy.closed_form_resonance(
             replace(base, omega_drive=w)).P[:, 2])) for w in grid]
         widest = 24
-        assert dy._peak_search(base, grid, base.steps)[0].max() == widest
+        assert scan_widths(base, grid).max() == widest
         sample_bytes = dy._SCAN_ARRAYS * base.times().itemsize
-        for samples, blocks in ((1, [1] * 23), (4 * widest, [8, 6, 4, 4, 1]),
+        for samples, blocks in ((1, [1] * 23), (4 * widest, [4, 10, 6, 3]),
                                 (23 * widest, [23])):
             monkeypatch.setattr(dy, "_BLOCK_BYTES", samples * sample_bytes)
             calls = record_kernel_calls(monkeypatch)
             assert np.array_equal(dy.resonance_scan(base, grid).peaks, expected)
-            assert [len(omegas) for omegas, _, _ in calls] == blocks
-            assert all(len(omegas) * width <= samples or len(omegas) == 1
-                       for omegas, width, _ in calls)
+            assert [len(rows) for rows, _ in calls] == blocks
+            assert all(sum(width) <= samples or len(rows) == 1 for rows, width in calls)
 
     # id: (scenario overrides, drive frequencies, how the scan evaluates them);
     # "search" gathers the samples next to each extremum and at the ends,
@@ -753,12 +763,12 @@ class TestResonanceScan:
     def test_peak_search_equals_whole_grid_maximum(self, case, monkeypatch):
         overrides, grid, paths = self.SEARCH_CASES[case]
         base = self.search_scn(overrides)
-        expected = [np.nanmax(np.abs(dy._resonance_pz(base, [w], base.times())))
-                    for w in grid]
+        expected = [whole_grid_maximum(base, w) for w in grid]
         calls = record_kernel_calls(monkeypatch)
         assert np.array_equal(dy.resonance_scan(base, grid).peaks, expected)
-        assert {"whole" if whole else "search" for _, _, whole in calls} == paths
-        assert sum(len(omegas) for omegas, _, _ in calls) == len(grid)
+        assert {"whole" if w == base.steps else "search"
+                for _, width in calls for w in width} == paths
+        assert sum(len(rows) for rows, _ in calls) == len(grid)
 
     def test_fallback_is_per_frequency(self, monkeypatch):
         # the frequencies a 41-frequency scan evaluates over the whole grid are
@@ -766,26 +776,34 @@ class TestResonanceScan:
         overrides, grid, _ = self.SEARCH_CASES["tensor-alpha-0"]
         base = self.search_scn(overrides)
         calls = record_kernel_calls(monkeypatch)
+        untrusted = []
         for w in grid:
+            calls.clear()
             dy.resonance_scan(base, [w])
-        untrusted = [w for omegas, _, whole in calls if whole for w in omegas]
+            if calls == [([0], [base.steps])]:
+                untrusted.append(w)
         calls.clear()
         dy.resonance_scan(base, grid)
-        whole_rows = [w for omegas, _, whole in calls if whole for w in omegas]
+        whole_rows = [grid[r] for rows, width in calls
+                      for r, w in zip(rows, width) if w == base.steps]
         assert untrusted == [100.0]
         assert sorted(whole_rows) == untrusted
 
     @pytest.mark.parametrize("kind", ["vector", "tensor"])
     def test_large_scan_blocks_stay_in_bound_and_few(self, kind, monkeypatch):
         # 2001 frequencies x 4001 steps: the kernel's arrays hold at most
-        # _BLOCK_BYTES, and the scan takes a handful of kernel calls
+        # _BLOCK_BYTES, the scan takes a handful of kernel calls, and they
+        # evaluate the samples the search gathers and no other (44,636 for
+        # the vector kind, 44,458 for the tensor kind, of 8,006,001)
         base = self.search_scn({"kind": kind, "steps": 4001})
+        grid = np.linspace(80.0, 120.0, 2001)
         calls = record_kernel_calls(monkeypatch)
-        dy.resonance_scan(base, np.linspace(80.0, 120.0, 2001))
+        dy.resonance_scan(base, grid)
         itemsize = base.times().itemsize
-        assert all(len(omegas) * width * itemsize <= dy._BLOCK_BYTES / dy._SCAN_ARRAYS
-                   for omegas, width, _ in calls)
-        assert sum(len(omegas) for omegas, _, _ in calls) == 2001
+        assert all(sum(width) * itemsize <= dy._BLOCK_BYTES / dy._SCAN_ARRAYS
+                   for _, width in calls)
+        assert sum(len(rows) for rows, _ in calls) == 2001
+        assert sum(sum(width) for _, width in calls) == scan_widths(base, grid).sum()
         assert len(calls) <= 4
 
     def test_random_scans_equal_whole_grid_maxima(self):
@@ -809,10 +827,9 @@ class TestResonanceScan:
             grid = 2.0 * base.Omega + reach * rng.uniform(-1.0, 1.0, int(rng.integers(1, 30)))
             if seed % 5 == 0:
                 grid = np.append(grid, 2.0 * base.Omega)
-            expected = [np.nanmax(np.abs(dy._resonance_pz(base, [w], base.times())))
-                        for w in grid]
+            expected = [whole_grid_maximum(base, w) for w in grid]
             assert np.array_equal(dy.resonance_scan(base, grid).peaks, expected), seed
-            width = dy._peak_search(base, grid, steps)[0]
+            width = scan_widths(base, grid)
             seen["paths"] |= {"whole" if w == steps else "search" for w in width}
             seen["steps"].add(steps)
             seen["A"].append(base.A)

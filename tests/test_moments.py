@@ -12,7 +12,7 @@ from oamsim import am_core as am
 from oamsim import moments as mo
 from oamsim import ring_config as rc
 from oamsim.constants import E_CHARGE, HBAR_C_EV_M, LAMBDA_BAR_C, M_E_C2_EV
-from oamsim.errors import DomainError
+from oamsim.errors import ConfigError, DomainError
 
 
 class TestTmpPolarizability:
@@ -110,6 +110,26 @@ class TestIntrinsicEqm:
         nonmono.write_text("1.0 1.0\n0.5 1.0\n2.0 1.0\n")
         with pytest.raises(DomainError):
             mo.load_radial_density(nonmono)
+
+    @pytest.mark.parametrize("row,reason", [("1.0 abc", "numbers"), ("1.0,2.0 3.0", "numbers"),
+                                            ("1.0 nan", "finite"), ("inf 1.0", "finite"),
+                                            ("1.0 -inf", "finite")])
+    def test_density_file_entries_are_finite_numbers(self, tmp_path, row, reason):
+        path = tmp_path / "density.txt"
+        path.write_text(f"# r_m density\n0.0 1.0\n{row}\n2.0 1.0\n")
+        with pytest.raises(DomainError, match=f"density.txt:3: entries must be {reason}"):
+            mo.load_radial_density(path)
+
+    def test_binary_density_file_is_a_domain_error(self, tmp_path):
+        path = tmp_path / "density.bin"
+        path.write_bytes(b"\xff\xfe\x00 1.0\n")
+        with pytest.raises(DomainError, match="density.bin: not a text file"):
+            mo.load_radial_density(path)
+
+    def test_unreadable_density_path_is_a_config_error(self, tmp_path):
+        for path in (tmp_path / "missing.txt", tmp_path):
+            with pytest.raises(ConfigError, match="beam.density_path"):
+                mo.load_radial_density(path)
 
     def test_cli_import_leaves_scipy_unloaded(self):
         # scipy is imported only when a sampled density is integrated
