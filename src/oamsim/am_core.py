@@ -195,7 +195,16 @@ def coherent_state(ops, theta, psi):
     log_abs = (0.5 * np.array([math.log(b) for b in binom])
                + (n - k) * math.log(abs(cos_half)) + k * math.log(abs(sin_half)))
     sign = np.sign(cos_half) ** (n - k) * np.sign(sin_half) ** k
-    return pure_state(sign * np.exp(log_abs) * np.exp(1j * k * psi))
+    # k psi rounds once.  With psi = hi + lo, hi on 53 - bit_length(n) bits,
+    # every k hi is exact, so the rounding error of k psi is known to about
+    # 1e-30 and undone to first order: exp(i e) = 1 + i e + O(e^2).  Where
+    # k psi is exact the correction is 0 and changes no bit.
+    mantissa, exponent = math.frexp(psi)
+    shift = 53 - n.bit_length()
+    hi = math.ldexp(round(math.ldexp(mantissa, shift)), exponent - shift)
+    phase = k * psi
+    rounding = (k * hi - phase) + k * (psi - hi)
+    return pure_state(sign * np.exp(log_abs) * (np.exp(1j * phase) * (1.0 + 1j * rounding)))
 
 
 def antiparallel_pair(ops, theta, psi):

@@ -231,19 +231,8 @@ def cmd_simulate(args):
         report = dynamics.oracle_vs_closed_form(scn, oracle_rtol=rtol)
         base, ext = os.path.splitext(path)
         _write_series(report.oracle, fmt, f"{base}_oracle{ext}")
-        cmp_doc = {
-            "mode": report.mode, "L": report.L, "kind": report.kind,
-            "drive": report.drive,
-            "max_abs_deviation": report.max_abs_deviation,
-            "freq_expected_rad_s": report.freq_expected,
-            "freq_oracle_rad_s": report.freq_oracle,
-            "freq_closed_rad_s": report.freq_closed,
-            "freq_oracle_rel_err": report.freq_oracle_rel_err,
-            "freq_closed_rel_err": report.freq_closed_rel_err,
-            "amplitude_factor": report.amplitude_factor,
-            "rwa_amplitude_bound": report.rwa_amplitude_bound,
-            "oracle_diagnostics": report.oracle.diagnostics,
-        }
+        cmp_doc = report._asdict()
+        cmp_doc["oracle_diagnostics"] = cmp_doc.pop("oracle").diagnostics
         text = json.dumps(_sanitize(cmp_doc), indent=2, sort_keys=True) + "\n"
         _emit(text, f"{base}_comparison.json")
     return 0

@@ -26,6 +26,7 @@ by substep halving.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional
 
@@ -86,7 +87,9 @@ class DynamicsScenario:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in (int, float) and not math.isfinite(value):
+            # an integer is finite, and math.isfinite overflows past the float range
+            if (f.type in (int, float) and not isinstance(value, numbers.Integral)
+                    and not math.isfinite(value)):
                 raise DomainError(f"{f.name} must be finite, got {value}")
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
@@ -105,6 +108,18 @@ class DynamicsScenario:
             raise DomainError("tmp mode requires A = 0")
         if self.mode == "resonance" and self.b != 0.0:
             raise DomainError("resonance mode requires b = 0")
+        # every phase the closed forms and the oracle evaluate lies within the
+        # Hamiltonian's scale times t_end plus k psi (k <= 2L), 2 theta and phi
+        try:
+            scale = ((2.0 * abs(self.Omega) + abs(self.omega_drive)) * self.L
+                     + (abs(self.b) + 2.0 * abs(self.A)) * self.L * (self.L + 1))
+            phase = (scale * self.t_end + 2.0 * (self.L * abs(self.psi) + abs(self.theta))
+                     + abs(self.phi))
+        except OverflowError:    # an L beyond the float range
+            phase = math.inf
+        if not math.isfinite(phase):
+            raise DomainError("the scenario's phases overflow: |Hamiltonian| * t_end "
+                              "plus the angles' multiples is not a finite float")
 
     def times(self):
         return np.linspace(0.0, self.t_end, self.steps)
@@ -153,19 +168,13 @@ class SplittingTable(NamedTuple):
 
 
 class ComparisonReport(NamedTuple):
-    """Oracle vs closed form: pointwise deviation and extracted frequencies."""
+    """Oracle vs closed form: the largest pointwise deviation and the linear drive's RWA bound."""
 
     mode: str
     L: int
     kind: str
     drive: str
     max_abs_deviation: float
-    freq_expected: float
-    freq_oracle: float
-    freq_closed: float
-    freq_oracle_rel_err: float
-    freq_closed_rel_err: float
-    amplitude_factor: float      # oracle/closed peak amplitude (informational for L > 1)
     rwa_amplitude_bound: Optional[float]
     oracle: PolarizationSeries   # the series compared; its diagnostics carry the refinement
 
@@ -665,8 +674,6 @@ def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
     omegas = np.asarray(list(omega_values), dtype=float)
     if omegas.size == 0:
         raise DomainError("resonance scan needs a nonempty frequency grid")
-    if not np.all(np.isfinite(omegas)):
-        raise DomainError("resonance scan frequencies must be finite")
     if base.mode != "resonance":
         raise DomainError("resonance scan requires a resonance-mode scenario")
 
@@ -677,7 +684,14 @@ def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
 
     times = base.times()
     n = len(times)
-    factors = _resonance_factors(base, omegas)
+    # a non-finite or overflowing frequency gives a non-finite omega' t_end
+    # and is refused here, before any sample is evaluated
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = _resonance_factors(base, omegas)
+        finite = np.isfinite(factors[0] * base.t_end)
+    if not np.all(finite):
+        raise DomainError("resonance scan frequencies must be finite with a finite omega' "
+                          f"t_end, got omega' = {factors[0][~finite][0]} at t_end = {base.t_end}")
     search = _peak_search(base, factors, n)
     # samples per kernel call: the _SCAN_ARRAYS arrays of its samples then
     # hold at most _BLOCK_BYTES together
@@ -690,8 +704,8 @@ def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
         stop = max(start + 1, int(np.searchsorted(ends, starts[start] + cap, "right")))
         row, index = _peak_samples(n, np.arange(start, stop), *search)
         pz = _resonance_pz(base, factors, row, times[index])
-        # each frequency's maximum, ignoring NaN as np.nanmax does
-        peaks[start:stop] = np.fmax.reduceat(np.abs(pz), starts[start:stop] - starts[start])
+        # each frequency's maximum; every phase is finite, so no sample is NaN
+        peaks[start:stop] = np.maximum.reduceat(np.abs(pz), starts[start:stop] - starts[start])
         start = stop
     oracle_peaks = np.array([oracle_peak(w) for w in omegas]) if with_oracle else None
     return ScanResult(omegas=omegas, peaks=peaks,
@@ -720,107 +734,23 @@ def level_splitting(ops, Qs, dEr_dR):
     return SplittingTable(levels=tuple(levels), coefficient=float(coeff))
 
 
-def dominant_frequencies(times, values, n_peaks=1):
-    """Dominant angular frequencies of a uniformly sampled real signal.
-
-    Hann-windowed rFFT, zero-padded to pad = 8 times the signal length, with
-    quadratic interpolation of the log-magnitude around each spectral peak.
-    Returns a list of (omega_rad_s, amplitude) sorted by descending
-    amplitude.  The frequency resolution before interpolation is
-    2*pi/(pad * T_window).
-    """
-    pad = 8
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.size < 2:
-        raise DomainError(f"frequency extraction needs at least 2 samples, got {times.size}")
-    dt = times[1] - times[0]
-    if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0.0):
-        raise DomainError("frequency extraction needs a uniform time grid")
-    x = values - values.mean()
-    n = x.size
-    window = np.hanning(n)
-    spec = np.abs(np.fft.rfft(x * window, n=pad * n))
-    # local maxima, skipping the DC shoulder of the window
-    interior = np.arange(2, spec.size - 1)
-    is_peak = (spec[interior] > spec[interior - 1]) & (spec[interior] >= spec[interior + 1])
-    candidates = interior[is_peak]
-    if candidates.size == 0:
-        return [(0.0, 0.0)] * n_peaks
-    candidates = candidates[np.argsort(-spec[candidates])]
-    picked = []
-    min_sep = max(2, int(0.5 * pad))  # suppress sidelobe picks next to a chosen peak
-    for k in candidates:
-        if all(abs(k - p) > min_sep for p in picked):
-            picked.append(int(k))
-        if len(picked) == n_peaks:
-            break
-    out = []
-    for k in picked:
-        lm, l0, lp = np.log(spec[k - 1:k + 2] + 1e-300)
-        denom = lm - 2.0 * l0 + lp
-        delta = 0.5 * (lm - lp) / denom if denom != 0.0 else 0.0
-        freq = (k + delta) / (pad * n * dt)
-        amp = spec[k] / window.sum() * 2.0
-        out.append((2.0 * math.pi * freq, float(amp)))
-    while len(out) < n_peaks:
-        out.append((0.0, 0.0))
-    return out
-
-
-def _beat_frequency(times, signal):
-    """Beat half-splitting of a two-line signal: (omega_hi - omega_lo)/2."""
-    w = sorted(p[0] for p in dominant_frequencies(times, signal, n_peaks=2))
-    return 0.5 * (w[1] - w[0])
-
-
-def _line_frequency(times, signal):
-    """Frequency of the strongest spectral line."""
-    return dominant_frequencies(times, signal)[0][0]
-
-
 def oracle_vs_closed_form(scn, oracle_rtol=1e-9):
     """Compare the matrix-propagator oracle against the closed-form solution.
 
-    Pointwise deviations are taken over the components the closed form
-    defines.  Frequencies are extracted from both series with the same
-    spectral estimator and compared to the analytic value (2|A| frozen,
-    |b| tmp beat, omega' resonance).  For the linear resonance drive the
-    deviation is only bounded by rotating-wave corrections; the report
-    carries that bound (5 A/omega) instead of a tight match.
+    The deviation is the largest |oracle - closed form| over the components
+    the closed form defines, at every sample.  For the linear resonance drive
+    it is only bounded by rotating-wave corrections; the report carries that
+    bound (5 A/omega) instead of a tight match.
     """
     oracle = evolve_oracle(scn, rtol=oracle_rtol)
     closed = closed_form(scn)
     defined = ~np.isnan(closed.P)
     dev = float(np.max(np.abs(np.where(defined, oracle.P - closed.P, 0.0))))
-
-    # dominant coherences of near-stretched states sit at the (2L-1)-scaled
-    # line spacing; at L = 1 this reduces to the closed-form frequency
-    stretched = 2 * scn.L - 1
-    if scn.mode == "tmp":
-        expected, column, estimate = abs(scn.b) * stretched, 1, _beat_frequency
-    elif scn.mode == "frozen":
-        expected, column, estimate = 2.0 * abs(scn.A) * stretched, 2, _line_frequency
-    else:
-        expected = (math.hypot(2.0 * scn.Omega - scn.omega_drive, scn.A)
-                    if scn.L == 1 else math.nan)
-        column, estimate = 2, _line_frequency
-    sig_or, sig_cl = oracle.P[:, column], closed.P[:, column]
-    f_or, f_cl = estimate(oracle.times, sig_or), estimate(closed.times, sig_cl)
-
-    amp_cl = float(np.max(np.abs(sig_cl)))
-    amp_or = float(np.max(np.abs(sig_or)))
-    factor = amp_or / amp_cl if amp_cl > 0 else math.nan
     rwa = (5.0 * abs(scn.A) / abs(scn.omega_drive)
            if scn.mode == "resonance" and scn.drive == "linear" and scn.omega_drive
            else None)
-    return ComparisonReport(
-        mode=scn.mode, L=scn.L, kind=scn.kind, drive=scn.drive,
-        max_abs_deviation=dev, freq_expected=expected,
-        freq_oracle=f_or, freq_closed=f_cl,
-        freq_oracle_rel_err=abs(f_or - expected) / expected if expected else math.nan,
-        freq_closed_rel_err=abs(f_cl - expected) / expected if expected else math.nan,
-        amplitude_factor=factor, rwa_amplitude_bound=rwa, oracle=oracle)
+    return ComparisonReport(mode=scn.mode, L=scn.L, kind=scn.kind, drive=scn.drive,
+                            max_abs_deviation=dev, rwa_amplitude_bound=rwa, oracle=oracle)
 
 
 def _series_columns(series):

@@ -83,6 +83,19 @@ class TestCoherentState:
             got = am.coherent_state(ops, theta, psi).data
             assert np.max(np.abs(got - rotated)) <= 1e-13, (theta, psi)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="needs an extended-precision long double")
+    def test_phases_match_a_long_double_reference(self):
+        # k psi is exact in 64 mantissa bits for k <= 2L = 200
+        ops = am.build_operators(100)
+        k = np.arange(ops.dim, dtype=np.longdouble)
+        rng = np.random.default_rng(20261019)
+        for theta, psi in zip(rng.uniform(0.5, 2.6, 50), rng.uniform(-2 * np.pi, 2 * np.pi, 50)):
+            data = am.coherent_state(ops, theta, psi).data
+            phase = k * np.longdouble(psi)
+            deviation = data / np.abs(data) - (np.cos(phase) + 1j * np.sin(phase))
+            assert np.max(np.abs(deviation)) <= 1e-15, (theta, psi)
+
     @pytest.mark.parametrize("L", [1, 4, 100])
     def test_poles_are_exact_basis_vectors(self, L):
         ops = am.build_operators(L)

@@ -16,6 +16,7 @@ from oamsim import dynamics as dy
 from oamsim import moments as mo
 from oamsim import ring_config as rc
 from oamsim.errors import ConfigError
+from oamsim.verify import _dominant_frequencies
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -391,7 +392,7 @@ class TestSimulateCommand:
 
     def test_oracle_companion_report(self, tmp_path, capsys):
         doc = json.loads((CONFIG_DIR / "frozen_sim.json").read_text())
-        # 20 periods of the 2A tone so the companion report can resolve it
+        # 20 periods of the 2A tone so the spectral estimator can resolve it
         doc["scenario"] = {"mode": "frozen", "t_end_s": 20 * math.pi / 3.0,
                            "steps": 1025, "A_rad_s": 3.0}
         doc["beam"]["L"] = 1
@@ -405,8 +406,13 @@ class TestSimulateCommand:
         assert code == 0
         assert (tmp_path / "series_oracle.csv").exists()
         report = json.loads((tmp_path / "series_comparison.json").read_text())
+        assert set(report) == {"L", "drive", "kind", "max_abs_deviation", "mode",
+                               "oracle_diagnostics", "rwa_amplitude_bound"}
         assert report["max_abs_deviation"] < 1e-6
-        assert report["freq_oracle_rel_err"] < 1e-2
+        oracle = np.loadtxt(tmp_path / "series_oracle.csv", delimiter=",", skiprows=1,
+                            usecols=(0, 3))
+        [(freq, _)] = _dominant_frequencies(oracle[:, 0], oracle[:, 1])
+        assert freq == pytest.approx(2 * 3.0, rel=1e-2)
 
     def test_oracle_runs_once(self, tmp_path, capsys, monkeypatch):
         doc = {"beam": {"kinetic_energy_eV": 3e5, "L": 1, "theta": 1.1, "psi": 0.7,
@@ -444,6 +450,41 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert "--out" in json.loads(err)["message"]
+
+    def test_overflowing_phases_exit_1_and_write_nothing(self, tmp_path, capsys):
+        doc = {"beam": {"kinetic_energy_eV": 3e5, "L": 1, "theta": 1.1, "psi": 0.7,
+                        "kind": "tensor"},
+               "scenario": {"mode": "tmp", "t_end_s": 10.0, "steps": 5,
+                            "Omega_rad_s": 1e308, "b_rad_s": 1.0},
+               "oracle": {"enabled": True}}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "out" / "sim.csv"
+        out_path.parent.mkdir()
+        code, out, err = run_cli(["simulate", "--config", str(path),
+                                  "--out", str(out_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "numerical"
+        assert "phases overflow" in json.loads(err)["message"]
+        assert list(out_path.parent.iterdir()) == []
+
+    def test_finite_extreme_phases_run(self, tmp_path, capsys):
+        doc = {"beam": {"kinetic_energy_eV": 3e5, "L": 1, "theta": 1.1, "psi": 0.7,
+                        "kind": "tensor"},
+               "scenario": {"mode": "tmp", "t_end_s": 1e-10, "steps": 5,
+                            "Omega_rad_s": 1e307, "b_rad_s": 1.0},
+               "oracle": {"enabled": True}}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run_cli(["simulate", "--config", str(path),
+                              "--out", str(tmp_path / "sim.csv")], capsys)
+        assert code == 0
+        for name, defined in (("sim.csv", (0, 1, 2, 3)), ("sim_oracle.csv", range(10))):
+            data = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, usecols=defined)
+            assert np.all(np.isfinite(data))
+        report = json.loads((tmp_path / "sim_comparison.json").read_text())
+        assert math.isfinite(report["max_abs_deviation"])
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -527,6 +568,27 @@ class TestScanCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err) == {"error": "config", "message": message}
+
+    def test_overflowing_phase_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def never(*args):
+            raise AssertionError("the closed form ran")
+
+        monkeypatch.setattr(dy, "_resonance_pz", never)
+        doc = json.loads((CONFIG_DIR / "resonance_scan.json").read_text())
+        doc["scenario"]["t_end_s"] = 10.0
+        doc["scenario"]["steps"] = 11
+        doc["scan"] = {"omega_values_rad_s": [100.0, 1e308]}
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "out" / "scan.csv"
+        out_path.parent.mkdir()
+        code, out, err = run_cli(["scan", "--config", str(path), "--out", str(out_path)],
+                                 capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "numerical"
+        assert list(out_path.parent.iterdir()) == []
 
     def test_nonbracketing_grid_warns(self, tmp_path, capsys):
         doc = json.loads((CONFIG_DIR / "resonance_scan.json").read_text())

@@ -13,6 +13,7 @@ from oamsim import moments as mo
 from oamsim import ring_config as rc
 from oamsim.constants import C, E_CHARGE, HBAR
 from oamsim.errors import ConvergenceError, DomainError
+from oamsim.verify import _dominant_frequencies as dominant_frequencies
 
 
 def tmp_scn(**kw):
@@ -108,6 +109,28 @@ class TestScenarioValidation:
     def test_steps_must_be_an_integer(self, steps):
         with pytest.raises(DomainError, match="integer"):
             dy.DynamicsScenario(mode="tmp", L=1, steps=steps)
+
+    @pytest.mark.parametrize("fields", [
+        dict(Omega=1e308, t_end=10.0), dict(b=1e308, t_end=2.0), dict(L=10**400),
+        dict(psi=1e308), dict(theta=1e308), dict(L=2**40, b=1e300)],
+        ids=["Omega", "b", "L-beyond-float", "psi", "theta", "L-times-b"])
+    def test_overflowing_phases_rejected(self, fields):
+        with pytest.raises(DomainError, match="phases overflow"):
+            tmp_scn(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        dict(mode="tmp", Omega=1e307, t_end=1e-10),
+        dict(mode="frozen", A=1e307, t_end=1e-10),
+        dict(mode="resonance", Omega=1e307, omega_drive=2e307, A=1e306, t_end=1e-10)],
+        ids=["tmp", "frozen", "resonance"])
+    def test_finite_extreme_phases_run(self, fields):
+        scn = dy.DynamicsScenario(L=1, theta=0.7, psi=0.3, kind="tensor", steps=64, **fields)
+        rep = dy.oracle_vs_closed_form(scn)
+        closed = dy.closed_form(scn)
+        defined = ~np.isnan(closed.P[0])
+        assert np.all(np.isfinite(closed.P[:, defined]))
+        assert np.all(np.isfinite(rep.oracle.P)) and np.all(np.isfinite(rep.oracle.Pt))
+        assert np.isfinite(rep.max_abs_deviation)
 
     def test_non_finite_coefficient_rejected_before_the_oracle(self):
         with pytest.raises(DomainError, match="finite"):
@@ -571,12 +594,15 @@ class TestClosedFormTmp:
         scn = tmp_scn(steps=1024)
         rep = dy.oracle_vs_closed_form(scn)
         assert rep.max_abs_deviation < 1e-6
-        assert rep.amplitude_factor == pytest.approx(1.0, abs=1e-6)
+        # the P_phi amplitudes of the two series agree at L = 1
+        ratio = (np.max(np.abs(rep.oracle.P[:, 1]))
+                 / np.max(np.abs(dy.closed_form(scn).P[:, 1])))
+        assert ratio == pytest.approx(1.0, abs=1e-6)
 
     def test_spectral_lines_at_omega_pm_b(self):
         scn = tmp_scn(steps=8192, t_end=32 * 2 * np.pi)
         series = dy.evolve_oracle(scn)
-        peaks = dy.dominant_frequencies(series.times, series.P[:, 1], n_peaks=2)
+        peaks = dominant_frequencies(series.times, series.P[:, 1], n_peaks=2)
         freqs = sorted(p[0] for p in peaks)
         assert freqs[0] == pytest.approx(8.0 - 1.0, rel=1e-3)
         assert freqs[1] == pytest.approx(8.0 + 1.0, rel=1e-3)
@@ -599,9 +625,11 @@ class TestClosedFormFrozen:
         assert series.P[1, 2] == pytest.approx(0.5, rel=1e-12)
 
     def test_oracle_frequency_2A(self):
-        rep = dy.oracle_vs_closed_form(frozen_scn(steps=8192, t_end=32 * 2 * np.pi))
-        assert rep.freq_expected == pytest.approx(1.0)
-        assert rep.freq_oracle_rel_err < 1e-3
+        scn = frozen_scn(steps=8192, t_end=32 * 2 * np.pi)
+        assert 2 * scn.A == 1.0
+        rep = dy.oracle_vs_closed_form(scn)
+        [(freq, _)] = dominant_frequencies(rep.oracle.times, rep.oracle.P[:, 2])
+        assert freq == pytest.approx(2 * scn.A, rel=1e-3)
         assert rep.max_abs_deviation < 1e-6
 
     def test_theta_zero_vector_regime(self):
@@ -612,11 +640,11 @@ class TestClosedFormFrozen:
         assert rep.max_abs_deviation < 1e-9
 
     def test_stretched_factor_L2(self):
-        # dominant P_z tone for L=2 sits at (2L-1) * 2A
+        # dominant P_z tone for L=2 sits at (2L-1) * 2A = 3
         scn = frozen_scn(L=2, steps=8192, t_end=16 * 2 * np.pi)
-        rep = dy.oracle_vs_closed_form(scn)
-        assert rep.freq_expected == pytest.approx(3.0)
-        assert rep.freq_oracle_rel_err < 1e-2
+        series = dy.evolve_oracle(scn)
+        [(freq, _)] = dominant_frequencies(series.times, series.P[:, 2])
+        assert freq == pytest.approx(3 * 2 * scn.A, rel=1e-2)
 
 
 class TestClosedFormResonance:
@@ -847,6 +875,13 @@ class TestResonanceScan:
         with pytest.raises(DomainError, match="finite"):
             dy.resonance_scan(resonance_scn(), [bad, 100.0])
 
+    def test_overflowing_phase_raises_before_the_kernel(self, monkeypatch):
+        calls = record_kernel_calls(monkeypatch)
+        base = resonance_scn(Omega=50.0, omega_drive=100.0, t_end=10.0, steps=11)
+        with pytest.raises(DomainError, match="finite omega' t_end"):
+            dy.resonance_scan(base, [100.0, 1e308])
+        assert calls == []
+
     def test_zero_coupling_on_resonance_raises(self, monkeypatch):
         base = resonance_scn(A=0.0, t_end=np.pi, steps=64)
         monkeypatch.setattr(dy, "_BLOCK_BYTES", 2 * dy._SCAN_ARRAYS * base.times().nbytes)
@@ -899,7 +934,7 @@ class TestSpectralEstimator:
     def test_two_tone_accuracy(self):
         t = np.linspace(0.0, 40 * 2 * np.pi / 7.3, 8192)
         y = 0.4 * np.sin(7.3 * t + 0.2) + 0.25 * np.sin(9.1 * t + 1.0)
-        peaks = dy.dominant_frequencies(t, y, n_peaks=2)
+        peaks = dominant_frequencies(t, y, n_peaks=2)
         freqs = sorted(p[0] for p in peaks)
         assert freqs[0] == pytest.approx(7.3, rel=5e-4)
         assert freqs[1] == pytest.approx(9.1, rel=5e-4)
@@ -907,12 +942,12 @@ class TestSpectralEstimator:
     @pytest.mark.parametrize("n", [0, 1])
     def test_needs_two_samples(self, n):
         with pytest.raises(DomainError, match="2 samples"):
-            dy.dominant_frequencies(np.zeros(n), np.ones(n))
+            dominant_frequencies(np.zeros(n), np.ones(n))
 
     def test_needs_uniform_grid(self):
         t = np.array([0.0, 0.1, 0.3, 0.4])
         with pytest.raises(DomainError):
-            dy.dominant_frequencies(t, np.zeros_like(t))
+            dominant_frequencies(t, np.zeros_like(t))
 
 
 class TestSeriesSerialization:
