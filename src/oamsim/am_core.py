@@ -187,12 +187,10 @@ def coherent_state(ops, theta, psi):
         vec = np.zeros(n + 1, dtype=complex)
         vec[end] = np.exp(1j * end * psi)
         return pure_state(vec)
-    binom = [1]                 # C(2L, k) as exact integers, whose logs round once
-    for j in range(n):
-        binom.append(binom[-1] * (n - j) // (j + 1))
     k = np.arange(n + 1)
     cos_half, sin_half = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    log_abs = (0.5 * np.array([math.log(b) for b in binom])
+    # C(2L, k) as exact integers, whose logs round once
+    log_abs = (0.5 * np.array([math.log(math.comb(n, j)) for j in range(n + 1)])
                + (n - k) * math.log(abs(cos_half)) + k * math.log(abs(sin_half)))
     sign = np.sign(cos_half) ** (n - k) * np.sign(sin_half) ** k
     # k psi rounds once.  With psi = hi + lo, hi on 53 - bit_length(n) bits,

@@ -59,44 +59,44 @@ SCHEMA = {
     },
 }
 
-# scenario keys each mode reads besides mode, t_end_s and steps; any other
-# scenario key would be dropped unread, so validate_config rejects it
+# scenario keys each mode reads besides mode, t_end_s and steps, and the keys
+# of which it requires one (none: it requires none); any other scenario key
+# would be dropped unread, so validate_config rejects it
 MODE_KEYS = {
-    "tmp": ("Omega_rad_s", "b_rad_s"),
-    "frozen": ("A_rad_s",),
-    "resonance": ("Omega_rad_s", "A_rad_s", "grad_amplitude_V_m2", "omega_drive", "phi",
-                  "drive"),
+    "tmp": (("Omega_rad_s", "b_rad_s"), ()),
+    "frozen": (("A_rad_s",), ()),
+    "resonance": (("Omega_rad_s", "A_rad_s", "grad_amplitude_V_m2", "omega_drive", "phi",
+                   "drive"), ("grad_amplitude_V_m2", "A_rad_s")),
 }
 
-# sections each command reads; any other section would be dropped unread
+# What each command reads.  For each section it reads: the keys it reads
+# (None: all of the schema's), the keys it requires (None: the section may be
+# absent), and for a key of which it accepts only some values, those values
+# with the error that names the rule.  Any other section or key would be
+# dropped unread, so validate_config rejects it.
+_BEAM = ("kinetic_energy_eV", "L", "theta", "psi", "kind")
+_RUN = ("mode", "t_end_s", "steps")
+_ANY = (None, None, {})
+# freeze and moments take their format from --format only
+_REPORT_OUTPUT = (None, None, {"format": ((), "output.format is not read by {command!r}: "
+                                               "--format json|text sets its format")})
 READS = {
-    "freeze": ("beam", "ring", "output"),
-    "moments": ("beam", "ring", "output"),
-    "simulate": ("beam", "ring", "scenario", "output", "oracle"),
-    "scan": ("beam", "ring", "scenario", "scan", "output", "oracle"),
-}
-# keys each command reads within a section it reads, where that is fewer
-# than the schema has; any other key there would be dropped unread
-KEYS_READ = {
-    "freeze": {"beam": ("kinetic_energy_eV",)},
-    "moments": {"beam": ("kinetic_energy_eV", "L", "density_path")},
-    "simulate": {"beam": ("kinetic_energy_eV", "L", "theta", "psi", "kind")},
-    "scan": {"beam": ("kinetic_energy_eV", "L", "theta", "psi", "kind"),
+    "freeze": {"beam": (("kinetic_energy_eV",), ("kinetic_energy_eV",), {}),
+               "ring": (None, ("R0_m", "n"), {}), "output": _REPORT_OUTPUT},
+    "moments": {"beam": (("kinetic_energy_eV", "L", "density_path"),
+                         ("kinetic_energy_eV", "L"), {}),
+                "ring": (None, (), {}), "output": _REPORT_OUTPUT},
+    "simulate": {"beam": (_BEAM, _BEAM, {}), "ring": _ANY, "scenario": (None, _RUN, {}),
+                 "output": _ANY, "oracle": _ANY},
+    "scan": {"beam": (_BEAM, _BEAM, {}), "ring": _ANY,
              # the scan grid sets the drive frequency
-             "scenario": tuple(k for k in SCHEMA["scenario"] if k != "omega_drive"),
-             "oracle": ("enabled",)},
-}
-# commands whose format only --format sets, so output.format is not read
-_REPORTS = ("freeze", "moments")
-
-REQUIRED = {
-    "freeze": {"beam": ("kinetic_energy_eV",), "ring": ("R0_m", "n")},
-    "moments": {"beam": ("kinetic_energy_eV", "L"), "ring": ()},
-    "simulate": {"beam": ("kinetic_energy_eV", "L", "theta", "psi", "kind"),
-                 "scenario": ("mode", "t_end_s", "steps")},
-    "scan": {"beam": ("kinetic_energy_eV", "L", "theta", "psi", "kind"),
-             "scenario": ("mode", "t_end_s", "steps"),
-             "scan": ()},
+             "scenario": (tuple(k for k in SCHEMA["scenario"] if k != "omega_drive"), _RUN,
+                          {"mode": (("resonance",), "scan requires scenario.mode = 'resonance'")}),
+             "scan": (None, (), {}),
+             "output": (None, None, {"format": (
+                 ("csv",), "scan writes csv only: output.format must be 'csv'")}),
+             "oracle": (("enabled",), None, {"enabled": (
+                 (False,), "scan has no oracle: oracle.enabled must be false")})},
 }
 
 
@@ -144,7 +144,7 @@ def _check_value(section, key, value):
 
 def validate_config(doc, command):
     """Validate a configuration dict for a CLI command; returns the normalized dict."""
-    if command not in REQUIRED:
+    if command not in READS:
         raise ConfigError(f"unknown command {command!r}")
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -162,33 +162,36 @@ def validate_config(doc, command):
     if {"n", "B0_T"} <= out.get("ring", {}).keys():
         raise ConfigError("ring.n and ring.B0_T are exclusive: give R0_m + n (frozen "
                           "solve) or B0_T (direct field)")
-    for section, keys in REQUIRED[command].items():
-        if section not in out:
+    reads = READS[command]
+    for section, (_, required, _) in reads.items():
+        if required is not None and section not in out:
             raise ConfigError(f"command {command!r} requires a {section!r} section")
-        for key in keys:
+        for key in required or ():
             if key not in out[section]:
                 raise ConfigError(f"command {command!r} requires {section}.{key}")
-    for section, reads in KEYS_READ[command].items():
-        for key in out.get(section, {}):
-            if key not in reads:
+    for section, content in out.items():
+        if section not in reads:
+            raise ConfigError(f"section {section!r} is not read by {command!r}")
+        keys, _, accepts = reads[section]
+        for key, value in content.items():
+            if keys is not None and key not in keys:
                 raise ConfigError(f"{section}.{key} is not read by {command!r}")
+            if key in accepts and value not in accepts[key][0]:
+                raise ConfigError(accepts[key][1].format(command=command))
     oracle = out.get("oracle", {})
     if "tolerance" in oracle and not oracle.get("enabled", False):
         raise ConfigError(f"oracle.tolerance is not read by {command!r} "
                           "unless oracle.enabled is true")
-    scenario = out.get("scenario", {})
-    if "mode" in scenario:
+    if "scenario" in out:
+        scenario = out["scenario"]
         mode = scenario["mode"]
-        reads = ("mode", "t_end_s", "steps") + MODE_KEYS[mode]
+        keys, one_of = MODE_KEYS[mode]
         for key in scenario:
-            if key not in reads:
+            if key not in _RUN + keys:
                 raise ConfigError(f"scenario.{key} is not read in {mode} mode")
-    for section in out:
-        if section not in READS[command]:
-            raise ConfigError(f"section {section!r} is not read by {command!r}")
-    if command in _REPORTS and "format" in out.get("output", {}):
-        raise ConfigError(f"output.format is not read by {command!r}: "
-                          "--format json|text sets its format")
+        if one_of and not any(key in scenario for key in one_of):
+            raise ConfigError(f"{mode} mode requires "
+                              + " or ".join(f"scenario.{key}" for key in one_of))
     return out
 
 

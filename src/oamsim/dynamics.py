@@ -51,7 +51,8 @@ _MODES = ("tmp", "frozen", "resonance")
 _KINDS = ("vector", "tensor")
 _DRIVES = ("corotating", "linear")
 _BLOCK_BYTES = 2 * 2**20           # oracle members per streamed block; a scan block's kernel arrays
-_INTERVAL_BUDGET_BYTES = 2**30     # substep unitaries one _propagate run may compute
+_INTERVAL_BUDGET_BYTES = 2**30     # substep unitaries one _propagate run may compute; the
+                                   # density matrices evolve_oracle may return
 _CHUNK_BYTES = 32 * 2**20          # substep unitaries it holds per streamed chunk
 # fourth-order commutator-free Magnus step: Gauss-Legendre nodes within a
 # substep and the weights of H at those nodes in the two exponentials
@@ -139,9 +140,16 @@ class PolarizationSeries:
         return len(self.times)
 
     def validate(self):
-        """Check series invariants on all components the source defines, at 1e-10."""
+        """Check series invariants on all components the source defines, at 1e-10.
+
+        The oracle defines every cell and diagnostic, so there a NaN is an error.
+        """
         if np.any(np.diff(self.times) <= 0):
             raise DomainError("series times must be strictly increasing")
+        if self.source == "oracle":
+            numbers = [v for v in (self.diagnostics or {}).values() if isinstance(v, float)]
+            if np.isnan(self.P).any() or np.isnan(self.Pt).any() or np.isnan(numbers).any():
+                raise DomainError("oracle series has a NaN cell or diagnostic")
         full_vec = ~np.any(np.isnan(self.P), axis=1)
         if np.any(full_vec):
             norms = np.linalg.norm(self.P[full_vec], axis=1)
@@ -390,8 +398,11 @@ def _series_from_states(scn, ops, weights, blocks, diagnostics, keep_states):
         stop = start + len(block)
         p[start:stop], pt[start:stop] = _ensemble_polarization(weights, block, ops)
         for key, value in _state_diagnostics(weights, block).items():
-            merge = min if key == "min_eigenvalue" else max
-            diagnostics[key] = merge(diagnostics.get(key, value), value)
+            # numpy's minimum and maximum keep a NaN, where Python's may drop
+            # it; on a tie they return their second argument, as Python's
+            # return their first
+            merge = np.minimum if key == "min_eigenvalue" else np.maximum
+            diagnostics[key] = float(merge(value, diagnostics.get(key, value)))
         if keep_states:
             kept.append(block)
         start = stop
@@ -420,7 +431,7 @@ def _state_diagnostics(weights, members):
         disc = np.maximum((w1 * g11 - w2 * g22)**2 + 4.0 * w1 * w2 * np.abs(overlap)**2, 0.0)
         low = 0.5 * (w1 * g11 + w2 * g22 - np.sqrt(disc))
         diag["max_herm_dev"] = 0.0
-        diag["min_eigenvalue"] = min(0.0, float(np.min(low)))
+        diag["min_eigenvalue"] = float(np.minimum(np.min(low), 0.0))
     return diag
 
 
@@ -452,7 +463,8 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
     Members are processed in blocks of about 2 MB.  Returns a
     PolarizationSeries, and with return_states=True also the states: an
     (n, dim) array of state vectors for the vector kind, an (n, dim, dim)
-    array of density matrices rho(t) for the tensor kind.  The diagnostics
+    array of density matrices rho(t) for the tensor kind, which must fit in
+    the 1 GiB budget (else ConvergenceError, before any work).  The diagnostics
     carry max_norm_dev over every member at every sample; tensor runs add
     max_trace_dev, max_herm_dev and min_eigenvalue of rho at every sample
     (see _state_diagnostics).
@@ -462,6 +474,13 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
     require_int("max_halvings", max_halvings, 0)
     if fixed_substeps is not None:
         require_int("fixed_substeps", fixed_substeps, 1)
+    if return_states and scn.kind == "tensor":
+        dim = 2 * scn.L + 1
+        need = scn.steps * dim**2 * 16
+        if need > _INTERVAL_BUDGET_BYTES:
+            raise ConvergenceError(
+                f"{scn.steps} density matrices of dimension {dim} need {need / 2**30:.3g} "
+                f"GiB, over the {_INTERVAL_BUDGET_BYTES / 2**30:g} GiB budget")
     if ops is None:
         ops = build_operators(scn.L)
     decomposition = h0, terms = hamiltonian_terms(scn, ops)

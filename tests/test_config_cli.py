@@ -557,7 +557,12 @@ class TestScanCommand:
     @pytest.mark.parametrize("section, value, message", [
         ("output", {"format": "json"}, "scan writes csv only: output.format must be 'csv'"),
         ("oracle", {"enabled": True}, "scan has no oracle: oracle.enabled must be false"),
-    ], ids=["json", "oracle"])
+        # the mode is the fault, not the missing ring its coefficients would come from
+        ("scenario", {"mode": "tmp", "t_end_s": 1.0, "steps": 8},
+         "scan requires scenario.mode = 'resonance'"),
+        ("scenario", {"mode": "frozen", "t_end_s": 1.0, "steps": 8},
+         "scan requires scenario.mode = 'resonance'"),
+    ], ids=["json", "oracle", "tmp-no-ring", "frozen-no-ring"])
     def test_section_scan_cannot_honour_rejected(self, section, value, message,
                                                  tmp_path, capsys):
         doc = json.loads((CONFIG_DIR / "resonance_scan.json").read_text())
@@ -644,6 +649,40 @@ def test_simulate_companion_file_that_cannot_be_opened_is_a_config_error(blocked
     error = json.loads(err)
     assert error["error"] == "config"
     assert error["message"].startswith("cannot open output path ")
+
+
+# a coefficient the run needs that neither the scenario nor the ring gives
+@pytest.mark.parametrize("command, ring, scenario, message", [
+    ("simulate", {"B0_T": 1.0}, {"mode": "frozen"},
+     "frozen mode requires ring.R0_m and ring.n"),
+    ("simulate", None, {"mode": "tmp"}, "ring section must provide R0_m+n or B0_T"),
+    ("simulate", {"R0_m": 0.5}, {"mode": "resonance", "A_rad_s": 0.25},
+     "ring section must provide R0_m+n or B0_T"),
+    ("moments", {"R0_m": 0.5}, None, "ring section must provide R0_m+n or B0_T"),
+    ("simulate", None, {"mode": "resonance", "Omega_rad_s": 2.0},
+     "resonance mode requires scenario.grad_amplitude_V_m2 or scenario.A_rad_s"),
+    ("scan", None, {"mode": "resonance", "Omega_rad_s": 2.0},
+     "resonance mode requires scenario.grad_amplitude_V_m2 or scenario.A_rad_s"),
+], ids=["frozen-without-R0-n", "tmp-without-ring", "resonance-R0-only", "moments-R0-only",
+        "resonance-without-A", "scan-without-A"])
+def test_coefficients_the_config_cannot_give_rejected(command, ring, scenario, message,
+                                                     tmp_path, capsys):
+    doc = {"beam": {"kinetic_energy_eV": 3e5, "L": 1, "theta": 1.1, "psi": 0.7,
+                    "kind": "tensor"}}
+    if command == "moments":
+        doc["beam"] = {"kinetic_energy_eV": 3e5, "L": 1}
+    if ring is not None:
+        doc["ring"] = ring
+    if scenario is not None:
+        doc["scenario"] = {"t_end_s": 1.0, "steps": 8, **scenario}
+    if command == "scan":
+        doc["scan"] = {"omega_values_rad_s": [3.0, 4.0, 5.0]}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "config", "message": message}
 
 
 def test_density_file_errors_exit_without_traceback(tmp_path, capsys):

@@ -329,6 +329,49 @@ class TestOracleBasics:
         assert d["max_norm_dev"] < 1e-14 and d["max_trace_dev"] < 1e-14
         assert d["max_herm_dev"] < 1e-14
 
+    def test_nan_member_stays_visible(self):
+        # a NaN member in the second of two blocks: Python's min and max merged
+        # it away, and validate skipped its rows, so the run read as clean
+        scn = frozen_scn(steps=8)
+        ops = am.build_operators(1)
+        weights, members = dy.initial_state(scn, ops)
+        states = np.repeat(members[None], 8, axis=0)
+        states[6, 1, 0] = np.nan
+        assert math.isnan(dy._state_diagnostics(weights, states[4:])["min_eigenvalue"])
+        diag = {}
+        with pytest.raises(DomainError, match="NaN"):
+            dy._series_from_states(scn, ops, weights, [states[:4], states[4:]], diag, False)
+        for key in ("max_norm_dev", "max_trace_dev", "min_eigenvalue"):
+            assert math.isnan(diag[key]), key
+
+    @pytest.mark.parametrize("where", ["P", "Pt", "diagnostic"])
+    def test_validate_rejects_nan_in_oracle_series(self, where):
+        series = dy.evolve_oracle(frozen_scn(steps=8))
+        if where == "diagnostic":
+            series.diagnostics["max_trace_dev"] = math.nan
+        else:
+            getattr(series, where).flat[4] = np.nan
+        with pytest.raises(DomainError, match="NaN"):
+            series.validate()
+
+    @pytest.mark.parametrize("steps, kind, return_states, bounded", [
+        (2001, "tensor", True, True), (1662, "tensor", True, True),
+        (1661, "tensor", True, False), (2001, "tensor", False, False),
+        (2001, "vector", True, False)],
+        ids=["paper-scale", "one-over", "at-budget", "no-states", "vector"])
+    def test_returned_density_matrices_bounded_before_work(self, steps, kind, return_states,
+                                                           bounded, monkeypatch):
+        # n (2L+1)^2 complex entries: 1.20 GiB for 2001 steps at L = 100, and
+        # 1661 steps is the most that fits in the 1 GiB budget
+        def no_work(*args):
+            raise AssertionError("work began")
+        monkeypatch.setattr(dy, "build_operators", no_work)
+        monkeypatch.setattr(dy, "initial_state", no_work)
+        scn = frozen_scn(L=100, steps=steps, kind=kind)
+        expected = (ConvergenceError, "GiB budget") if bounded else (AssertionError, "work")
+        with pytest.raises(expected[0], match=expected[1]):
+            dy.evolve_oracle(scn, return_states=return_states)
+
     def test_energy_conservation(self):
         scn = tmp_scn(kind="vector", steps=512)
         ops = am.build_operators(1)
