@@ -127,13 +127,6 @@ def build_operators(L):
     return AmOperators(L=L, m=m, c=c)
 
 
-def expi_hermitian(matrix, scale=1.0):
-    """exp(-1j * scale * matrix) for a Hermitian matrix, or a stack of them, via eigh."""
-    w, v = np.linalg.eigh(matrix)
-    phase = np.exp(-1j * scale * w)
-    return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def _validate_pure(vec):
     norm = np.linalg.norm(vec)
     if not abs(norm - 1.0) <= _NORM_TOL:    # written so that a NaN norm fails too

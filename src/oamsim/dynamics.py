@@ -21,7 +21,7 @@ terms.  The verification oracle propagates these exactly from one
 eigendecomposition per parity block of exp(i pi Lz), the corotating drive
 in the frame rotating at omega/2 where it is static; only the linear drive
 uses a time-ordered fourth-order commutator-free Magnus propagator refined
-by substep halving.
+by substep halving, which runs per parity block in real arithmetic.
 """
 
 import json
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import floattext
 from .am_core import (OBSERVABLES, PARITY_BLOCKS, TENSOR_PAIRS, antiparallel_pair,
-                      build_operators, coherent_state, expi_hermitian, polarization_batch)
+                      build_operators, coherent_state, polarization_batch)
 # kept importable from dynamics: perfbench's tracer self-test patches it here
 from .am_core import polarization_tensor  # noqa: F401
 from .constants import HBAR
@@ -272,47 +272,131 @@ def _density_matrices(weights, members):
     return (members.swapaxes(1, 2) * weights) @ members.conj()
 
 
+def _mul(a, b):
+    """a @ b for stacks of complex matrices held as (real, imaginary) pairs on
+    the first axis: four real matmuls, ar br, ai br, ar bi and ai bi, in two calls."""
+    out = a @ b[0]
+    cross = a @ b[1]
+    out[0] -= cross[1]
+    out[1] += cross[0]
+    return out
+
+
+def _expi_pair(h, scale):
+    """exp(-i scale h) for a stack of real symmetric h = V diag(w) V^T, from one
+    real eigh, as the pair (V cos(scale w) V^T, -V sin(scale w) V^T)."""
+    w, v = np.linalg.eigh(h)
+    phase = scale * w[..., None, :]
+    return (v * np.stack([np.cos(phase), np.sin(-phase)])) @ v.swapaxes(-1, -2)
+
+
+def _ordered_product(u):
+    """u_{n-1} ... u_1 u_0 over axis 1 of a (real, imaginary) pair stack,
+    multiplying adjacent pairs in ceil(log2(n)) rounds."""
+    while u.shape[1] > 1:
+        even = u.shape[1] // 2 * 2
+        pairs = _mul(u[:, 1:even:2], u[:, :even:2])
+        u = pairs if even == u.shape[1] else np.concatenate([pairs, u[:, even:]], axis=1)
+    return u[:, 0]
+
+
+def _polar_step(x):
+    """One Newton-Schulz step X (3 I - X^H X)/2 towards the unitary polar factor
+    of a (real, imaginary) pair stack; it squares X's distance from unitarity."""
+    xh = x.swapaxes(-1, -2).copy()
+    xh[1] *= -1.0
+    c = _mul(xh, x)
+    c *= -0.5
+    d = c.shape[-1]
+    c[0, ..., range(d), range(d)] += 1.5
+    return _mul(x, c)
+
+
+def _prefix_products(u):
+    """P_i = u_i ... u_1 u_0 for every i along axis 1 of a (real, imaginary)
+    pair stack: the products of adjacent pairs, their prefix products (the odd
+    i), then one product more for each even i; about 2n products in 2 log2(n)
+    rounds."""
+    n = u.shape[1]
+    if n == 1:
+        return u
+    p = u.copy()
+    p[:, 1::2] = _prefix_products(_mul(u[:, 1::2], u[:, :n - 1:2]))
+    p[:, 2::2] = _mul(u[:, 2::2], p[:, 1:n - 1:2])
+    return p
+
+
 def _propagate(scn, decomposition, members, n_sub):
     """Propagate a (k, dim) member stack; returns the (n, k, dim) members at every sample.
 
     Each output interval takes n_sub fourth-order commutator-free Magnus
     substeps (Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519): on [s, s + h],
     exp(-i h (a2 H1 + a1 H2)) exp(-i h (a1 H1 + a2 H2)) with H1, H2 sampled at
-    the Gauss-Legendre nodes s + c1 h, s + c2 h.  Per chunk of whole intervals
-    (about _CHUNK_BYTES of substep unitaries, at least one interval) the
-    substeps are multiplied in time order, and the interval products are
-    projected onto the unitary group and applied to the members.
+    the Gauss-Legendre nodes s + c1 h, s + c2 h.
+
+    The terms must be real and couple m only to m and m +- 2, as the linear
+    drive's do (else DomainError).  So H(t) is real symmetric on each parity
+    block of am_core.PARITY_BLOCKS, and each block's member components are
+    propagated on their own, one chunk of whole intervals at a time (about
+    _CHUNK_BYTES of the block's substep unitaries, at least one interval).
+    Every exponential comes from a real eigh, and every unitary is held as
+    its (real, imaginary) pair, so that a product is four real matmuls.  The
+    substeps are multiplied in time order, one Newton-Schulz step takes each
+    interval product back to the unitary group (so rounding drift does not
+    leak into norm and trace preservation over long runs), and prefix
+    products give the propagator from the chunk's start to every sample,
+    which one matmul applies to the members.  A diagonal block (the 1x1 odd
+    block at L = 1) needs no eigh: its exponentials commute, so that
+    propagator is the phase of the summed exponents.  A level's substep
+    unitaries, n_out n_sub sum_b d_b^2 complex entries over blocks of size
+    d_b, must fit the 1 GiB budget (else ConvergenceError, before any work).
     """
     times = scn.times()
     n_out = len(times) - 1
-    dim = members.shape[1]
-    need = n_out * n_sub * dim**2 * 16
+    k, dim = members.shape
+    sizes = [len(range(dim)[rows]) for rows in PARITY_BLOCKS]
+    need = n_out * n_sub * sum(d * d for d in sizes) * 16
     if need > _INTERVAL_BUDGET_BYTES:
         raise ConvergenceError(
             f"{n_sub} substeps over {n_out} intervals need {need / 2**30:.3g} GiB of "
             f"unitaries, over the {_INTERVAL_BUDGET_BYTES / 2**30:g} GiB budget")
+    h0, terms = decomposition
+    matrices = np.stack([h0, *(hk for _, _, hk in terms)])
+    if matrices.imag.any() or matrices[:, PARITY_BLOCKS[0], PARITY_BLOCKS[1]].any():
+        raise DomainError("the piecewise propagator needs real Hamiltonian terms that "
+                          "couple m only to m and m +- 2")
     dt_sub = (times[1] - times[0]) / n_sub
     sub_starts = np.arange(n_sub) * dt_sub
-    per_chunk = max(1, _CHUNK_BYTES // (n_sub * dim**2 * 16))
+    nodes = dt_sub * np.array(_GAUSS_NODES)[:, None]
     a1, a2 = _CF4_WEIGHTS
-    out = np.empty((n_out + 1,) + members.shape, dtype=complex)
+    # each exponential's weights on H at the two nodes, the later one first
+    node_weights = np.array([[a2, a1], [a1, a2]])
+    out = np.empty((n_out + 1, k, dim), dtype=complex)
     out[0] = members
-    for start in range(0, n_out, per_chunk):
-        # substep-major, so each substep's unitaries over the chunk are contiguous
-        s = (sub_starts[:, None] + times[:-1][start:start + per_chunk]).ravel()
-        h1, h2 = (_evaluate(scn, decomposition, s + c * dt_sub) for c in _GAUSS_NODES)
-        # the later exponential acts on the left
-        u = np.matmul(expi_hermitian(a2 * h1 + a1 * h2, dt_sub),
-                      expi_hermitian(a1 * h1 + a2 * h2, dt_sub)).reshape(n_sub, -1, dim, dim)
-        interval = u[0]
-        for substep in u[1:]:
-            interval = substep @ interval
-        # project the products back onto the unitary group so rounding drift
-        # does not leak into norm and trace preservation over long runs
-        w, _, vh = np.linalg.svd(interval)
-        for i, step in enumerate(w @ vh, start=start + 1):
-            members = members @ step.T
-            out[i] = members
+    for rows, d in zip(PARITY_BLOCKS, sizes):
+        sliced = matrices[:, rows, rows].real
+        block = (sliced[0], tuple((a, f, hk) for (a, f, _), hk in zip(terms, sliced[1:])))
+        diagonal = not (sliced * (1.0 - np.eye(d))).any()
+        per_chunk = max(1, _CHUNK_BYTES // (n_sub * d * d * 16))
+        state = members[:, rows].T
+        for start in range(0, n_out, per_chunk):
+            # substep-major, so each substep's unitaries over the chunk are contiguous
+            s = (sub_starts[:, None] + times[:-1][start:start + per_chunk]).ravel()
+            h = _evaluate(scn, block, s + nodes)
+            x = (node_weights @ h.reshape(2, -1)).reshape(h.shape)
+            if diagonal:
+                # commuting exponentials: the propagator from the chunk's start
+                # is the phase of the summed exponents
+                phase = dt_sub * np.diagonal(x, 0, 2, 3).sum(0).reshape(n_sub, -1, d).sum(0)
+                moved = np.exp(-1j * phase.cumsum(0))[..., None] * state
+            else:
+                later, earlier = _expi_pair(x, dt_sub).swapaxes(0, 1)
+                # the later exponential acts on the left
+                substeps = _mul(later, earlier).reshape(2, n_sub, -1, d, d)
+                p = _prefix_products(_polar_step(_ordered_product(substeps)))
+                moved = ((p[0] + 1j * p[1]).reshape(-1, d) @ state).reshape(-1, d, k)
+            out[start + 1:start + 1 + len(moved), :, rows] = moved.swapaxes(1, 2)
+            state = moved[-1]
     return out
 
 

@@ -400,6 +400,38 @@ class TestOracleBasics:
         with pytest.raises(ConvergenceError, match="GiB budget"):
             dy.evolve_oracle(scn, fixed_substeps=2**20)
 
+    @pytest.mark.parametrize("n_sub, bounded", [(256, True), (128, False)],
+                             ids=["over", "blocks-fit"])
+    def test_interval_budget_counts_parity_blocks(self, n_sub, bounded, monkeypatch):
+        # L = 10: blocks of 11 and 10 hold 221 entries a unitary, the dense
+        # matrix 441; at 128 substeps the blocks fit (0.84 GiB), dense would not
+        def no_work(*args):
+            raise AssertionError("eigh called")
+        monkeypatch.setattr(np.linalg, "eigh", no_work)
+        scn = resonance_scn(L=10, steps=2001, drive="linear")
+        if not bounded:
+            with pytest.raises(AssertionError, match="eigh called"):
+                dy.evolve_oracle(scn, fixed_substeps=n_sub)
+            return
+        with pytest.raises(ConvergenceError, match="GiB budget") as err:
+            dy.evolve_oracle(scn, fixed_substeps=n_sub)
+        need = 2000 * n_sub * (11**2 + 10**2) * 16
+        assert f"need {need / 2**30:.3g} GiB of unitaries" in str(err.value)
+
+    @pytest.mark.parametrize("drive_term", ["corotating", "lx"])
+    def test_piecewise_terms_real_within_parity_blocks(self, drive_term):
+        # the corotating drive's {Lx, Ly} is imaginary and Lx couples m to
+        # m +- 1: either would be lost by the per-block real arithmetic
+        scn = resonance_scn(steps=8, drive="linear")
+        ops = am.build_operators(1)
+        if drive_term == "corotating":
+            decomposition = dy.hamiltonian_terms(resonance_scn(steps=8), ops)
+        else:
+            decomposition = (ops.Lz, ((1.0, np.cos, ops.Lx),))
+        _, members = dy.initial_state(scn, ops)
+        with pytest.raises(DomainError, match="real Hamiltonian terms"):
+            dy._propagate(scn, decomposition, members, 2)
+
     @pytest.mark.parametrize("kw", [
         dict(fixed_substeps=0), dict(fixed_substeps=-1), dict(fixed_substeps=2.5),
         dict(fixed_substeps=True), dict(rtol=0.0), dict(rtol=-1e-9), dict(rtol=math.nan),
@@ -585,6 +617,49 @@ class TestPiecewiseOracle:
         p, pt = am.polarization_batch(sol.y.T.reshape((-1,) + shape), ops)
         assert np.max(np.abs(series.P - p)) < 1e-9
         assert np.max(np.abs(series.Pt - pt)) < 1e-9
+
+    @pytest.mark.parametrize("n_sub", [4, 8])
+    @pytest.mark.parametrize("kind", ["vector", "tensor"])
+    @pytest.mark.parametrize("L", [1, 3, 5])
+    def test_matches_dense_cf4_reference(self, L, kind, n_sub):
+        # the same CF4 steps built densely from build_hamiltonian and scipy's
+        # expm and multiplied one at a time, without parity blocks, real
+        # pairs, polar steps or prefix products; at L = 1 the odd block is
+        # the diagonal 1x1 one
+        from scipy.linalg import expm
+        scn = resonance_scn(L=L, kind=kind, Omega=2.0, A=0.3, omega_drive=4.1, phi=0.7,
+                            theta=1.1, psi=0.4, t_end=3.0, steps=25, drive="linear")
+        ops = am.build_operators(L)
+        series = dy.evolve_oracle(scn, ops=ops, fixed_substeps=n_sub)
+        r = math.sqrt(3.0) / 6.0
+        h = (series.times[1] - series.times[0]) / n_sub
+        u = np.eye(ops.dim, dtype=complex)
+        unitaries = [u]
+        for t in series.times[:-1]:
+            for s in t + h * np.arange(n_sub):
+                h1, h2 = (dy.build_hamiltonian(scn, ops, s + c * h) for c in (0.5 - r, 0.5 + r))
+                u = (expm(-1j * h * ((0.25 - r) * h1 + (0.25 + r) * h2))
+                     @ expm(-1j * h * ((0.25 + r) * h1 + (0.25 - r) * h2)) @ u)
+            unitaries.append(u)
+        data = _reference_state(scn, ops)
+        states = [v @ data if data.ndim == 1 else v @ data @ v.conj().T for v in unitaries]
+        p, pt = am.polarization_batch(np.array(states), ops)
+        assert np.max(np.abs(series.P - p)) <= 1e-12
+        assert np.max(np.abs(series.Pt - pt)) <= 1e-12
+
+    def test_polar_step_squares_the_unitarity_defect(self):
+        # X = Q (I + E) with E Hermitian and complex, of norm about 1e-6: one
+        # Newton-Schulz step leaves a defect of order 1e-12 in both parts
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(4, 5, 5)) + 1j * rng.normal(size=(4, 5, 5))
+        q = np.linalg.qr(z)[0]
+        e = 1e-7 * (z + z.conj().swapaxes(1, 2))
+        x = q @ (np.eye(5) + e)
+        pr, pi = dy._polar_step(np.stack([x.real, x.imag]))
+        y = pr + 1j * pi
+        assert np.max(np.abs(x.conj().swapaxes(1, 2) @ x - np.eye(5))) > 1e-7
+        assert np.max(np.abs(y.conj().swapaxes(1, 2) @ y - np.eye(5))) < 1e-10
+        assert np.max(np.abs(y - q)) < 1e-10
 
     def test_long_run_preserves_norm_and_trace(self):
         # 500 intervals of 64 substeps each: the products of the substep
