@@ -51,8 +51,7 @@ _MODES = ("tmp", "frozen", "resonance")
 _KINDS = ("vector", "tensor")
 _DRIVES = ("corotating", "linear")
 _BLOCK_BYTES = 2 * 2**20           # oracle members per streamed block; a scan block's kernel arrays
-_INTERVAL_BUDGET_BYTES = 2**30     # substep unitaries one _propagate run may compute; the
-                                   # density matrices evolve_oracle may return
+_INTERVAL_BUDGET_BYTES = 2**30     # substep unitaries one _propagate run may compute
 _CHUNK_BYTES = 32 * 2**20          # substep unitaries it holds per streamed chunk
 # fourth-order commutator-free Magnus step: Gauss-Legendre nodes within a
 # substep and the weights of H at those nodes in the two exponentials
@@ -109,6 +108,11 @@ class DynamicsScenario:
             raise DomainError("tmp mode requires A = 0")
         if self.mode == "resonance" and self.b != 0.0:
             raise DomainError("resonance mode requires b = 0")
+        # only the resonance drive reads these; elsewhere they would be dropped unread
+        if self.mode != "resonance" and (self.omega_drive != 0.0 or self.phi != 0.0
+                                         or self.drive != "corotating"):
+            raise DomainError(f"{self.mode} mode requires omega_drive = 0, phi = 0 "
+                              "and drive = 'corotating'")
         # every phase the closed forms and the oracle evaluate lies within the
         # Hamiltonian's scale times t_end plus k psi (k <= 2L), 2 theta and phi
         try:
@@ -265,11 +269,6 @@ def initial_state(scn, ops):
         return np.ones(1), coherent_state(ops, scn.theta, scn.psi).data[None]
     a, b = antiparallel_pair(ops, scn.theta, scn.psi)
     return np.full(2, 0.5), np.stack([a.data, b.data])
-
-
-def _density_matrices(weights, members):
-    """rho = sum_k w_k |m_k><m_k| for each sample of an (n, k, dim) member stack."""
-    return (members.swapaxes(1, 2) * weights) @ members.conj()
 
 
 def _mul(a, b):
@@ -437,7 +436,8 @@ def _spectral_states(times, members, ops, h, frame, n_block):
     h couples m only to m and m +- 2, as every static and corotating
     Hamiltonian here does, so it commutes with exp(i pi Lz) and is block
     diagonal in am_core.PARITY_BLOCKS.  Each block, about dim/2, gets one
-    eigendecomposition, or none when it is diagonal (tmp).  The (n, k, dim)
+    eigendecomposition; eigh returns a diagonal block's (tmp) eigenpairs
+    exactly, as its sorted diagonal and a permutation.  The (n, k, dim)
     members are then built n_block samples at a time, with one projection
     matmul per parity block.  The frame rotation is an elementwise phase
     because Lz is diagonal, and is skipped for frame = 0.
@@ -445,12 +445,8 @@ def _spectral_states(times, members, ops, h, frame, n_block):
     k, dim = members.shape
     parts = []
     for rows in PARITY_BLOCKS:
-        hb = h[rows, rows]
-        if np.any(hb - np.diag(hb.diagonal())):
-            w, v = np.linalg.eigh(hb)
-            parts.append((rows, w, v, members[:, rows] @ v.conj()))
-        else:    # diagonal: the basis vectors are the eigenvectors
-            parts.append((rows, hb.diagonal().real, None, members[:, rows]))
+        w, v = np.linalg.eigh(h[rows, rows])
+        parts.append((rows, w, v, members[:, rows] @ v.conj()))
     for start in range(0, len(times), n_block):
         t = times[start:start + n_block, None, None]
         out = np.empty((len(t), k, dim), dtype=complex)
@@ -462,9 +458,7 @@ def _spectral_states(times, members, ops, h, frame, n_block):
             np.cos(phase, out=rotation.real)
             np.sin(-phase, out=rotation.imag)
             evolved = rotation * c0
-            if v is not None:
-                evolved = (evolved.reshape(-1, len(w)) @ v.T).reshape(evolved.shape)
-            out[:, :, rows] = evolved
+            out[:, :, rows] = (evolved.reshape(-1, len(w)) @ v.T).reshape(evolved.shape)
         if frame:
             out *= np.exp(-1j * (frame * t) * ops.m)
         yield out
@@ -519,8 +513,7 @@ def _state_diagnostics(weights, members):
     return diag
 
 
-def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None,
-                  return_states=False):
+def evolve_oracle(scn, rtol=1e-9, max_halvings=20, fixed_substeps=None, return_states=False):
     """Matrix-propagator oracle for a dynamics scenario.
 
     The beam is an ensemble of pure members with fixed weights (see
@@ -545,11 +538,10 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
       convergence-order studies).  The diagnostics add the refinement record.
 
     Members are processed in blocks of about 2 MB.  Returns a
-    PolarizationSeries, and with return_states=True also the states: an
-    (n, dim) array of state vectors for the vector kind, an (n, dim, dim)
-    array of density matrices rho(t) for the tensor kind, which must fit in
-    the 1 GiB budget (else ConvergenceError, before any work).  The diagnostics
-    carry max_norm_dev over every member at every sample; tensor runs add
+    PolarizationSeries, and with return_states=True the pair (series,
+    members): the (n, k, dim) lab-frame members at every sample, with
+    initial_state's weights, n k dim 16 bytes.  The diagnostics carry
+    max_norm_dev over every member at every sample; tensor runs add
     max_trace_dev, max_herm_dev and min_eigenvalue of rho at every sample
     (see _state_diagnostics).
     """
@@ -558,15 +550,7 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
     require_int("max_halvings", max_halvings, 0)
     if fixed_substeps is not None:
         require_int("fixed_substeps", fixed_substeps, 1)
-    if return_states and scn.kind == "tensor":
-        dim = 2 * scn.L + 1
-        need = scn.steps * dim**2 * 16
-        if need > _INTERVAL_BUDGET_BYTES:
-            raise ConvergenceError(
-                f"{scn.steps} density matrices of dimension {dim} need {need / 2**30:.3g} "
-                f"GiB, over the {_INTERVAL_BUDGET_BYTES / 2**30:g} GiB budget")
-    if ops is None:
-        ops = build_operators(scn.L)
+    ops = build_operators(scn.L)
     decomposition = h0, terms = hamiltonian_terms(scn, ops)
     weights, members = initial_state(scn, ops)
     n_block = max(1, _BLOCK_BYTES // members.nbytes)
@@ -585,9 +569,7 @@ def evolve_oracle(scn, ops=None, rtol=1e-9, max_halvings=20, fixed_substeps=None
         diag["propagator"] = "piecewise"
         blocks = (data[i:i + n_block] for i in range(0, len(data), n_block))
     series, states = _series_from_states(scn, ops, weights, blocks, diag, return_states)
-    if not return_states:
-        return series
-    return series, (states[:, 0] if len(weights) == 1 else _density_matrices(weights, states))
+    return (series, states) if return_states else series
 
 
 def _nan_series(scn):
@@ -822,19 +804,12 @@ def level_splitting(ops, Qs, dEr_dR):
     The interaction 2 A Lr^2, A = quadrupole_coupling(Qs, L, dEr/dR), shifts
     the level with Lr projection m_r by coefficient * m_r^2, coefficient =
     2 A, linear in the gradient (and in the field index that produces it).
+    The levels run m_r = L .. -L, each labeled by its projection.
     """
     coeff = 2.0 * quadrupole_coupling(Qs, ops.L, dEr_dR)
-    # eigenbasis of Lr (nondegenerate) fixes stable labels for Lr^2
-    w, v = np.linalg.eigh(ops.Lx)
-    order = np.argsort(-w)       # m_r = L .. -L, matching the basis convention
-    levels = []
-    for idx in order:
-        m_r = int(round(w[idx]))
-        overlaps = np.round(np.abs(v[:, idx]) ** 2, 9)  # deterministic tie-break
-        overlap_m = ops.L - int(np.argmax(overlaps))
-        label = f"m_r={m_r:+d} (max overlap m={overlap_m:+d})"
-        levels.append((label, float(coeff * m_r**2)))
-    return SplittingTable(levels=tuple(levels), coefficient=float(coeff))
+    levels = tuple((f"m_r={m_r:+d}", float(coeff * m_r**2))
+                   for m_r in range(ops.L, -ops.L - 1, -1))
+    return SplittingTable(levels=levels, coefficient=float(coeff))
 
 
 def oracle_vs_closed_form(scn, oracle_rtol=1e-9):

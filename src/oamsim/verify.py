@@ -399,7 +399,8 @@ def check_oracle_properties():
     scn = dynamics.DynamicsScenario(mode="tmp", L=2, Omega=3.0, b=0.7, theta=0.9,
                                     psi=0.4, kind="vector", t_end=50.0, steps=2048)
     ops = am_core.build_operators(2)
-    _, states = dynamics.evolve_oracle(scn, ops=ops, return_states=True)
+    _, members = dynamics.evolve_oracle(scn, return_states=True)
+    states = members[:, 0]    # the vector beam's one member
     h = dynamics.build_hamiltonian(scn, ops, 0.0)
     energies = np.einsum("ni,ij,nj->n", states.conj(), h, states).real
     drift = np.max(np.abs(energies - energies[0])) / abs(energies[0])

@@ -69,6 +69,12 @@ def empty_series():
                                  Pt=np.empty((0, 3, 3)), source="oracle")
 
 
+def ensemble_rho(scn, members):
+    """rho = sum_k w_k |m_k><m_k| at each sample of evolve_oracle's (n, k, dim) members."""
+    weights, _ = dy.initial_state(scn, am.build_operators(scn.L))
+    return np.einsum("k,nki,nkj->nij", weights, members, members.conj())
+
+
 def resonance_scn(**kw):
     base = dict(mode="resonance", L=1, Omega=0.25, A=1.0, omega_drive=0.5,
                 phi=0.0, theta=np.pi / 2, psi=np.pi / 4, kind="tensor",
@@ -131,6 +137,14 @@ class TestScenarioValidation:
         assert np.all(np.isfinite(closed.P[:, defined]))
         assert np.all(np.isfinite(rep.oracle.P)) and np.all(np.isfinite(rep.oracle.Pt))
         assert np.isfinite(rep.max_abs_deviation)
+
+    @pytest.mark.parametrize("mode", ["tmp", "frozen"])
+    @pytest.mark.parametrize("field, value", [
+        ("omega_drive", 0.5), ("phi", -0.3), ("drive", "linear")])
+    def test_drive_fields_rejected_outside_resonance(self, mode, field, value):
+        # only the resonance drive reads them; elsewhere they would be dropped unread
+        with pytest.raises(DomainError, match=f"{mode} mode requires omega_drive = 0"):
+            dy.DynamicsScenario(mode=mode, L=1, **{field: value})
 
     def test_non_finite_coefficient_rejected_before_the_oracle(self):
         with pytest.raises(DomainError, match="finite"):
@@ -354,28 +368,24 @@ class TestOracleBasics:
         with pytest.raises(DomainError, match="NaN"):
             series.validate()
 
-    @pytest.mark.parametrize("steps, kind, return_states, bounded", [
-        (2001, "tensor", True, True), (1662, "tensor", True, True),
-        (1661, "tensor", True, False), (2001, "tensor", False, False),
-        (2001, "vector", True, False)],
-        ids=["paper-scale", "one-over", "at-budget", "no-states", "vector"])
-    def test_returned_density_matrices_bounded_before_work(self, steps, kind, return_states,
-                                                           bounded, monkeypatch):
-        # n (2L+1)^2 complex entries: 1.20 GiB for 2001 steps at L = 100, and
-        # 1661 steps is the most that fits in the 1 GiB budget
-        def no_work(*args):
-            raise AssertionError("work began")
-        monkeypatch.setattr(dy, "build_operators", no_work)
-        monkeypatch.setattr(dy, "initial_state", no_work)
-        scn = frozen_scn(L=100, steps=steps, kind=kind)
-        expected = (ConvergenceError, "GiB budget") if bounded else (AssertionError, "work")
-        with pytest.raises(expected[0], match=expected[1]):
-            dy.evolve_oracle(scn, return_states=return_states)
+    @pytest.mark.parametrize("kind, k", [("vector", 1), ("tensor", 2)])
+    def test_returned_members_at_paper_scale(self, kind, k):
+        # L = 100 and 2001 steps: (n, k, dim) members, 12.9 MB for the tensor beam
+        scn = frozen_scn(L=100, A=-0.7, theta=1.1, psi=2.3, steps=2001, kind=kind)
+        series, members = dy.evolve_oracle(scn, return_states=True)
+        assert members.shape == (2001, k, 201)
+        assert np.max(np.abs(np.linalg.norm(members, axis=2) - 1.0)) < 1e-12
+        ops = am.build_operators(100)
+        weights, first = dy.initial_state(scn, ops)
+        assert np.max(np.abs(members[0] - first)) < 1e-13
+        p, _ = am.polarization_batch(members[::400].reshape(-1, 201), ops)
+        assert np.max(np.abs(weights @ p.reshape(-1, k, 3) - series.P[::400])) < 1e-14
 
     def test_energy_conservation(self):
         scn = tmp_scn(kind="vector", steps=512)
         ops = am.build_operators(1)
-        series, states = dy.evolve_oracle(scn, ops=ops, return_states=True)
+        _, members = dy.evolve_oracle(scn, return_states=True)
+        states = members[:, 0]
         h = dy.build_hamiltonian(scn, ops, 0.0)
         e = np.einsum("ni,ij,nj->n", states.conj(), h, states).real
         assert np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-9
@@ -385,7 +395,8 @@ class TestOracleBasics:
         dt = 1e-4
         scn = frozen_scn(t_end=2 * dt, steps=3)
         ops = am.build_operators(1)
-        _, states = dy.evolve_oracle(scn, ops=ops, return_states=True)
+        _, members = dy.evolve_oracle(scn, return_states=True)
+        states = ensemble_rho(scn, members)
         h = dy.build_hamiltonian(scn, ops, 0.0)
         lhs = (states[2] - states[0]) / (2 * dt)
         rhs = -1j * (h @ states[1] - states[1] @ h)
@@ -511,7 +522,7 @@ class TestSpectralOracle:
         from scipy.linalg import expm
         ops = am.build_operators(scn.L)
         h = dy.build_hamiltonian(scn, ops, 0.0)
-        series = dy.evolve_oracle(scn, ops=ops)
+        series = dy.evolve_oracle(scn)
         p, pt = _expm_reference(series, scn, ops, lambda t: expm(-1j * t * h))
         assert np.max(np.abs(series.P - p)) < 1e-10
         assert np.max(np.abs(series.Pt - pt)) < 1e-10
@@ -525,7 +536,7 @@ class TestSpectralOracle:
                             phi=0.35, theta=1.2, psi=0.6, t_end=3 * np.pi, steps=97)
         ops = am.build_operators(L)
         h_rot = dy.build_hamiltonian(scn, ops, 0.0) - 0.5 * scn.omega_drive * ops.Lz
-        series = dy.evolve_oracle(scn, ops=ops)
+        series = dy.evolve_oracle(scn)
         p, pt = _expm_reference(
             series, scn, ops,
             lambda t: expm(-0.5j * scn.omega_drive * t * ops.Lz) @ expm(-1j * t * h_rot))
@@ -558,7 +569,8 @@ class TestSpectralOracle:
         # independent of the frame reduction: i d(rho)/dt = [H(t), rho] with the lab H(t)
         scn = resonance_scn(L=2, phi=0.4, omega_drive=0.6, t_end=3.0, steps=30001)
         ops = am.build_operators(2)
-        _, states = dy.evolve_oracle(scn, ops=ops, return_states=True)
+        _, members = dy.evolve_oracle(scn, return_states=True)
+        states = ensemble_rho(scn, members)
         times = scn.times()
         dt = times[1]
         for k in (1, 7700, 29000):
@@ -601,7 +613,7 @@ class TestPiecewiseOracle:
                             phi=0.3, theta=1.1, psi=0.5, t_end=2 * np.pi, steps=97,
                             drive="linear")
         ops = am.build_operators(L)
-        series = dy.evolve_oracle(scn, ops=ops, rtol=1e-10)
+        series = dy.evolve_oracle(scn, rtol=1e-10)
         state0 = _reference_state(scn, ops)
         shape = state0.shape
 
@@ -630,7 +642,7 @@ class TestPiecewiseOracle:
         scn = resonance_scn(L=L, kind=kind, Omega=2.0, A=0.3, omega_drive=4.1, phi=0.7,
                             theta=1.1, psi=0.4, t_end=3.0, steps=25, drive="linear")
         ops = am.build_operators(L)
-        series = dy.evolve_oracle(scn, ops=ops, fixed_substeps=n_sub)
+        series = dy.evolve_oracle(scn, fixed_substeps=n_sub)
         r = math.sqrt(3.0) / 6.0
         h = (series.times[1] - series.times[0]) / n_sub
         u = np.eye(ops.dim, dtype=complex)
@@ -670,16 +682,18 @@ class TestPiecewiseOracle:
         assert d["max_norm_dev"] < 1e-13
         assert d["max_trace_dev"] < 1e-13
 
-    @pytest.mark.parametrize("intervals_per_chunk", [1, 5])
-    def test_chunk_split_invariant(self, intervals_per_chunk, monkeypatch):
-        # 63 intervals of 8 substeps: one per chunk, or 5 per chunk with a
-        # 3-interval remainder
+    @pytest.mark.parametrize("chunk_bytes", [1, 5760], ids=["single-intervals", "11-and-45"])
+    def test_chunk_split_invariant(self, chunk_bytes, monkeypatch):
+        # 63 intervals of 8 substeps at L = 1, chunked per parity block by
+        # _CHUNK_BYTES // (8 d^2 16): 1 byte gives every block one interval
+        # per chunk; 5760 bytes gives the 2x2 block 11 per chunk (an
+        # 8-interval remainder) and the 1x1 block 45 (an 18-interval remainder)
         scn = resonance_scn(steps=64, drive="linear")
         ops = am.build_operators(1)
         _, members = dy.initial_state(scn, ops)
         decomposition = dy.hamiltonian_terms(scn, ops)
         whole = dy._propagate(scn, decomposition, members, 8)
-        monkeypatch.setattr(dy, "_CHUNK_BYTES", intervals_per_chunk * 8 * ops.dim**2 * 16)
+        monkeypatch.setattr(dy, "_CHUNK_BYTES", chunk_bytes)
         split = dy._propagate(scn, decomposition, members, 8)
         assert np.max(np.abs(split - whole)) <= 1e-15
 
