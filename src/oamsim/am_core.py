@@ -52,7 +52,8 @@ class AmOperators:
     m (dim,) is the diagonal of Lz and c (dim-1,) the one nonzero diagonal
     of L+: c[i] = <m_i|L+|m_{i+1}> = sqrt(L(L+1) - m_{i+1}(m_{i+1} + 1)).
     Every operator here is banded: bands holds the band quantities Q of
-    OBSERVABLES, and observable(t) makes a row t a dense Hermitian matrix.
+    OBSERVABLES, and observable(t) makes a row t a dense Hermitian matrix,
+    or one parity block of it.
     Lx, Ly, Lz and Lsq = Lx^2 + Ly^2 + Lz^2 (public API, checks) are built on first use.
     """
 
@@ -75,17 +76,27 @@ class AmOperators:
         return (np.array([np.ones(self.dim), m, m * m]), np.array([c, c * (m[:-1] + m[1:])]),
                 (c[:-1] * c[1:])[None])
 
-    def observable(self, coeffs):
-        """Dense matrix of a row of OBSERVABLES or a real combination of rows; the
-        diagonal t_0 L(L+1) + t_1 m + t_2 m^2 is exact for integer t_0, t_1, t_2."""
-        t, d = np.asarray(coeffs), self.dim
-        diag, up1, up2 = self.bands
+    def observable(self, coeffs, rows=slice(None)):
+        """Matrix of a row of OBSERVABLES or a real combination of rows, on the
+        basis indices rows: the whole space, or one of PARITY_BLOCKS.
+
+        The diagonal t_0 L(L+1) + t_1 m + t_2 m^2 is exact for integer t_0,
+        t_1, t_2.  On a parity block band 2 is the first off-diagonal, and a
+        nonzero band 1, which couples the blocks, is a DomainError.
+        """
+        t, index = np.asarray(coeffs), range(self.dim)[rows]
+        d, q = len(index), self.bands
         out = np.zeros((d, d), dtype=complex)
         flat = out.reshape(-1)      # diagonal k of out is flat[k::d + 1], cut at row d - k
-        flat[::d + 1] = (t[:3].real * (self.L * (self.L + 1.0), 1.0, 1.0)) @ diag
-        for k, band in ((1, t[3:5] @ up1), (2, t[5:] @ up2)):
-            flat[k:(d - k) * d:d + 1] = band
-            flat[k * d::d + 1] = band.conj()
+        flat[::d + 1] = ((t[:3].real * (self.L * (self.L + 1.0), 1.0, 1.0)) @ q[0])[rows]
+        for k, band in ((1, t[3:5] @ q[1]), (2, t[5:] @ q[2])):
+            if k % index.step:
+                if band.any():
+                    raise DomainError(f"the row couples m to m +- {k}, across the parity blocks")
+                continue
+            band, j = band[rows], k // index.step
+            flat[j:(d - j) * d:d + 1] = band
+            flat[j * d::d + 1] = band.conj()
         return out
 
 

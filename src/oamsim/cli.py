@@ -236,6 +236,8 @@ def cmd_simulate(args):
 
 
 def cmd_scan(args):
+    import numpy as np
+
     from . import dynamics, floattext
     doc = cfg.load_config(args.config, "scan")
     scn = scenario_from_config(doc)
@@ -244,7 +246,7 @@ def cmd_scan(args):
     target = 2.0 * scn.Omega
     if not (min(omegas) <= target <= max(omegas)):
         sys.stderr.write(f"warning: frequency grid does not bracket 2*Omega = {target}\n")
-    argmax = [float(i == result.argmax_index) for i in range(len(result.peaks))]
+    argmax = (np.arange(len(result.peaks)) == result.argmax_index).astype(float)
     rows = floattext.text_rows([result.omegas, result.peaks, argmax], "\n", floattext.G17)
     _emit("omega_rad_s,peak_abs_Pz,argmax\n" + "".join(rows), _out_path(args, doc))
     return 0

@@ -14,14 +14,15 @@ The resonance drive comes in two models: ``linear``, the physical oscillation
 whose rotating-frame dynamics matches the closed-form solutions without any
 rotating-wave truncation.  Every mode is one instance of
 
-    H(t) = H0 + sum_k a_k f_k(omega t + phi) H_k,
+    H(t) = sum_k a_k f_k(omega t + phi) H_k,
 
-built once by ``hamiltonian_terms``; ``tmp`` and ``frozen`` have no drive
-terms.  The verification oracle propagates these exactly from one
-eigendecomposition per parity block of exp(i pi Lz), the corotating drive
-in the frame rotating at omega/2 where it is static; only the linear drive
-uses a time-ordered fourth-order commutator-free Magnus propagator refined
-by substep halving, which runs per parity block in real arithmetic.
+each H_k a row of am_core.OBSERVABLES (``hamiltonian_terms``); ``tmp`` and
+``frozen`` have only static terms, f_k = 1.  The verification oracle builds
+each term on the two parity blocks of exp(i pi Lz), never on the whole
+space, and propagates exactly from one eigendecomposition per block, the
+corotating drive in the frame rotating at omega/2 where it is static; only
+the linear drive uses a time-ordered fourth-order commutator-free Magnus
+propagator refined by substep halving, in real arithmetic.
 """
 
 import json
@@ -52,7 +53,7 @@ _KINDS = ("vector", "tensor")
 _DRIVES = ("corotating", "linear")
 _BLOCK_BYTES = 2 * 2**20           # oracle members per streamed block; a scan block's kernel arrays
 _INTERVAL_BUDGET_BYTES = 2**30     # substep unitaries one _propagate run may compute
-_CHUNK_BYTES = 32 * 2**20          # substep unitaries it holds per streamed chunk
+_CHUNK_BYTES = 2 * 2**20           # substep unitaries it holds per streamed chunk
 # fourth-order commutator-free Magnus step: Gauss-Legendre nodes within a
 # substep and the weights of H at those nodes in the two exponentials
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -222,40 +223,37 @@ def quadrupole_coefficient_frozen(Qs, L, setup):
     return -quadrupole_coupling(Qs, L, field_gradients(setup)[1])
 
 
-def hamiltonian_terms(scn, ops):
-    """Decompose the scenario Hamiltonian (units of rad/s) into (H0, drive terms).
+def hamiltonian_terms(scn):
+    """Decompose the scenario Hamiltonian (units of rad/s) into its terms.
 
-    Returns (H0, ((a_k, f_k, H_k), ...)) with H(t) = H0 + sum_k a_k f_k(phase) H_k
-    and phase = omega_drive t + phi; an empty tuple means H is time-independent.
-    Every matrix is a row of am_core.OBSERVABLES made dense: 2 Lx^2 is {Lx, Lx},
-    and the two corotating terms sum to (A/4) (L+^2 exp(-i phase) + h.c.).
+    Returns ((a_k, f_k, t_k), ...) with H(t) = sum_k a_k f_k(phase) H_k, phase =
+    omega_drive t + phi, and f_k None for a static term.  Each t_k is a row of
+    am_core.OBSERVABLES or a real combination of rows, H_k = ops.observable(t_k):
+    2 Lx^2 is {Lx, Lx}, and the two corotating terms sum to
+    (A/4) (L+^2 exp(-i phase) + h.c.).
     """
-    if ops.L != scn.L:
-        raise DomainError(f"operators are for L={ops.L}, scenario has L={scn.L}")
     lz, xx, yy, zz, xy = OBSERVABLES[2:7]
     if scn.mode == "tmp":
-        return scn.Omega * ops.observable(lz) + 0.5 * scn.b * ops.observable(zz), ()
+        return (scn.Omega, None, lz), (0.5 * scn.b, None, zz)
     if scn.mode == "frozen":
-        return scn.A * ops.observable(xx), ()
-    h0 = scn.Omega * ops.observable(lz)
+        return ((scn.A, None, xx),)
     if scn.drive == "linear":
-        return h0, ((scn.A, np.cos, ops.observable(xx)),)
-    return h0, ((0.25 * scn.A, np.cos, ops.observable(xx - yy)),
-                (0.5 * scn.A, np.sin, ops.observable(xy)))
+        return (scn.Omega, None, lz), (scn.A, np.cos, xx)
+    return (scn.Omega, None, lz), (0.25 * scn.A, np.cos, xx - yy), (0.5 * scn.A, np.sin, xy)
 
 
-def build_hamiltonian(scn, ops, t):
+def build_hamiltonian(scn, t):
     """Effective Hamiltonian at time t; an array of n times gives an (n, dim, dim) stack."""
-    return _evaluate(scn, hamiltonian_terms(scn, ops), t)
+    ops = build_operators(scn.L)
+    return _evaluate(scn, [(a, f, ops.observable(row)) for a, f, row in hamiltonian_terms(scn)], t)
 
 
-def _evaluate(scn, decomposition, t):
-    """H(t) from hamiltonian_terms' (H0, terms), built once per oracle run."""
-    h, terms = decomposition
+def _evaluate(scn, terms, t):
+    """H(t), the terms (a_k, f_k, H_k) summed in order, each H_k a matrix."""
     phase = scn.omega_drive * t + scn.phi
-    for a, f, hk in terms:
-        h = h + np.asarray(a * f(phase))[..., None, None] * hk
-    return h
+    first, *rest = (np.asarray(a if f is None else a * f(phase))[..., None, None] * hk
+                    for a, f, hk in terms)
+    return sum(rest, first)
 
 
 def initial_state(scn, ops):
@@ -325,7 +323,7 @@ def _prefix_products(u):
     return p
 
 
-def _propagate(scn, decomposition, members, n_sub):
+def _propagate(scn, blocks, members, n_sub):
     """Propagate a (k, dim) member stack; returns the (n, k, dim) members at every sample.
 
     Each output interval takes n_sub fourth-order commutator-free Magnus
@@ -333,11 +331,13 @@ def _propagate(scn, decomposition, members, n_sub):
     exp(-i h (a2 H1 + a1 H2)) exp(-i h (a1 H1 + a2 H2)) with H1, H2 sampled at
     the Gauss-Legendre nodes s + c1 h, s + c2 h.
 
-    The terms must be real and couple m only to m and m +- 2, as the linear
-    drive's do (else DomainError).  So H(t) is real symmetric on each parity
-    block of am_core.PARITY_BLOCKS, and each block's member components are
-    propagated on their own, one chunk of whole intervals at a time (about
-    _CHUNK_BYTES of the block's substep unitaries, at least one interval).
+    blocks holds the terms (a_k, f_k, H_k) of H(t) on each parity block of
+    am_core.PARITY_BLOCKS, in that order, as evolve_oracle builds them.  They
+    must be real, as the linear drive's are (else DomainError).  So H(t) is
+    real symmetric tridiagonal on each block, and each block's member
+    components are propagated on their own, one chunk of whole intervals at
+    a time (about _CHUNK_BYTES of the block's substep unitaries, at least
+    one interval).
     Every exponential comes from a real eigh, and every unitary is held as
     its (real, imaginary) pair, so that a product is four real matmuls.  The
     substeps are multiplied in time order, one Newton-Schulz step takes each
@@ -353,17 +353,14 @@ def _propagate(scn, decomposition, members, n_sub):
     times = scn.times()
     n_out = len(times) - 1
     k, dim = members.shape
-    sizes = [len(range(dim)[rows]) for rows in PARITY_BLOCKS]
+    sizes = [len(block[0][2]) for block in blocks]
     need = n_out * n_sub * sum(d * d for d in sizes) * 16
     if need > _INTERVAL_BUDGET_BYTES:
         raise ConvergenceError(
             f"{n_sub} substeps over {n_out} intervals need {need / 2**30:.3g} GiB of "
             f"unitaries, over the {_INTERVAL_BUDGET_BYTES / 2**30:g} GiB budget")
-    h0, terms = decomposition
-    matrices = np.stack([h0, *(hk for _, _, hk in terms)])
-    if matrices.imag.any() or matrices[:, PARITY_BLOCKS[0], PARITY_BLOCKS[1]].any():
-        raise DomainError("the piecewise propagator needs real Hamiltonian terms that "
-                          "couple m only to m and m +- 2")
+    if any(hk.imag.any() for block in blocks for _, _, hk in block):
+        raise DomainError("the piecewise propagator needs real Hamiltonian terms")
     dt_sub = (times[1] - times[0]) / n_sub
     sub_starts = np.arange(n_sub) * dt_sub
     nodes = dt_sub * np.array(_GAUSS_NODES)[:, None]
@@ -372,10 +369,9 @@ def _propagate(scn, decomposition, members, n_sub):
     node_weights = np.array([[a2, a1], [a1, a2]])
     out = np.empty((n_out + 1, k, dim), dtype=complex)
     out[0] = members
-    for rows, d in zip(PARITY_BLOCKS, sizes):
-        sliced = matrices[:, rows, rows].real
-        block = (sliced[0], tuple((a, f, hk) for (a, f, _), hk in zip(terms, sliced[1:])))
-        diagonal = not (sliced * (1.0 - np.eye(d))).any()
+    for rows, block, d in zip(PARITY_BLOCKS, blocks, sizes):
+        block = [(a, f, hk.real) for a, f, hk in block]
+        diagonal = not any(np.diagonal(hk, 1).any() for _, _, hk in block)
         per_chunk = max(1, _CHUNK_BYTES // (n_sub * d * d * 16))
         state = members[:, rows].T
         for start in range(0, n_out, per_chunk):
@@ -406,7 +402,7 @@ def _ensemble_polarization(weights, members, ops):
     return weights @ p.reshape(n, k, 3), (weights @ pt.reshape(n, k, 9)).reshape(n, 3, 3)
 
 
-def _refine(scn, ops, decomposition, weights, members, rtol, max_halvings, fixed_substeps):
+def _refine(scn, ops, blocks, weights, members, rtol, max_halvings, fixed_substeps):
     """Piecewise propagation, substeps doubled until the final state converges.
 
     Returns the (n, k, dim) members and the refinement record.
@@ -414,7 +410,7 @@ def _refine(scn, ops, decomposition, weights, members, rtol, max_halvings, fixed
     prev = None
     n_sub = 1 if fixed_substeps is None else fixed_substeps
     for level in range(max_halvings + 1):
-        data = _propagate(scn, decomposition, members, n_sub)
+        data = _propagate(scn, blocks, members, n_sub)
         if fixed_substeps is not None:
             return data, dict(n_substeps=n_sub, refinement_delta=None)
         p_final, pt_final = _ensemble_polarization(weights, data[-1:], ops)
@@ -433,19 +429,20 @@ def _refine(scn, ops, decomposition, weights, members, rtol, max_halvings, fixed
 def _spectral_states(times, members, ops, h, frame, n_block):
     """Exact members U(t) m_k, U(t) = exp(-i frame t Lz) exp(-i h t), on the grid times.
 
-    h couples m only to m and m +- 2, as every static and corotating
-    Hamiltonian here does, so it commutes with exp(i pi Lz) and is block
-    diagonal in am_core.PARITY_BLOCKS.  Each block, about dim/2, gets one
-    eigendecomposition; eigh returns a diagonal block's (tmp) eigenpairs
-    exactly, as its sorted diagonal and a permutation.  The (n, k, dim)
-    members are then built n_block samples at a time, with one projection
-    matmul per parity block.  The frame rotation is an elementwise phase
-    because Lz is diagonal, and is skipped for frame = 0.
+    h is the pair of block Hamiltonians on am_core.PARITY_BLOCKS, in that
+    order: every static and corotating Hamiltonian here couples m only to m
+    and m +- 2, so it commutes with exp(i pi Lz) and is block diagonal in
+    them.  Each block, about dim/2, gets one eigendecomposition; eigh
+    returns a diagonal block's (tmp) eigenpairs exactly, as its sorted
+    diagonal and a permutation.  The (n, k, dim) members are then built
+    n_block samples at a time, with one projection matmul per parity block.
+    The frame rotation is an elementwise phase because Lz is diagonal, and
+    is skipped for frame = 0.
     """
     k, dim = members.shape
     parts = []
-    for rows in PARITY_BLOCKS:
-        w, v = np.linalg.eigh(h[rows, rows])
+    for rows, block in zip(PARITY_BLOCKS, h):
+        w, v = np.linalg.eigh(block)
         parts.append((rows, w, v, members[:, rows] @ v.conj()))
     for start in range(0, len(times), n_block):
         t = times[start:start + n_block, None, None]
@@ -464,13 +461,17 @@ def _spectral_states(times, members, ops, h, frame, n_block):
         yield out
 
 
-def _series_from_states(scn, ops, weights, blocks, diagnostics, keep_states):
-    """Extract P/Pt and merge the invariant diagnostics, one block of members at a time."""
+def _series_from_states(scn, ops, weights, blocks, diagnostics, states):
+    """Extract P/Pt and merge the invariant diagnostics, one block of members at a time.
+
+    Unless states is None, each block is also written into states, an
+    (n, k, dim) array; numpy skips the copy of a block that is already that
+    slice of it.
+    """
     times = scn.times()
     n = len(times)
     p = np.empty((n, 3))
     pt = np.empty((n, 3, 3))
-    kept = []
     start = 0
     for block in blocks:
         stop = start + len(block)
@@ -481,12 +482,11 @@ def _series_from_states(scn, ops, weights, blocks, diagnostics, keep_states):
             # return their first
             merge = np.minimum if key == "min_eigenvalue" else np.maximum
             diagnostics[key] = float(merge(value, diagnostics.get(key, value)))
-        if keep_states:
-            kept.append(block)
+        if states is not None:
+            states[start:stop] = block
         start = stop
-    series = PolarizationSeries(times=times, P=p, Pt=pt, source="oracle",
-                                diagnostics=diagnostics).validate()
-    return series, (np.concatenate(kept) if keep_states else None)
+    return PolarizationSeries(times=times, P=p, Pt=pt, source="oracle",
+                              diagnostics=diagnostics).validate()
 
 
 def _state_diagnostics(weights, members):
@@ -551,24 +551,29 @@ def evolve_oracle(scn, rtol=1e-9, max_halvings=20, fixed_substeps=None, return_s
     if fixed_substeps is not None:
         require_int("fixed_substeps", fixed_substeps, 1)
     ops = build_operators(scn.L)
-    decomposition = h0, terms = hamiltonian_terms(scn, ops)
+    # each term on each parity block, (a_k, f_k, H_k) with H_k a (d_b, d_b) block
+    blocks = [[(a, f, ops.observable(row, rows)) for a, f, row in hamiltonian_terms(scn)]
+              for rows in PARITY_BLOCKS]
     weights, members = initial_state(scn, ops)
     n_block = max(1, _BLOCK_BYTES // members.nbytes)
-    if not terms or scn.drive == "corotating":
+    if scn.drive == "corotating":
         if fixed_substeps is not None:
             raise DomainError("fixed_substeps applies only to the piecewise "
                               "propagator of the linear drive")
-        # the corotating drive is static in the frame rotating at omega_drive/2
-        frame = 0.5 * scn.omega_drive if terms else 0.0
-        h = _evaluate(scn, decomposition, 0.0) - frame * ops.Lz if terms else h0
-        blocks = _spectral_states(scn.times(), members, ops, h, frame, n_block)
+        # the corotating drive is static in the frame rotating at omega_drive/2;
+        # tmp and frozen have omega_drive = 0 and no frame
+        frame = 0.5 * scn.omega_drive
+        h = [_evaluate(scn, block, 0.0) - frame * np.diag(ops.m[rows])
+             for rows, block in zip(PARITY_BLOCKS, blocks)]
+        parts = _spectral_states(scn.times(), members, ops, h, frame, n_block)
+        states = np.empty((scn.steps, *members.shape), dtype=complex) if return_states else None
         diag = {"propagator": "spectral"}
     else:
-        data, diag = _refine(scn, ops, decomposition, weights, members, rtol, max_halvings,
-                             fixed_substeps)
+        states, diag = _refine(scn, ops, blocks, weights, members, rtol, max_halvings,
+                               fixed_substeps)
         diag["propagator"] = "piecewise"
-        blocks = (data[i:i + n_block] for i in range(0, len(data), n_block))
-    series, states = _series_from_states(scn, ops, weights, blocks, diag, return_states)
+        parts = (states[i:i + n_block] for i in range(0, len(states), n_block))
+    series = _series_from_states(scn, ops, weights, parts, diag, states)
     return (series, states) if return_states else series
 
 
@@ -798,17 +803,17 @@ def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
                       oracle_peaks=oracle_peaks)
 
 
-def level_splitting(ops, Qs, dEr_dR):
-    """Quadrupole splitting of the |L, m_r> levels (L = ops.L) by a quasielectric gradient.
+def level_splitting(L, Qs, dEr_dR):
+    """Quadrupole splitting of the |L, m_r> levels by a quasielectric gradient.
 
     The interaction 2 A Lr^2, A = quadrupole_coupling(Qs, L, dEr/dR), shifts
     the level with Lr projection m_r by coefficient * m_r^2, coefficient =
     2 A, linear in the gradient (and in the field index that produces it).
     The levels run m_r = L .. -L, each labeled by its projection.
     """
-    coeff = 2.0 * quadrupole_coupling(Qs, ops.L, dEr_dR)
+    coeff = 2.0 * quadrupole_coupling(Qs, L, dEr_dR)
     levels = tuple((f"m_r={m_r:+d}", float(coeff * m_r**2))
-                   for m_r in range(ops.L, -ops.L - 1, -1))
+                   for m_r in range(L, -L - 1, -1))
     return SplittingTable(levels=levels, coefficient=float(coeff))
 
 

@@ -249,6 +249,21 @@ class TestObservableTable:
             assert np.max(np.abs(anti - dense)) <= tol, (i, j)
             assert np.array_equal(anti, anti.conj().T)
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 20])
+    def test_parity_blocks_are_slices_of_the_dense_matrix(self, L):
+        # rows without band 1 give each block bit for bit; Lx, Ly, {Lx, Lz}
+        # and {Ly, Lz} couple m to m +- 1, across the blocks
+        ops = am.build_operators(L)
+        rows = list(am.OBSERVABLES) + [am.OBSERVABLES[3] - am.OBSERVABLES[4]]
+        for k, row in enumerate(rows):
+            dense = ops.observable(row)
+            for block in am.PARITY_BLOCKS:
+                if k in (0, 1, 7, 8):
+                    with pytest.raises(DomainError, match="across the parity blocks"):
+                        ops.observable(row, block)
+                else:
+                    assert np.array_equal(ops.observable(row, block), dense[block, block]), k
+
     @pytest.mark.parametrize("L", [1, 2, 3, 20, 100])
     def test_casimir_bit_for_bit(self, L):
         ops = am.build_operators(L)

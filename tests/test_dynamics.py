@@ -75,6 +75,12 @@ def ensemble_rho(scn, members):
     return np.einsum("k,nki,nkj->nij", weights, members, members.conj())
 
 
+def parity_terms(scn, ops):
+    """The scenario's terms on each parity block, as evolve_oracle builds them."""
+    return [[(a, f, ops.observable(row, rows)) for a, f, row in dy.hamiltonian_terms(scn)]
+            for rows in am.PARITY_BLOCKS]
+
+
 def resonance_scn(**kw):
     base = dict(mode="resonance", L=1, Omega=0.25, A=1.0, omega_drive=0.5,
                 phi=0.0, theta=np.pi / 2, psi=np.pi / 4, kind="tensor",
@@ -174,44 +180,38 @@ def test_integer_arguments_rejected(call, value):
 
 class TestBuildHamiltonian:
     def test_all_zero(self):
-        ops = am.build_operators(1)
         scn = tmp_scn(Omega=0.0, b=0.0)
-        assert np.all(dy.build_hamiltonian(scn, ops, 0.0) == 0.0)
+        assert np.all(dy.build_hamiltonian(scn, 0.0) == 0.0)
 
     def test_tmp_L1_matrix(self):
-        ops = am.build_operators(1)
         scn = tmp_scn(Omega=0.0, b=1.0)
-        assert np.allclose(dy.build_hamiltonian(scn, ops, 0.0),
+        assert np.allclose(dy.build_hamiltonian(scn, 0.0),
                            np.diag([1.0, 0.0, 1.0]))
 
     def test_frozen_time_independent(self):
-        ops = am.build_operators(2)
         scn = frozen_scn(L=2)
-        h0 = dy.build_hamiltonian(scn, ops, 0.0)
-        h1 = dy.build_hamiltonian(scn, ops, 17.3)
+        h0 = dy.build_hamiltonian(scn, 0.0)
+        h1 = dy.build_hamiltonian(scn, 17.3)
         assert np.array_equal(h0, h1)
-        assert dy.hamiltonian_terms(scn, ops)[1] == ()
+        assert all(f is None for _, f, _ in dy.hamiltonian_terms(scn))
 
     @pytest.mark.parametrize("drive", ["linear", "corotating"])
     def test_resonance_hermitian(self, drive):
         ops = am.build_operators(3)
         scn = resonance_scn(L=3, drive=drive)
-        h0, terms = dy.hamiltonian_terms(scn, ops)
+        (omega, static, lz), *terms = dy.hamiltonian_terms(scn)
+        assert static is None
         assert len(terms) == (1 if drive == "linear" else 2)
+        h0 = omega * ops.observable(lz)
         ts = (0.0, 0.37, 2.9)
-        stack = dy.build_hamiltonian(scn, ops, np.array(ts))
+        stack = dy.build_hamiltonian(scn, np.array(ts))
         for i, t in enumerate(ts):
-            h = dy.build_hamiltonian(scn, ops, t)
+            h = dy.build_hamiltonian(scn, t)
             assert np.max(np.abs(h - h.conj().T)) < 1e-12
             phase = scn.omega_drive * t + scn.phi
-            expected = h0 + sum(a * f(phase) * hk for a, f, hk in terms)
+            expected = h0 + sum(a * f(phase) * ops.observable(row) for a, f, row in terms)
             assert np.allclose(h, expected, rtol=0.0, atol=1e-14)
             assert np.allclose(stack[i], h, rtol=0.0, atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        ops = am.build_operators(2)
-        with pytest.raises(DomainError):
-            dy.build_hamiltonian(tmp_scn(), ops, 0.0)
 
     @pytest.mark.parametrize("L", [1, 3])
     @pytest.mark.parametrize("mode", ["tmp", "frozen", "linear", "corotating"])
@@ -260,7 +260,7 @@ class TestBuildHamiltonian:
         # per unit coefficient of a product: |Omega| + |b| + 2 |A| bounds their sum
         tol = 4.0 * 2.0**-52 * L * (L + 1) * (abs(scn.Omega) + abs(scn.b) + 2.0 * abs(scn.A))
         for t in (0.0, 0.37, 2.9, np.array([0.0, 0.37, 2.9, 11.3])):
-            h = dy.build_hamiltonian(scn, ops, t)
+            h = dy.build_hamiltonian(scn, t)
             assert np.array_equal(h, banded(t))
             assert np.max(np.abs(h - dense(t))) <= tol
 
@@ -301,6 +301,27 @@ class TestQuadrupoleCoefficients:
 
 
 class TestOracleBasics:
+    @pytest.mark.parametrize("scn", [
+        tmp_scn(L=3, steps=64),
+        frozen_scn(L=3, steps=64),
+        resonance_scn(L=3, phi=0.4, steps=64),
+        resonance_scn(L=3, phi=0.4, steps=64, drive="linear"),
+    ], ids=["tmp", "frozen", "corotating", "linear"])
+    def test_builds_only_parity_blocks(self, scn, monkeypatch):
+        # every operator the oracle builds is a 4x4 or 3x3 parity block of
+        # the 7-dimensional L = 3 space, never the whole space
+        shapes = []
+        observable = am.AmOperators.observable
+
+        def recorded(self, *args):
+            out = observable(self, *args)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(am.AmOperators, "observable", recorded)
+        dy.evolve_oracle(scn, rtol=1e-6, return_states=True)
+        assert shapes and set(shapes) == {(4, 4), (3, 3)}
+
     def test_pure_precession(self):
         # Omega Lz alone: P_z constant, transverse pair rotates rigidly
         scn = tmp_scn(b=0.0, Omega=2.0, kind="vector", theta=0.9, psi=0.4,
@@ -354,7 +375,7 @@ class TestOracleBasics:
         assert math.isnan(dy._state_diagnostics(weights, states[4:])["min_eigenvalue"])
         diag = {}
         with pytest.raises(DomainError, match="NaN"):
-            dy._series_from_states(scn, ops, weights, [states[:4], states[4:]], diag, False)
+            dy._series_from_states(scn, ops, weights, [states[:4], states[4:]], diag, None)
         for key in ("max_norm_dev", "max_trace_dev", "min_eigenvalue"):
             assert math.isnan(diag[key]), key
 
@@ -383,10 +404,9 @@ class TestOracleBasics:
 
     def test_energy_conservation(self):
         scn = tmp_scn(kind="vector", steps=512)
-        ops = am.build_operators(1)
         _, members = dy.evolve_oracle(scn, return_states=True)
         states = members[:, 0]
-        h = dy.build_hamiltonian(scn, ops, 0.0)
+        h = dy.build_hamiltonian(scn, 0.0)
         e = np.einsum("ni,ij,nj->n", states.conj(), h, states).real
         assert np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-9
 
@@ -394,10 +414,9 @@ class TestOracleBasics:
         # d rho/dt from the propagated states matches -i[H, rho]
         dt = 1e-4
         scn = frozen_scn(t_end=2 * dt, steps=3)
-        ops = am.build_operators(1)
         _, members = dy.evolve_oracle(scn, return_states=True)
         states = ensemble_rho(scn, members)
-        h = dy.build_hamiltonian(scn, ops, 0.0)
+        h = dy.build_hamiltonian(scn, 0.0)
         lhs = (states[2] - states[0]) / (2 * dt)
         rhs = -1j * (h @ states[1] - states[1] @ h)
         assert np.max(np.abs(lhs - rhs)) < 1e-8
@@ -432,16 +451,17 @@ class TestOracleBasics:
     @pytest.mark.parametrize("drive_term", ["corotating", "lx"])
     def test_piecewise_terms_real_within_parity_blocks(self, drive_term):
         # the corotating drive's {Lx, Ly} is imaginary and Lx couples m to
-        # m +- 1: either would be lost by the per-block real arithmetic
+        # m +- 1: either would be lost by the per-block real arithmetic; Lx
+        # has no parity block to be built on
         scn = resonance_scn(steps=8, drive="linear")
         ops = am.build_operators(1)
-        if drive_term == "corotating":
-            decomposition = dy.hamiltonian_terms(resonance_scn(steps=8), ops)
-        else:
-            decomposition = (ops.Lz, ((1.0, np.cos, ops.Lx),))
         _, members = dy.initial_state(scn, ops)
-        with pytest.raises(DomainError, match="real Hamiltonian terms"):
-            dy._propagate(scn, decomposition, members, 2)
+        if drive_term == "corotating":
+            with pytest.raises(DomainError, match="real Hamiltonian terms"):
+                dy._propagate(scn, parity_terms(resonance_scn(steps=8), ops), members, 2)
+        else:
+            with pytest.raises(DomainError, match="across the parity blocks"):
+                ops.observable(am.OBSERVABLES[0], am.PARITY_BLOCKS[0])
 
     @pytest.mark.parametrize("kw", [
         dict(fixed_substeps=0), dict(fixed_substeps=-1), dict(fixed_substeps=2.5),
@@ -521,7 +541,7 @@ class TestSpectralOracle:
     def test_static_matches_expm(self, scn):
         from scipy.linalg import expm
         ops = am.build_operators(scn.L)
-        h = dy.build_hamiltonian(scn, ops, 0.0)
+        h = dy.build_hamiltonian(scn, 0.0)
         series = dy.evolve_oracle(scn)
         p, pt = _expm_reference(series, scn, ops, lambda t: expm(-1j * t * h))
         assert np.max(np.abs(series.P - p)) < 1e-10
@@ -535,7 +555,7 @@ class TestSpectralOracle:
         scn = resonance_scn(L=L, kind=kind, Omega=1.8, A=0.4, omega_drive=3.3,
                             phi=0.35, theta=1.2, psi=0.6, t_end=3 * np.pi, steps=97)
         ops = am.build_operators(L)
-        h_rot = dy.build_hamiltonian(scn, ops, 0.0) - 0.5 * scn.omega_drive * ops.Lz
+        h_rot = dy.build_hamiltonian(scn, 0.0) - 0.5 * scn.omega_drive * ops.Lz
         series = dy.evolve_oracle(scn)
         p, pt = _expm_reference(
             series, scn, ops,
@@ -558,9 +578,10 @@ class TestSpectralOracle:
         ops = am.build_operators(L)
         _, members = dy.initial_state(scn, ops)
         frame = 0.5 * scn.omega_drive
-        h = dy.build_hamiltonian(scn, ops, 0.0) - frame * ops.Lz
+        h = dy.build_hamiltonian(scn, 0.0) - frame * ops.Lz
+        blocks = [h[rows, rows] for rows in am.PARITY_BLOCKS]
         times = np.linspace(0.0, 3.0, 7)
-        got = np.concatenate(list(dy._spectral_states(times, members, ops, h, frame, 3)))
+        got = np.concatenate(list(dy._spectral_states(times, members, ops, blocks, frame, 3)))
         for t, states in zip(times, got):
             u = expm(-1j * frame * t * ops.Lz) @ expm(-1j * t * h)
             assert np.max(np.abs(states - members @ u.T)) < 1e-10
@@ -568,13 +589,12 @@ class TestSpectralOracle:
     def test_corotating_frame_solves_lab_equation(self):
         # independent of the frame reduction: i d(rho)/dt = [H(t), rho] with the lab H(t)
         scn = resonance_scn(L=2, phi=0.4, omega_drive=0.6, t_end=3.0, steps=30001)
-        ops = am.build_operators(2)
         _, members = dy.evolve_oracle(scn, return_states=True)
         states = ensemble_rho(scn, members)
         times = scn.times()
         dt = times[1]
         for k in (1, 7700, 29000):
-            h = dy.build_hamiltonian(scn, ops, times[k])
+            h = dy.build_hamiltonian(scn, times[k])
             lhs = (states[k + 1] - states[k - 1]) / (2 * dt)
             rhs = -1j * (h @ states[k] - states[k] @ h)
             assert np.max(np.abs(lhs - rhs)) < 1e-7
@@ -618,7 +638,7 @@ class TestPiecewiseOracle:
         shape = state0.shape
 
         def rhs(t, y):
-            h = dy.build_hamiltonian(scn, ops, t)
+            h = dy.build_hamiltonian(scn, t)
             if len(shape) == 1:
                 return -1j * (h @ y)
             rho = y.reshape(shape)
@@ -649,7 +669,7 @@ class TestPiecewiseOracle:
         unitaries = [u]
         for t in series.times[:-1]:
             for s in t + h * np.arange(n_sub):
-                h1, h2 = (dy.build_hamiltonian(scn, ops, s + c * h) for c in (0.5 - r, 0.5 + r))
+                h1, h2 = (dy.build_hamiltonian(scn, s + c * h) for c in (0.5 - r, 0.5 + r))
                 u = (expm(-1j * h * ((0.25 - r) * h1 + (0.25 + r) * h2))
                      @ expm(-1j * h * ((0.25 + r) * h1 + (0.25 - r) * h2)) @ u)
             unitaries.append(u)
@@ -691,10 +711,10 @@ class TestPiecewiseOracle:
         scn = resonance_scn(steps=64, drive="linear")
         ops = am.build_operators(1)
         _, members = dy.initial_state(scn, ops)
-        decomposition = dy.hamiltonian_terms(scn, ops)
-        whole = dy._propagate(scn, decomposition, members, 8)
+        blocks = parity_terms(scn, ops)
+        whole = dy._propagate(scn, blocks, members, 8)
         monkeypatch.setattr(dy, "_CHUNK_BYTES", chunk_bytes)
-        split = dy._propagate(scn, decomposition, members, 8)
+        split = dy._propagate(scn, blocks, members, 8)
         assert np.max(np.abs(split - whole)) <= 1e-15
 
 
@@ -1030,32 +1050,27 @@ class TestResonanceScan:
 
 class TestLevelSplitting:
     def test_zero_gradient(self):
-        ops = am.build_operators(1)
-        tab = dy.level_splitting(ops, 1e-35, 0.0)
+        tab = dy.level_splitting(1, 1e-35, 0.0)
         assert np.all(tab.shifts == 0.0)
 
     def test_L1_ratios(self):
-        ops = am.build_operators(1)
-        tab = dy.level_splitting(ops, 1.6e-35, -1e4)
+        tab = dy.level_splitting(1, 1.6e-35, -1e4)
         ratios = np.sort(tab.shifts / np.max(np.abs(tab.shifts)))
         assert np.allclose(ratios, [0.0, 1.0, 1.0], atol=1e-12)
 
     def test_linear_in_gradient(self):
-        ops = am.build_operators(2)
-        t1 = dy.level_splitting(ops, 1e-35, -1e3)
-        t2 = dy.level_splitting(ops, 1e-35, -2e3)
+        t1 = dy.level_splitting(2, 1e-35, -1e3)
+        t2 = dy.level_splitting(2, 1e-35, -2e3)
         assert np.allclose(t2.shifts, 2.0 * t1.shifts, rtol=1e-12)
 
     def test_shift_sum_matches_operator_trace(self):
         for L in (1, 2, 5):
-            ops = am.build_operators(L)
-            tab = dy.level_splitting(ops, 1.3e-35, -4e3)
+            tab = dy.level_splitting(L, 1.3e-35, -4e3)
             expected = tab.coefficient * L * (L + 1) * (2 * L + 1) / 3.0
             assert np.sum(tab.shifts) == pytest.approx(expected, rel=1e-12)
 
     def test_labels_carry_projection(self):
-        ops = am.build_operators(1)
-        tab = dy.level_splitting(ops, 1e-35, -1e3)
+        tab = dy.level_splitting(1, 1e-35, -1e3)
         labels = [label for label, _ in tab.levels]
         assert labels[0].startswith("m_r=+1")
         assert labels[1].startswith("m_r=+0")
