@@ -52,7 +52,7 @@ _MODES = ("tmp", "frozen", "resonance")
 _KINDS = ("vector", "tensor")
 _DRIVES = ("corotating", "linear")
 _BLOCK_BYTES = 2 * 2**20           # oracle members per streamed block; a scan block's kernel arrays
-_INTERVAL_BUDGET_BYTES = 2**30     # substep unitaries one _propagate run may compute
+_INTERVAL_BUDGET_BYTES = 2**30     # the oracle's term blocks, and one _propagate level's unitaries
 _CHUNK_BYTES = 2 * 2**20           # substep unitaries it holds per streamed chunk
 # fourth-order commutator-free Magnus step: Gauss-Legendre nodes within a
 # substep and the weights of H at those nodes in the two exponentials
@@ -161,7 +161,7 @@ class PolarizationSeries:
             if np.max(norms) > 1.0 + 1e-10:
                 raise DomainError("|P| exceeds 1 by more than 1e-10")
         diag = self.Pt[:, (0, 1, 2), (0, 1, 2)]
-        full_tensor = ~np.any(np.isnan(self.Pt.reshape(len(self), 9)), axis=1)
+        full_tensor = ~np.isnan(self.Pt).any(axis=(1, 2))
         if np.any(full_tensor):
             traces = diag[full_tensor].sum(axis=1)
             if np.max(np.abs(traces - 1.0)) > 1e-10:
@@ -537,7 +537,9 @@ def evolve_oracle(scn, rtol=1e-9, max_halvings=20, fixed_substeps=None, return_s
       fixed_substeps, an integer >= 1, disables the refinement (used for
       convergence-order studies).  The diagnostics add the refinement record.
 
-    Members are processed in blocks of about 2 MB.  Returns a
+    The terms' parity blocks, len(hamiltonian_terms(scn)) ((L+1)^2 + L^2) 16
+    bytes, must fit the 1 GiB budget (else ConvergenceError, before any
+    work).  Members are processed in blocks of about 2 MB.  Returns a
     PolarizationSeries, and with return_states=True the pair (series,
     members): the (n, k, dim) lab-frame members at every sample, with
     initial_state's weights, n k dim 16 bytes.  The diagnostics carry
@@ -550,9 +552,15 @@ def evolve_oracle(scn, rtol=1e-9, max_halvings=20, fixed_substeps=None, return_s
     require_int("max_halvings", max_halvings, 0)
     if fixed_substeps is not None:
         require_int("fixed_substeps", fixed_substeps, 1)
+    terms = hamiltonian_terms(scn)
+    need = len(terms) * ((scn.L + 1)**2 + scn.L**2) * 16
+    if need > _INTERVAL_BUDGET_BYTES:
+        raise ConvergenceError(
+            f"the parity blocks of the {len(terms)}-term Hamiltonian at L = {scn.L} need "
+            f"{need / 2**30:.3g} GiB, over the {_INTERVAL_BUDGET_BYTES / 2**30:g} GiB budget")
     ops = build_operators(scn.L)
     # each term on each parity block, (a_k, f_k, H_k) with H_k a (d_b, d_b) block
-    blocks = [[(a, f, ops.observable(row, rows)) for a, f, row in hamiltonian_terms(scn)]
+    blocks = [[(a, f, ops.observable(row, rows)) for a, f, row in terms]
               for rows in PARITY_BLOCKS]
     weights, members = initial_state(scn, ops)
     n_block = max(1, _BLOCK_BYTES // members.nbytes)
@@ -578,9 +586,10 @@ def evolve_oracle(scn, rtol=1e-9, max_halvings=20, fixed_substeps=None, return_s
 
 
 def _nan_series(scn):
+    """times, an all-NaN P to fill in, and Pt as a read-only NaN view: no closed form defines it."""
     times = scn.times()
     p = np.full((len(times), 3), np.nan)
-    pt = np.full((len(times), 3, 3), np.nan)
+    pt = np.broadcast_to(np.nan, (len(times), 3, 3))
     return times, p, pt
 
 

@@ -7,6 +7,12 @@ rows.  A ``Style`` says how the cells spell their values: ``G17`` as
 ``'%.17g' % x`` (CSV cells), ``JSON`` as ``repr(x)`` with ``null``,
 ``Infinity`` and ``-Infinity`` for the non-finite values (JSON cells).
 
+Two lookup tables, built with numpy at import, give a field its characters.
+``_GROUPS`` holds the four digit bytes of each of the 10**4 groups of four
+digits, so that a 17-digit significand is its leading digit and four
+lookups.  ``_EXPONENTS`` holds the ``e+XX`` or ``e-XXX`` word of each
+decimal exponent, for the cells in e-notation.
+
 A finite value with 1e-280 <= |x| <= 1e280 is scaled by 10**(16 - e),
 e = floor(log10 |x|), as a double-double: Dekker's exact two-product of x
 with the high part of the power of ten, plus x times its low part.  That
@@ -36,7 +42,7 @@ _FAST_MIN, _FAST_MAX = 1e-280, 1e280   # magnitudes the kernel rounds itself
 _TIE_GUARD = 1e-9           # far above the 1e-14 error of the scaled fraction
 _SPLIT = 134217729.0        # 2**27 + 1, Veltkamp's splitting constant
 _LOW = 10**16               # the 17-digit significands are _LOW <= n < 10 * _LOW
-_U8, _U56 = np.uint64(8), np.uint64(56)
+_U8, _U32, _U56 = np.uint64(8), np.uint64(32), np.uint64(56)
 # the JSON cells of the values float.__repr__ spells nan, inf and -inf (NaN is undefined)
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -72,15 +78,11 @@ def _power_table():
 
 
 _POWERS = _power_table()
-# Splitting an 8-digit uint64 into lanes, 4 + 4 digits, then 2 + 2, then
-# 1 + 1: (multiplier, shift, mask, lane width, divisor << width - 1) for
-# divisors 10**4, 100 and 10.  The lane quotient (v * multiplier >> shift) &
-# mask equals v // divisor below 10**8, 10**4 and 100.
-_LANE_STEPS = tuple(
-    tuple(np.uint64(c) for c in (mult, shift, mask, width, (div << width) - 1))
-    for div, mult, shift, mask, width in ((10**4, 109951163, 40, 2**32 - 1, 32),
-                                          (100, 10486, 20, 0x0000007F0000007F, 16),
-                                          (10, 103, 10, 0x000F000F000F000F, 8)))
+# the 10**4 groups of four decimal digits as byte values 0-9 in the low four
+# bytes of a little-endian word, the most significant digit in the lowest byte
+_DIGITS = np.arange(10, dtype="<u8")
+_GROUPS = (_DIGITS[:, None, None, None] | _DIGITS[:, None, None] << _U8
+           | _DIGITS[:, None] << np.uint64(16) | _DIGITS << np.uint64(24)).ravel()
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
 
 
@@ -97,16 +99,11 @@ _BELOW = _words([b"\xff" * k + bytes(24 - k) for k in range(19)])     # bytes < 
 _POINT = _words([bytes(k) + b"." + bytes(23 - k) for k in range(18)] + [bytes(24)])
 _LEADING = _words([b"\0" + b"0.000"[:k] + bytes(7 - k) for k in range(6)])[0]
 
-
-def _exponent_words(x):
-    """"e+XX" or "e-XXX" in bytes 2-6 of a word, for each exponent x."""
-    a = np.abs(x)
-    chars = (101, np.where(x < 0, 45, 43), np.where(a >= 100, a // 100 + 48, 0),
-             a // 10 % 10 + 48, a % 10 + 48)
-    words = np.zeros(len(x), dtype="<u8")
-    for i, c in enumerate(chars):
-        words |= np.asarray(c, dtype="<u8") << np.uint64(16 + 8 * i)
-    return words
+# "e", the sign and two or three digits ("e+05", "e-123") in bytes 2-6 of a
+# word, for each decimal exponent from _E_MIN to _E_MAX + 1 (a rounding
+# carry may raise _E_MAX by one)
+_EXPONENTS = _words([(b"\0\0e%+03d" % e).ljust(8, b"\0")
+                     for e in range(_E_MIN, _E_MAX + 2)])[0]
 
 
 def _scale(a, e):
@@ -185,14 +182,17 @@ def _shortest(x):
     first = n + np.ceil(low).astype(np.int64)
     last = n + np.floor(high).astype(np.int64)
     # the largest power of ten with a multiple in [first, last]; where the
-    # largest is 10**j, so is every smaller one.  10**16 is as far as it
-    # needs to go: 10**17 is a multiple of it, and then the nearest one
+    # largest is 10**j, so is every smaller one, so each round tries only the
+    # indices the round before kept.  10**16 is as far as it needs to go:
+    # 10**17 is a multiple of it, and then the nearest one
     step = np.ones_like(n)
+    live = np.arange(len(n))       # the indices with a multiple of 10**(j - 1)
     for j in range(1, 17):
-        more = last // np.int64(10**j) * np.int64(10**j) >= first
-        if not more.any():
+        power = np.int64(10**j)
+        live = live[last[live] // power * power >= first[live]]
+        if not live.size:
             break
-        step[more] = 10**j
+        step[live] = power
     # the multiple of step nearest n + frac, in the window as the window is symmetric
     q, r = np.divmod(n, step)
     over = (2 * r - step) + 2.0 * frac       # sign of the distance past the midpoint
@@ -222,14 +222,12 @@ def _digit_words(n):
     as byte values 0-9 in the bytes of three little-endian words, shape (3, len(n))."""
     top = n // np.int64(10**8)
     lead = top // np.int64(10**8)
-    # two groups of 8 digits, each spread over the bytes of its word
-    v = np.empty((2, len(n)), dtype="<u8")
+    # two groups of 8 digits, each as two groups of 4 spread over the bytes of a word
+    v = np.empty((2, len(n)), dtype=np.int64)
     v[0] = top - lead * np.int64(10**8)
     v[1] = n - top * np.int64(10**8)
-    for mult, shift, mask, width, back in _LANE_STEPS:
-        q = (v * mult >> shift) & mask
-        v <<= width
-        v -= q * back          # (v - q divisor) << width | q
+    high = v // np.int64(10**4)
+    v = _GROUPS.take(high) | _GROUPS.take(v - high * np.int64(10**4)) << _U32
     words = np.empty((3, len(n)), dtype="<u8")
     words[0] = v[0] << _U8 | lead.astype("<u8")
     words[1] = v[1] << _U8 | v[0] >> _U56
@@ -295,7 +293,7 @@ def _fill(x, out, style):
     body |= _POINT.take(np.where((keep > lead) & (lead > 0), lead, 18), axis=1)
     sci = np.flatnonzero(~fixed)
     if sci.size:
-        body[2, sci] |= _exponent_words(e[sci])
+        body[2, sci] |= _EXPONENTS.take(e[sci] - _E_MIN)
     leading = _LEADING.take(np.where(fixed & (e < 0), 1 - e, 0))   # "0." and -X - 1 zeros
     leading |= np.signbit(x).astype("<u8") * np.uint64(45)
     words = out.view("<u8")

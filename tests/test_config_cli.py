@@ -486,6 +486,40 @@ class TestSimulateCommand:
         report = json.loads((tmp_path / "sim_comparison.json").read_text())
         assert math.isfinite(report["max_abs_deviation"])
 
+    def test_oracle_over_the_budget_exits_1_before_building_operators(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # at L = 20000 the frozen term's parity blocks alone take 11.9 GiB
+        def no_work(*args):
+            raise AssertionError("build_operators called")
+        monkeypatch.setattr(dy, "build_operators", no_work)
+        doc = json.loads((CONFIG_DIR / "frozen_sim.json").read_text())
+        doc["beam"]["L"] = 20000
+        doc["scenario"]["steps"] = 3
+        doc["oracle"] = {"enabled": True}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["simulate", "--config", str(path),
+                                  "--out", str(tmp_path / "large.csv")], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "numerical", "message": "the parity blocks of the 1-term Hamiltonian "
+                                             "at L = 20000 need 11.9 GiB, over the 1 GiB budget"}
+
+    @pytest.mark.parametrize("content, message", [(None, "cannot read config"),
+                                                  ("{\"beam\": ", "is not valid JSON")],
+                             ids=["missing", "invalid"])
+    def test_unreadable_config_exit_code(self, content, message, tmp_path, capsys):
+        path = tmp_path / "sim.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "config"
+        assert message in json.loads(err)["message"]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"beam": {"badkey": 1.0}}))
@@ -757,6 +791,16 @@ class TestVerifyHarness:
                          "Omega_rad_s": 5.0, "b_rad_s": -0.25}}, "simulate")
         scn = cli.scenario_from_config(doc)
         assert scn.Omega == 5.0 and scn.b == -0.25
+
+    def test_scenario_from_config_resonance_coupling_from_gradient(self):
+        doc = cfg.validate_config({
+            "beam": {"kinetic_energy_eV": 3e5, "L": 10, "theta": 0.5, "psi": 0.1,
+                     "kind": "tensor"},
+            "scenario": {"mode": "resonance", "t_end_s": 1.0, "steps": 16,
+                         "Omega_rad_s": 5.0, "grad_amplitude_V_m2": 2.5e6}}, "simulate")
+        scn = cli.scenario_from_config(doc)
+        assert scn.A == dy.quadrupole_coupling(mo.beam_model_eqm(10)[2], 10, 2.5e6)
+        assert scn.A != 0.0 and scn.omega_drive == 10.0
 
     def test_scenario_from_config_physical_tmp(self):
         doc = cfg.validate_config({

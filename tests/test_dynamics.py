@@ -389,6 +389,36 @@ class TestOracleBasics:
         with pytest.raises(DomainError, match="NaN"):
             series.validate()
 
+    @pytest.mark.parametrize("where, cell, message", [
+        ("P", (5, 2), "exceeds 1"), ("Pt", (5, 2, 2), "trace deviates")])
+    def test_validate_rejects_broken_invariants(self, where, cell, message):
+        # a valid series with P set to a unit vector and one entry moved by
+        # 2e-10: |P| or the tensor's trace is past 1e-10 from 1
+        series = dy.evolve_oracle(frozen_scn(steps=8))
+        series.P[5] = [0.0, 0.0, 1.0]
+        series.validate()
+        getattr(series, where)[cell] += 2e-10
+        with pytest.raises(DomainError, match=message):
+            series.validate()
+
+    @pytest.mark.parametrize("L, bounded", [(20000, True), (5793, True), (5792, False)],
+                             ids=["L20000", "over", "blocks-fit"])
+    def test_term_blocks_budget_checked_before_any_work(self, L, bounded, monkeypatch):
+        # frozen mode has one term; its two parity blocks take
+        # ((L+1)^2 + L^2) 16 bytes, over 1 GiB from L = 5793 on
+        def no_work(*args):
+            raise AssertionError("build_operators called")
+        monkeypatch.setattr(dy, "build_operators", no_work)
+        scn = frozen_scn(L=L, steps=3)
+        if not bounded:
+            with pytest.raises(AssertionError, match="build_operators called"):
+                dy.evolve_oracle(scn)
+            return
+        with pytest.raises(ConvergenceError, match="GiB budget") as err:
+            dy.evolve_oracle(scn)
+        need = ((L + 1)**2 + L**2) * 16
+        assert f"1-term Hamiltonian at L = {L} need {need / 2**30:.3g} GiB," in str(err.value)
+
     @pytest.mark.parametrize("kind, k", [("vector", 1), ("tensor", 2)])
     def test_returned_members_at_paper_scale(self, kind, k):
         # L = 100 and 2001 steps: (n, k, dim) members, 12.9 MB for the tensor beam
@@ -1107,6 +1137,24 @@ class TestSeriesSerialization:
         assert len(lines) == 6
         assert lines[1].endswith(",closed_form")
         assert lines[1].split(",")[1] == "nan"   # P_rho undefined in frozen closed form
+
+    @pytest.mark.parametrize("closed", [
+        lambda: dy.closed_form_tmp(tmp_scn(steps=5000)),
+        lambda: dy.closed_form_frozen(frozen_scn(steps=5000, kind="vector")),
+        lambda: dy.closed_form_resonance(resonance_scn(steps=5000))],
+        ids=["tmp", "frozen", "resonance"])
+    def test_closed_form_tensor_is_a_read_only_nan_view(self, closed):
+        series = closed()
+        assert not series.Pt.flags.writeable and np.isnan(series.Pt).all()
+        assert series.Pt.strides == (0, 0, 0)
+        # the bytes are those of a writable NaN tensor
+        full = replace(series, Pt=np.full((len(series), 3, 3), np.nan))
+        for write in (dy.write_series_csv, dy.write_series_json):
+            a, b = io.StringIO(), io.StringIO()
+            write(series, a)
+            write(full, b)
+            assert a.getvalue() == b.getvalue()
+        series.validate()
 
     def test_csv_header_constant_is_the_readme_header(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
