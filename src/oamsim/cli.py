@@ -103,8 +103,9 @@ def scenario_from_config(doc):
         return ring_config.larmor_omega(kin, b0, 0.0)
 
     fields = dict(mode=mode, L=L, theta=beam["theta"], psi=beam["psi"],
-                  kind=beam["kind"], t_end=scn["t_end_s"], steps=scn["steps"],
-                  phi=scn.get("phi", 0.0), drive=scn.get("drive", "corotating"))
+                  kind=beam["kind"], t_end=scn["t_end_s"], steps=scn["steps"])
+    # absent, they keep the scenario's defaults
+    fields.update((key, scn[key]) for key in ("phi", "drive") if key in scn)
     if mode == "tmp":
         fields["Omega"] = given("Omega_rad_s", larmor)
         fields["b"] = given("b_rad_s", lambda: moments.tmp_coefficient(_ring_for(doc, mode)[1]))
@@ -218,19 +219,23 @@ def cmd_simulate(args):
     fmt = args.format or out.get("format", "csv")
     path = _out_path(args, doc)
     oracle_cfg = doc.get("oracle", {})
-    if oracle_cfg.get("enabled", False) and not path:
+    with_oracle = oracle_cfg.get("enabled", False)
+    if with_oracle and not path:
         raise ConfigError("simulate with oracle.enabled writes three files; "
                           "give --out or output.path")
+    # every result is computed before any file is opened, so a failed run writes nothing
     closed = dynamics.closed_form(scn)
-    _write_series(closed, fmt, path)
-    if oracle_cfg.get("enabled", False):
-        rtol = oracle_cfg.get("tolerance", 1e-9)
-        report = dynamics.oracle_vs_closed_form(scn, oracle_rtol=rtol)
-        base, ext = os.path.splitext(path)
-        _write_series(report.oracle, fmt, f"{base}_oracle{ext}")
+    if with_oracle:
+        # absent, the tolerance is the oracle's default
+        given = {"oracle_rtol": oracle_cfg["tolerance"]} if "tolerance" in oracle_cfg else {}
+        report = dynamics.oracle_vs_closed_form(scn, **given)
         cmp_doc = report._asdict()
         cmp_doc["oracle_diagnostics"] = cmp_doc.pop("oracle").diagnostics
         text = json.dumps(_sanitize(cmp_doc), indent=2, sort_keys=True) + "\n"
+    _write_series(closed, fmt, path)
+    if with_oracle:
+        base, ext = os.path.splitext(path)
+        _write_series(report.oracle, fmt, f"{base}_oracle{ext}")
         _emit(text, f"{base}_comparison.json")
     return 0
 
@@ -279,14 +284,12 @@ def _parser():
         description="Twisted-electron moments and intrinsic-OAM ring dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
     reports = ("json", "text")
-    for name, needs_config, formats in (("constants", False, reports),
-                                        ("freeze", True, reports),
-                                        ("moments", True, reports),
-                                        ("simulate", True, ("csv", "json")),
-                                        ("scan", True, ("csv",)),
-                                        ("verify", False, reports)):
+    for name, formats in (("constants", reports), ("freeze", reports), ("moments", reports),
+                          ("simulate", ("csv", "json")), ("scan", ("csv",)),
+                          ("verify", reports)):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config,
+        # the commands that read a configuration require one
+        p.add_argument("--config", required=name in cfg.READS,
                        help="path to a JSON run configuration")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=formats,

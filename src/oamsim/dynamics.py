@@ -11,8 +11,11 @@ The resonance drive comes in two models: ``linear``, the physical oscillation
 
     (A/2) [ (Lx^2 - Ly^2) cos(omega t + phi) + {Lx, Ly} sin(omega t + phi) ],
 
-whose rotating-frame dynamics matches the closed-form solutions without any
-rotating-wave truncation.  Every mode is one instance of
+which is static in the frame rotating at omega/2 and needs no rotating-wave
+truncation.  The closed forms are the L = 1 formulas evaluated at every L.
+They are exact only at L = 1, the resonance form only for the corotating
+drive; at L > 1 they are off by more than a constant factor (ROADMAP.md
+items 6 and 9).  Every mode is one instance of
 
     H(t) = sum_k a_k f_k(omega t + phi) H_k,
 
@@ -48,9 +51,15 @@ _COLUMNS = ("t", "P_rho", "P_phi", "P_z") + tuple(
 SERIES_CSV_HEADER = ",".join(_COLUMNS + ("source",))
 
 _JSON_SEPARATOR = ",\n    "         # between the values of a JSON series column
-_MODES = ("tmp", "frozen", "resonance")
-_KINDS = ("vector", "tensor")
-_DRIVES = ("corotating", "linear")
+# the coefficient fields each mode reads; every other one must keep its
+# default, which the mode would drop unread
+_READS = {"tmp": ("Omega", "b"), "frozen": ("A",),
+          "resonance": ("Omega", "A", "omega_drive", "phi", "drive")}
+# every coefficient field, the drive's first, in the order messages list them
+_COEFFICIENTS = ("omega_drive", "phi", "drive", "Omega", "b", "A")
+_CHOICES = {"mode": tuple(_READS), "kind": ("vector", "tensor"),
+            "drive": ("corotating", "linear")}
+_ORACLE_RTOL = 1e-9                # the piecewise oracle's default refinement tolerance
 _BLOCK_BYTES = 2 * 2**20           # oracle members per streamed block; a scan block's kernel arrays
 _INTERVAL_BUDGET_BYTES = 2**30     # the oracle's term blocks, and one _propagate level's unitaries
 _CHUNK_BYTES = 2 * 2**20           # substep unitaries it holds per streamed chunk
@@ -92,28 +101,17 @@ class DynamicsScenario:
             if (f.type in (int, float) and not isinstance(value, numbers.Integral)
                     and not math.isfinite(value)):
                 raise DomainError(f"{f.name} must be finite, got {value}")
-        if self.mode not in _MODES:
-            raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.kind not in _KINDS:
-            raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.drive not in _DRIVES:
-            raise DomainError(f"drive must be one of {_DRIVES}, got {self.drive!r}")
+            if f.name in _CHOICES and value not in _CHOICES[f.name]:
+                raise DomainError(f"{f.name} must be one of {_CHOICES[f.name]}, got {value!r}")
         require_int("L", self.L, 1)
         require_int("steps", self.steps, 2)
         if not self.t_end > 0:
             raise DomainError(f"t_end must be positive, got {self.t_end}")
-        # each mode keeps exactly one bilinear term
-        if self.mode == "frozen" and (self.Omega != 0.0 or self.b != 0.0):
-            raise DomainError("frozen mode requires Omega = 0 and b = 0")
-        if self.mode == "tmp" and self.A != 0.0:
-            raise DomainError("tmp mode requires A = 0")
-        if self.mode == "resonance" and self.b != 0.0:
-            raise DomainError("resonance mode requires b = 0")
-        # only the resonance drive reads these; elsewhere they would be dropped unread
-        if self.mode != "resonance" and (self.omega_drive != 0.0 or self.phi != 0.0
-                                         or self.drive != "corotating"):
-            raise DomainError(f"{self.mode} mode requires omega_drive = 0, phi = 0 "
-                              "and drive = 'corotating'")
+        defaults = {f.name: f.default for f in fields(self)}
+        unread = [name for name in _COEFFICIENTS if name not in _READS[self.mode]]
+        if any(getattr(self, name) != defaults[name] for name in unread):
+            raise DomainError(f"{self.mode} mode requires "
+                              + ", ".join(f"{name} = {defaults[name]!r}" for name in unread))
         # every phase the closed forms and the oracle evaluate lies within the
         # Hamiltonian's scale times t_end plus k psi (k <= 2L), 2 theta and phi
         try:
@@ -513,7 +511,8 @@ def _state_diagnostics(weights, members):
     return diag
 
 
-def evolve_oracle(scn, rtol=1e-9, max_halvings=20, fixed_substeps=None, return_states=False):
+def evolve_oracle(scn, rtol=_ORACLE_RTOL, max_halvings=20, fixed_substeps=None,
+                  return_states=False):
     """Matrix-propagator oracle for a dynamics scenario.
 
     The beam is an ensemble of pure members with fixed weights (see
@@ -594,11 +593,12 @@ def _nan_series(scn):
 
 
 def closed_form_tmp(scn):
-    """Closed-form TMP beating of an initially tensor-polarized beam (exact at L=1).
+    """Closed-form TMP beating of an initially tensor-polarized beam.
 
     P_rho = -1/2 sin(2 theta) sin(Omega t + psi) sin(b t),
     P_phi = +1/2 sin(2 theta) cos(Omega t + psi) sin(b t),  P_z = 0.
-    For L > 1 the shape holds up to a constant amplitude factor.
+    This is the L = 1 formula evaluated at every L, exact only at L = 1
+    (ROADMAP.md item 6).
     """
     if scn.mode != "tmp":
         raise DomainError("closed_form_tmp requires mode='tmp'")
@@ -618,6 +618,9 @@ def closed_form_frozen(scn):
 
     vector:  P_z = cos(2At) cos(theta) + 1/2 sin^2(theta) sin(2At) sin(2 psi)
     tensor:  P_z = 1/2 sin^2(theta) sin(2At) sin(2 psi)
+
+    This is the L = 1 formula evaluated at every L, exact only at L = 1
+    (ROADMAP.md item 6).
     """
     if scn.mode != "frozen":
         raise DomainError("closed_form_frozen requires mode='frozen'")
@@ -640,8 +643,11 @@ def closed_form_resonance(scn):
                     sin(w't/2) cos(2 psi - phi) + cos(w't/2) sin(2 psi - phi) ]
     vector:  adds (1 - 2 A^2/omega'^2 sin^2(w't/2)) cos(theta).
 
-    Exact for the corotating drive model; the linear drive obeys it within
-    rotating-wave corrections of order A/omega.
+    This is the L = 1 formula evaluated at every L, exact only at L = 1 and
+    there for the corotating drive model; the linear drive obeys it within
+    rotating-wave corrections of order A/omega.  At L > 1 the line is
+    (2L - 1) times wider and peaks higher than the formula says (ROADMAP.md
+    item 9).
     """
     if scn.mode != "resonance":
         raise DomainError("closed_form_resonance requires mode='resonance'")
@@ -826,7 +832,7 @@ def level_splitting(L, Qs, dEr_dR):
     return SplittingTable(levels=levels, coefficient=float(coeff))
 
 
-def oracle_vs_closed_form(scn, oracle_rtol=1e-9):
+def oracle_vs_closed_form(scn, oracle_rtol=_ORACLE_RTOL):
     """Compare the matrix-propagator oracle against the closed-form solution.
 
     The deviation is the largest |oracle - closed form| over the components

@@ -507,6 +507,24 @@ class TestSimulateCommand:
             "error": "numerical", "message": "the parity blocks of the 1-term Hamiltonian "
                                              "at L = 20000 need 11.9 GiB, over the 1 GiB budget"}
 
+    def test_failed_oracle_writes_nothing(self, tmp_path, capsys):
+        # the closed form succeeds and the oracle is over its budget: no file,
+        # the closed form's included, is left behind
+        doc = json.loads((CONFIG_DIR / "frozen_sim.json").read_text())
+        doc["beam"]["L"] = 20000
+        doc["scenario"]["steps"] = 3
+        doc["oracle"] = {"enabled": True}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "out" / "large.csv"
+        out_path.parent.mkdir()
+        code, out, err = run_cli(["simulate", "--config", str(path),
+                                  "--out", str(out_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "numerical"
+        assert list(out_path.parent.iterdir()) == []
+
     @pytest.mark.parametrize("content, message", [(None, "cannot read config"),
                                                   ("{\"beam\": ", "is not valid JSON")],
                              ids=["missing", "invalid"])

@@ -152,6 +152,16 @@ class TestScenarioValidation:
         with pytest.raises(DomainError, match=f"{mode} mode requires omega_drive = 0"):
             dy.DynamicsScenario(mode=mode, L=1, **{field: value})
 
+    @pytest.mark.parametrize("mode, field", [
+        ("tmp", "A"), ("tmp", "omega_drive"), ("tmp", "phi"), ("tmp", "drive"),
+        ("frozen", "Omega"), ("frozen", "b"), ("frozen", "omega_drive"), ("frozen", "phi"),
+        ("frozen", "drive"), ("resonance", "b")])
+    def test_coefficient_the_mode_does_not_read_rejected(self, mode, field):
+        value = {"Omega": 1.0, "b": 1.0, "A": 1.0, "omega_drive": 0.5, "phi": -0.3,
+                 "drive": "linear"}[field]
+        with pytest.raises(DomainError, match=f"^{mode} mode requires "):
+            dy.DynamicsScenario(mode=mode, L=1, **{field: value})
+
     def test_non_finite_coefficient_rejected_before_the_oracle(self):
         with pytest.raises(DomainError, match="finite"):
             dy.evolve_oracle(frozen_scn(A=math.nan))
@@ -666,9 +676,12 @@ class TestPiecewiseOracle:
         series = dy.evolve_oracle(scn, rtol=1e-10)
         state0 = _reference_state(scn, ops)
         shape = state0.shape
+        # the dense terms, built once; H(t) = sum_k a_k f_k(omega t + phi) H_k
+        terms = [(a, f, ops.observable(row)) for a, f, row in dy.hamiltonian_terms(scn)]
 
         def rhs(t, y):
-            h = dy.build_hamiltonian(scn, t)
+            phase = scn.omega_drive * t + scn.phi
+            h = sum((a if f is None else a * f(phase)) * hk for a, f, hk in terms)
             if len(shape) == 1:
                 return -1j * (h @ y)
             rho = y.reshape(shape)

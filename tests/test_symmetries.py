@@ -22,7 +22,9 @@ oracle and for the closed forms alike:
 
 The tmp Hamiltonian Omega Lz + b Lz^2 is real too, so conjugation maps
 (Omega, b, psi) to (-Omega, -b, -psi) with the same flips.  Every relation
-runs for both beam kinds where it applies, at L = 1, 2, 3 and 20.
+runs for both beam kinds where it applies, at L = 1, 2, 3 and 20, and at
+L = 100 where the oracle's path is spectral (tmp, frozen and the corotating
+drive).
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ import pytest
 from oamsim import dynamics as dy
 
 LS = (1, 2, 3, 20)
+SPECTRAL_LS = LS + (100,)   # the spectral path also runs at the paper's scale
 KINDS = ("vector", "tensor")
 BOUND = 1e-12
 FLIP = np.array([1.0, -1.0, 1.0])   # complex conjugation flips P_y
@@ -57,7 +60,7 @@ def assert_same_defined(p, q):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("L", LS)
+@pytest.mark.parametrize("L", SPECTRAL_LS)
 def test_conjugation_on_frozen(L, kind):
     d = draw(L)
     scn = dy.DynamicsScenario(mode="frozen", L=L, A=d["A"], theta=d["theta"], psi=d["psi"],
@@ -70,7 +73,7 @@ def test_conjugation_on_frozen(L, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("L", LS)
+@pytest.mark.parametrize("L", SPECTRAL_LS)
 def test_conjugation_on_tmp(L, kind):
     d = draw(L)
 
@@ -87,7 +90,7 @@ def test_conjugation_on_tmp(L, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("L", LS)
+@pytest.mark.parametrize("L", SPECTRAL_LS)
 def test_rotation_about_z_on_corotating(L, kind):
     d = draw(L)
     alpha = 0.7
@@ -135,9 +138,9 @@ def test_undriven_linear_drive_is_frozen(L, kind):
     assert_close(linear.P, linear.Pt, frozen.P, frozen.Pt)
 
 
-@pytest.mark.parametrize("drive", ("corotating", "linear"))
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("L", LS)
+@pytest.mark.parametrize("L, kind, drive", [
+    (L, kind, drive) for drive in ("corotating", "linear") for kind in KINDS for L in LS]
+    + [(100, kind, "corotating") for kind in KINDS])
 def test_resonance_without_quadrupole_is_larmor_precession(L, kind, drive):
     d = draw(L)
     beam = dict(L=L, Omega=d["Omega"], theta=d["theta"], psi=d["psi"], kind=kind,
@@ -152,8 +155,9 @@ def test_resonance_without_quadrupole_is_larmor_precession(L, kind, drive):
                              - dy.closed_form(tmp).P[:, 2])) <= BOUND
 
 
-@pytest.mark.parametrize("case", ("tmp", "frozen", "corotating", "linear"))
-@pytest.mark.parametrize("L", LS)
+@pytest.mark.parametrize("L, case", [
+    (L, case) for case in ("tmp", "frozen", "corotating", "linear") for L in LS]
+    + [(100, case) for case in ("tmp", "frozen", "corotating")])
 def test_member_exchange_on_tensor_beam(L, case):
     d = draw(L)
     coefficients = {
