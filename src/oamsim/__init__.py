@@ -12,7 +12,7 @@ from .errors import ConfigError, ConvergenceError, DomainError
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "am_core": ("AmOperators", "PolarizationState", "QuantumState",
+    "am_core": ("AmOperators", "PolarizationState",
                 "build_operators", "coherent_state", "initial_polarization_closed",
                 "polarization_tensor", "polarization_vector", "tensor_mixture"),
     "dynamics": ("ComparisonReport", "DynamicsScenario", "PolarizationSeries",

@@ -1,9 +1,12 @@
 """Angular-momentum operator algebra, beam states, and polarization extraction.
 
 Operators live on the (2L+1)-dimensional space spanned by |L, m> with the
-basis ordered m = L, L-1, ..., -L.  Polarization components are reported in
-cylindrical axes (rho, phi, z) treated as a fixed right-handed frame of the
-co-moving beam description, so (rho, phi, z) map onto Cartesian (x, y, z).
+basis ordered m = L, L-1, ..., -L.  A beam is the pair (weights, members):
+a (k, dim) stack of pure member vectors and their (k,) weights, which sum
+to 1; its polarization is the weighted sum of the members'.  Polarization
+components are reported in cylindrical axes (rho, phi, z) treated as a fixed
+right-handed frame of the co-moving beam description, so (rho, phi, z) map
+onto Cartesian (x, y, z).
 """
 
 import math
@@ -15,9 +18,7 @@ import numpy as np
 
 from .errors import DomainError, require_int
 
-_HERM_TOL = 1e-12
 _NORM_TOL = 1e-12
-_EIG_TOL = 1e-10
 # tensor components (i, j) in the order of OBSERVABLES[3:]
 TENSOR_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 # Lx, Ly, Lz, then {L_i, L_j} in TENSOR_PAIRS order, as rows t over the band
@@ -100,22 +101,6 @@ class AmOperators:
         return out
 
 
-class QuantumState(NamedTuple):
-    """A pure state vector or a mixed-state density matrix on the |L, m> space."""
-
-    kind: str            # "pure" | "mixed"
-    data: np.ndarray     # (dim,) complex vector or (dim, dim) density matrix
-
-    @property
-    def dim(self):
-        return self.data.shape[0]
-
-    def density_matrix(self):
-        if self.kind == "pure":
-            return np.outer(self.data, self.data.conj())
-        return self.data
-
-
 class PolarizationState(NamedTuple):
     """Vector polarization P (rho, phi, z) and symmetric 3x3 tensor Pt."""
 
@@ -138,36 +123,12 @@ def build_operators(L):
     return AmOperators(L=L, m=m, c=c)
 
 
-def _validate_pure(vec):
+def _unit_norm(vec):
+    """vec, after checking that its norm is 1 within _NORM_TOL."""
     norm = np.linalg.norm(vec)
     if not abs(norm - 1.0) <= _NORM_TOL:    # written so that a NaN norm fails too
         raise DomainError(f"pure state norm {norm} deviates from 1 beyond {_NORM_TOL}")
-
-
-def _validate_mixed(rho):
-    if not np.isfinite(rho).all():
-        raise DomainError("density matrix has non-finite entries")
-    if not np.max(np.abs(rho - rho.conj().T)) <= _HERM_TOL:
-        raise DomainError("density matrix is not Hermitian")
-    tr = np.trace(rho).real
-    if not abs(tr - 1.0) <= _NORM_TOL:
-        raise DomainError(f"density matrix trace {tr} deviates from 1 beyond {_NORM_TOL}")
-    if np.min(np.linalg.eigvalsh(rho)) < -_EIG_TOL:
-        raise DomainError("density matrix has an eigenvalue below the positivity tolerance")
-
-
-def pure_state(vec):
-    """Wrap and validate a pure state vector."""
-    vec = np.asarray(vec, dtype=complex)
-    _validate_pure(vec)
-    return QuantumState(kind="pure", data=vec)
-
-
-def mixed_state(rho):
-    """Wrap and validate a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    _validate_mixed(rho)
-    return QuantumState(kind="mixed", data=rho)
+    return vec
 
 
 def coherent_state(ops, theta, psi):
@@ -182,7 +143,9 @@ def coherent_state(ops, theta, psi):
 
     taken in log space with the sign of each factor, so that none overflows
     or underflows before the product does.  At theta = 0 and theta = pi the
-    state is exactly |L, L> and exp(2i L psi) |L, -L>.
+    state is exactly |L, L> and exp(2i L psi) |L, -L>.  Returns the (dim,)
+    vector; a norm off 1 by more than 1e-12, as a NaN angle gives, is a
+    DomainError.
     """
     n = 2 * ops.L
     if theta == 0.0 or theta == np.pi:
@@ -190,7 +153,7 @@ def coherent_state(ops, theta, psi):
         end = 0 if theta == 0.0 else n
         vec = np.zeros(n + 1, dtype=complex)
         vec[end] = np.exp(1j * end * psi)
-        return pure_state(vec)
+        return _unit_norm(vec)
     k = np.arange(n + 1)
     cos_half, sin_half = math.cos(0.5 * theta), math.sin(0.5 * theta)
     # C(2L, k) as exact integers, whose logs round once
@@ -206,41 +169,39 @@ def coherent_state(ops, theta, psi):
     hi = math.ldexp(round(math.ldexp(mantissa, shift)), exponent - shift)
     phase = k * psi
     rounding = (k * hi - phase) + k * (psi - hi)
-    return pure_state(sign * np.exp(log_abs) * (np.exp(1j * phase) * (1.0 + 1j * rounding)))
-
-
-def antiparallel_pair(ops, theta, psi):
-    """Coherent states with direction (theta, psi) and its antipode (pi - theta, psi + pi)."""
-    return coherent_state(ops, theta, psi), coherent_state(ops, np.pi - theta, psi + np.pi)
+    return _unit_norm(sign * np.exp(log_abs) * (np.exp(1j * phase) * (1.0 + 1j * rounding)))
 
 
 def tensor_mixture(ops, theta, psi):
-    """Equal mixture of coherent states with antiparallel mean directions.
+    """Beam of the coherent states with direction (theta, psi) and its antipode
+    (pi - theta, psi + pi), weight 1/2 each: (weights (2,), members (2, dim)).
 
-    The result has zero vector polarization; its polarization tensor matches
-    the single coherent state with direction (theta, psi).
+    It has zero vector polarization; its polarization tensor matches the
+    single coherent state with direction (theta, psi).
     """
-    a, b = antiparallel_pair(ops, theta, psi)
-    rho = 0.5 * (a.density_matrix() + b.density_matrix())
-    return mixed_state(rho)
+    return np.full(2, 0.5), np.stack([coherent_state(ops, theta, psi),
+                                      coherent_state(ops, np.pi - theta, psi + np.pi)])
 
 
 def polarization_batch(data, ops, traceless=False):
     """Vector and tensor polarization of a stack of states, from the bands of the algebra.
 
-    data is an (n, dim) stack of state vectors or an (n, dim, dim) stack of
-    density matrices.  Returns P of shape (n, 3), P_i = <L_i>/L in cylindrical
-    axes (rho, phi, z), and Pt of shape (n, 3, 3), the rank-2 tensor
+    data is an (n, dim) stack of state vectors; a beam's members are such a
+    stack (polarization_vector and polarization_tensor weight them).  Returns
+    P of shape (n, 3), P_i = <L_i>/L in cylindrical axes (rho, phi, z), and
+    Pt of shape (n, 3, 3), the rank-2 tensor
 
         T_ij = (3 <L_i L_j + L_j L_i> - 2 L(L+1) delta_ij) / (2L(2L-1)),
 
     which is traceless by construction.  The default convention adds
-    delta_ij/3 so that the tensor has unit trace (the maximally mixed state
-    then maps to diag(1/3, 1/3, 1/3)); pass traceless=True for the bare form.
+    delta_ij/3 so that the tensor has unit trace (the maximally mixed beam,
+    every basis vector at weight 1/dim, then maps to diag(1/3, 1/3, 1/3));
+    pass traceless=True for the bare form.
 
     Lz is diagonal, L+ has the one band c (AmOperators), and L-+ = (L+-)^H,
-    so the nine expectations take only the diagonals of rho = |psi><psi| (or
-    of each density matrix) at offsets 0, -1 and -2: the trace and five sums,
+    so the nine expectations take only the diagonals of rho = |psi><psi| at
+    offsets 0, -1 and -2, rho_{i+k,i} = conj(psi_i) psi_{i+k}: the trace and
+    five sums,
 
         tr = Tr rho,  <Lz> = sum m rho_ii,  <Lz^2> = sum m^2 rho_ii,
         <L+> = sum c_i rho_{i+1,i},  <{L+, Lz}> = sum c_i (m_i + m_{i+1}) rho_{i+1,i},
@@ -257,9 +218,7 @@ def polarization_batch(data, ops, traceless=False):
             f"state dimension {dim} does not match operators for L={ops.L}")
 
     def band(k):
-        """rho_{i+k,i} for every state, as a contiguous (n, dim - k) array."""
-        if data.ndim == 3:
-            return np.ascontiguousarray(np.diagonal(data, -k, 1, 2))
+        """rho_{i+k,i} for every state, as an (n, dim - k) array."""
         prod = data[:, :dim - k].conj()
         prod *= data[:, k:]
         return prod
@@ -283,14 +242,25 @@ def polarization_batch(data, ops, traceless=False):
     return p, pt
 
 
-def polarization_vector(state, ops):
-    """P_i = <L_i>/L in cylindrical axes (rho, phi, z); see polarization_batch."""
-    return polarization_batch(state.data[None], ops)[0][0]
+def _ensemble_polarization(weights, members, ops, traceless=False):
+    """Weighted P (n, 3) and Pt (n, 3, 3) of an (n, k, dim) member stack with
+    (k,) weights, from one polarization_batch of its n k members."""
+    n, k, dim = members.shape
+    p, pt = polarization_batch(members.reshape(n * k, dim), ops, traceless)
+    return weights @ p.reshape(n, k, 3), (weights @ pt.reshape(n, k, 9)).reshape(n, 3, 3)
 
 
-def polarization_tensor(state, ops, traceless=False):
-    """Rank-2 polarization tensor of one state; see polarization_batch."""
-    return polarization_batch(state.data[None], ops, traceless)[1][0]
+def polarization_vector(beam, ops):
+    """P_i = <L_i>/L in cylindrical axes (rho, phi, z) of a beam (weights,
+    members); see polarization_batch."""
+    weights, members = beam
+    return _ensemble_polarization(weights, np.asarray(members)[None], ops)[0][0]
+
+
+def polarization_tensor(beam, ops, traceless=False):
+    """Rank-2 polarization tensor of a beam (weights, members); see polarization_batch."""
+    weights, members = beam
+    return _ensemble_polarization(weights, np.asarray(members)[None], ops, traceless)[1][0]
 
 
 def initial_polarization_closed(theta, psi, kind):

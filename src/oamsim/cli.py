@@ -10,10 +10,12 @@ for scan.  Exit codes: 0 success, 1 verification/numerical failure,
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
+import stat
 import sys
 
 from . import config as cfg
@@ -26,10 +28,11 @@ from .reference import constants_report
 # them where they run: constants, freeze and moments start without numpy.
 
 
-def _open_out(path, newline=None):
-    """Open an output file for writing; a path that cannot be opened is a ConfigError."""
+def _open_out(path, newline=None, mode="w"):
+    """Open an output file for writing (or appending, mode "a"); a path that
+    cannot be opened is a ConfigError."""
     try:
-        return open(path, "w", newline=newline)
+        return open(path, mode, newline=newline)
     except OSError as exc:
         raise ConfigError(f"cannot open output path {path!r}: {exc.strerror}") from None
 
@@ -201,14 +204,33 @@ def _out_path(args, doc):
     return args.out or doc.get("output", {}).get("path")
 
 
-def _write_series(series, fmt, path):
-    from . import dynamics
-    write = dynamics.write_series_csv if fmt == "csv" else dynamics.write_series_json
-    if path:
-        with _open_out(path, newline="") as f:
-            write(series, f)
-    else:
-        write(series, sys.stdout)
+@contextlib.contextmanager
+def _open_all(targets):
+    """Open every (path, newline) of targets for writing, before any is written.
+
+    Each is opened for appending, so that an existing file keeps its bytes
+    until every path is open; only then are the regular files emptied.  If
+    one cannot be opened, the files opened so far are closed, those this
+    call created are removed, and the ConfigError is raised.
+    """
+    with contextlib.ExitStack() as stack:
+        files, created = [], []
+        try:
+            for path, newline in targets:
+                existed = os.path.exists(path)
+                files.append(stack.enter_context(_open_out(path, newline, "a")))
+                if not existed:
+                    created.append(path)
+        except ConfigError:
+            stack.close()
+            for path in created:
+                os.remove(path)
+            raise
+        for f in files:
+            # a pipe or a device such as /dev/null cannot be truncated
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate(0)
+        yield files
 
 
 def cmd_simulate(args):
@@ -223,8 +245,14 @@ def cmd_simulate(args):
     if with_oracle and not path:
         raise ConfigError("simulate with oracle.enabled writes three files; "
                           "give --out or output.path")
-    # every result is computed before any file is opened, so a failed run writes nothing
+    # every result is computed, then every file opened, before any is written,
+    # so a failed run writes nothing
     closed = dynamics.closed_form(scn)
+    write = dynamics.write_series_csv if fmt == "csv" else dynamics.write_series_json
+    if not path:
+        write(closed, sys.stdout)
+        return 0
+    targets = [(path, "")]
     if with_oracle:
         # absent, the tolerance is the oracle's default
         given = {"oracle_rtol": oracle_cfg["tolerance"]} if "tolerance" in oracle_cfg else {}
@@ -232,11 +260,13 @@ def cmd_simulate(args):
         cmp_doc = report._asdict()
         cmp_doc["oracle_diagnostics"] = cmp_doc.pop("oracle").diagnostics
         text = json.dumps(_sanitize(cmp_doc), indent=2, sort_keys=True) + "\n"
-    _write_series(closed, fmt, path)
-    if with_oracle:
         base, ext = os.path.splitext(path)
-        _write_series(report.oracle, fmt, f"{base}_oracle{ext}")
-        _emit(text, f"{base}_comparison.json")
+        targets += [(f"{base}_oracle{ext}", ""), (f"{base}_comparison.json", None)]
+    with _open_all(targets) as files:
+        write(closed, files[0])
+        if with_oracle:
+            write(report.oracle, files[1])
+            files[2].write(text)
     return 0
 
 

@@ -37,8 +37,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import floattext
-from .am_core import (OBSERVABLES, PARITY_BLOCKS, TENSOR_PAIRS, antiparallel_pair,
-                      build_operators, coherent_state, polarization_batch)
+from .am_core import (OBSERVABLES, PARITY_BLOCKS, TENSOR_PAIRS, _ensemble_polarization,
+                      build_operators, coherent_state, tensor_mixture)
 # kept importable from dynamics: perfbench's tracer self-test patches it here
 from .am_core import polarization_tensor  # noqa: F401
 from .constants import HBAR
@@ -255,16 +255,14 @@ def _evaluate(scn, terms, t):
 
 
 def initial_state(scn, ops):
-    """Initial beam as an ensemble (weights, members) of pure states.
+    """Initial beam (weights, members), members a (k, dim) stack of pure states.
 
     The vector kind is its coherent state with weight 1; the tensor kind is
-    that state and its antipode with weight 1/2 each, the members of
-    am_core.tensor_mixture.  members is a (k, dim) stack.
+    am_core.tensor_mixture, that state and its antipode with weight 1/2 each.
     """
     if scn.kind == "vector":
-        return np.ones(1), coherent_state(ops, scn.theta, scn.psi).data[None]
-    a, b = antiparallel_pair(ops, scn.theta, scn.psi)
-    return np.full(2, 0.5), np.stack([a.data, b.data])
+        return np.ones(1), coherent_state(ops, scn.theta, scn.psi)[None]
+    return tensor_mixture(ops, scn.theta, scn.psi)
 
 
 def _mul(a, b):
@@ -391,13 +389,6 @@ def _propagate(scn, blocks, members, n_sub):
             out[start + 1:start + 1 + len(moved), :, rows] = moved.swapaxes(1, 2)
             state = moved[-1]
     return out
-
-
-def _ensemble_polarization(weights, members, ops):
-    """Weighted P and Pt of an (n, k, dim) member stack, from one polarization_batch."""
-    n, k, dim = members.shape
-    p, pt = polarization_batch(members.reshape(n * k, dim), ops)
-    return weights @ p.reshape(n, k, 3), (weights @ pt.reshape(n, k, 9)).reshape(n, 3, 3)
 
 
 def _refine(scn, ops, blocks, weights, members, rtol, max_halvings, fixed_substeps):

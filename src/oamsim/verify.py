@@ -291,14 +291,11 @@ def check_algebra_suite():
     for _ in range(200):
         L = int(rng.integers(1, 7))
         ops = am_core.build_operators(L)
-        if rng.random() < 0.5:
-            vec = rng.normal(size=ops.dim) + 1j * rng.normal(size=ops.dim)
-            state = am_core.pure_state(vec / np.linalg.norm(vec))
-        else:
-            raw = rng.normal(size=(ops.dim, ops.dim)) + 1j * rng.normal(size=(ops.dim, ops.dim))
-            rho = raw @ raw.conj().T
-            state = am_core.mixed_state(rho / np.trace(rho).real)
-        pt = am_core.polarization_tensor(state, ops)
+        # a beam of one member, or of 2 to dim members with Dirichlet weights
+        k = 1 if rng.random() < 0.5 else int(rng.integers(2, ops.dim + 1))
+        members = rng.normal(size=(k, ops.dim)) + 1j * rng.normal(size=(k, ops.dim))
+        members /= np.linalg.norm(members, axis=1, keepdims=True)
+        pt = am_core.polarization_tensor((rng.dirichlet(np.ones(k)), members), ops)
         worst_trace = max(worst_trace, abs(np.trace(pt) - 1.0))
     elapsed = time.perf_counter() - t0
     details = []

@@ -11,6 +11,24 @@ def direction(theta, psi):
                      np.cos(theta)])
 
 
+def pure(vec):
+    """The beam of one state vector, at weight 1."""
+    return np.ones(1), np.asarray(vec, dtype=complex)[None]
+
+
+def density(beam):
+    """rho = sum_k w_k |m_k><m_k| of a beam (weights, members)."""
+    weights, members = beam
+    return np.einsum("k,ki,kj->ij", weights, members, members.conj())
+
+
+def random_beam(rng, dim, k):
+    """k random unit members of dimension dim with Dirichlet weights."""
+    members = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+    members /= np.linalg.norm(members, axis=1, keepdims=True)
+    return rng.dirichlet(np.ones(k)), members
+
+
 class TestBuildOperators:
     def test_lz_diagonal_L1(self):
         ops = am.build_operators(1)
@@ -45,19 +63,19 @@ class TestBuildOperators:
 class TestCoherentState:
     def test_theta_zero_is_highest_weight(self):
         ops = am.build_operators(1)
-        st = am.coherent_state(ops, 0.0, 2.3)
-        assert abs(abs(st.data[0]) - 1.0) < 1e-12
-        assert np.allclose(am.polarization_vector(st, ops), [0, 0, 1], atol=1e-12)
+        vec = am.coherent_state(ops, 0.0, 2.3)
+        assert abs(abs(vec[0]) - 1.0) < 1e-12
+        assert np.allclose(am.polarization_vector(pure(vec), ops), [0, 0, 1], atol=1e-12)
 
     def test_equatorial(self):
         ops = am.build_operators(1)
-        st = am.coherent_state(ops, np.pi / 2, 0.0)
-        assert np.allclose(am.polarization_vector(st, ops), [1, 0, 0], atol=1e-10)
+        vec = am.coherent_state(ops, np.pi / 2, 0.0)
+        assert np.allclose(am.polarization_vector(pure(vec), ops), [1, 0, 0], atol=1e-10)
 
     def test_large_L_direction(self):
         ops = am.build_operators(10)
-        st = am.coherent_state(ops, np.pi / 4, np.pi / 3)
-        p = am.polarization_vector(st, ops)
+        vec = am.coherent_state(ops, np.pi / 4, np.pi / 3)
+        p = am.polarization_vector(pure(vec), ops)
         assert np.max(np.abs(p - direction(np.pi / 4, np.pi / 3))) < 1e-10
 
     @pytest.mark.parametrize("L", [1, 3])
@@ -67,7 +85,7 @@ class TestCoherentState:
         psis = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
         for theta in thetas:
             for psi in psis:
-                p = am.polarization_vector(am.coherent_state(ops, theta, psi), ops)
+                p = am.polarization_vector(pure(am.coherent_state(ops, theta, psi)), ops)
                 assert np.max(np.abs(p - direction(theta, psi))) < 1e-10
                 assert abs(np.linalg.norm(p) - 1.0) < 1e-10
 
@@ -81,7 +99,7 @@ class TestCoherentState:
             generator = theta * ops.observable(-np.sin(psi) * am.OBSERVABLES[0]
                                                + np.cos(psi) * am.OBSERVABLES[1])
             rotated = expm(-1j * generator)[:, 0]
-            got = am.coherent_state(ops, theta, psi).data
+            got = am.coherent_state(ops, theta, psi)
             assert np.max(np.abs(got - rotated)) <= 1e-13, (theta, psi)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
@@ -92,7 +110,7 @@ class TestCoherentState:
         k = np.arange(ops.dim, dtype=np.longdouble)
         rng = np.random.default_rng(20261019)
         for theta, psi in zip(rng.uniform(0.5, 2.6, 50), rng.uniform(-2 * np.pi, 2 * np.pi, 50)):
-            data = am.coherent_state(ops, theta, psi).data
+            data = am.coherent_state(ops, theta, psi)
             phase = k * np.longdouble(psi)
             deviation = data / np.abs(data) - (np.cos(phase) + 1j * np.sin(phase))
             assert np.max(np.abs(deviation)) <= 1e-15, (theta, psi)
@@ -102,9 +120,9 @@ class TestCoherentState:
         ops = am.build_operators(L)
         north = np.zeros(2 * L + 1, dtype=complex)
         north[0] = 1.0
-        assert np.array_equal(am.coherent_state(ops, 0.0, 2.3).data, north)
-        assert np.array_equal(am.coherent_state(ops, np.pi, 0.0).data, north[::-1])
-        south = am.coherent_state(ops, np.pi, 0.4).data
+        assert np.array_equal(am.coherent_state(ops, 0.0, 2.3), north)
+        assert np.array_equal(am.coherent_state(ops, np.pi, 0.0), north[::-1])
+        south = am.coherent_state(ops, np.pi, 0.4)
         assert np.count_nonzero(south) == 1 and south[-1] == np.exp(2j * L * 0.4)
 
 
@@ -120,14 +138,15 @@ class TestTensorMixture:
         ops = am.build_operators(1)
         mix = am.tensor_mixture(ops, 0.0, 0.0)
         expected = 0.5 * (np.diag([1.0, 0, 0]) + np.diag([0, 0, 1.0]))
-        assert np.max(np.abs(mix.data - expected)) < 1e-12
+        assert np.array_equal(mix[0], [0.5, 0.5])
+        assert np.max(np.abs(density(mix) - expected)) < 1e-12
 
     def test_tensor_matches_coherent(self):
         # mixing antiparallel beams keeps the coherent-state tensor
         ops = am.build_operators(4)
         theta, psi = 1.1, 0.6
         mix = am.tensor_mixture(ops, theta, psi)
-        coh = am.coherent_state(ops, theta, psi)
+        coh = pure(am.coherent_state(ops, theta, psi))
         assert np.max(np.abs(am.polarization_tensor(mix, ops)
                              - am.polarization_tensor(coh, ops))) < 1e-10
 
@@ -135,7 +154,7 @@ class TestTensorMixture:
         # P_rr from an explicit trace against the packaged extraction
         ops = am.build_operators(1)
         mix = am.tensor_mixture(ops, np.pi / 2, 0.0)
-        rho = mix.data
+        rho = density(mix)
         raw = (3.0 * np.trace(rho @ (2.0 * ops.Lx @ ops.Lx)).real - 4.0) / 2.0
         pt = am.polarization_tensor(mix, ops)
         assert abs(pt[0, 0] - (raw + 1.0 / 3.0)) < 1e-12
@@ -144,19 +163,20 @@ class TestTensorMixture:
 class TestPolarizationExtraction:
     def test_highest_weight_vector(self):
         ops = am.build_operators(1)
-        st = am.pure_state([1.0, 0.0, 0.0])
+        st = pure([1.0, 0.0, 0.0])
         assert np.allclose(am.polarization_vector(st, ops), [0, 0, 1])
 
     def test_maximally_mixed(self):
+        # the equal-weight beam of the basis vectors
         ops = am.build_operators(2)
-        st = am.mixed_state(np.eye(5) / 5.0)
+        st = (np.full(5, 0.2), np.eye(5, dtype=complex))
         assert np.max(np.abs(am.polarization_vector(st, ops))) < 1e-14
         assert np.allclose(am.polarization_tensor(st, ops),
                            np.eye(3) / 3.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         ops = am.build_operators(2)
-        st = am.pure_state([1.0, 0.0, 0.0])
+        st = pure([1.0, 0.0, 0.0])
         with pytest.raises(DomainError):
             am.polarization_vector(st, ops)
         with pytest.raises(DomainError):
@@ -164,13 +184,13 @@ class TestPolarizationExtraction:
 
     def test_unit_trace_convention(self):
         ops = am.build_operators(1)
-        st = am.pure_state([1.0, 0.0, 0.0])
+        st = pure([1.0, 0.0, 0.0])
         assert abs(np.trace(am.polarization_tensor(st, ops)) - 1.0) < 1e-10
 
     def test_traceless_variant_m0(self):
         # bare quadrupole form on |1,0>: P_zz = (3*0 - 2*2)/(2*1*1) = -2
         ops = am.build_operators(1)
-        st = am.pure_state([0.0, 1.0, 0.0])
+        st = pure([0.0, 1.0, 0.0])
         pt = am.polarization_tensor(st, ops, traceless=True)
         assert abs(pt[2, 2] - (-2.0)) < 1e-12
         assert abs(np.trace(pt)) < 1e-12
@@ -181,16 +201,17 @@ class TestPolarizationExtraction:
             L = int(rng.integers(1, 6))
             ops = am.build_operators(L)
             vec = rng.normal(size=ops.dim) + 1j * rng.normal(size=ops.dim)
-            st = am.pure_state(vec / np.linalg.norm(vec))
+            st = pure(vec / np.linalg.norm(vec))
             pt = am.polarization_tensor(st, ops)
             assert abs(np.trace(pt) - 1.0) < 1e-10
             assert np.max(np.abs(pt - pt.T)) < 1e-12
             assert np.linalg.norm(am.polarization_vector(st, ops)) <= 1.0 + 1e-10
 
 
-def _per_state_polarization(state, ops):
-    """Reference: one dense expectation per observable, anticommutators rebuilt."""
-    rho = state.density_matrix()
+def _per_state_polarization(beam, ops):
+    """Reference: rho built densely from the beam, one Tr(rho O) per observable,
+    anticommutators rebuilt."""
+    rho = density(beam)
 
     def expectation(op):
         return np.trace(rho @ op).real
@@ -211,24 +232,20 @@ class TestBatchedExtraction:
     @pytest.mark.parametrize("L", [1, 2, 7, 20])
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_matches_per_state_formula(self, L, kind):
+        # nine beams of one member, or of three with Dirichlet weights
         rng = np.random.default_rng(L)
         ops = am.build_operators(L)
-        states = []
-        for _ in range(9):
-            if kind == "pure":
-                vec = rng.normal(size=ops.dim) + 1j * rng.normal(size=ops.dim)
-                states.append(am.pure_state(vec / np.linalg.norm(vec)))
-            else:
-                raw = rng.normal(size=(ops.dim, 3)) + 1j * rng.normal(size=(ops.dim, 3))
-                rho = raw @ raw.conj().T
-                states.append(am.mixed_state(rho / np.trace(rho).real))
-        p, pt = am.polarization_batch(np.array([st.data for st in states]), ops)
-        for k, st in enumerate(states):
-            p_ref, pt_ref = _per_state_polarization(st, ops)
+        beams = [random_beam(rng, ops.dim, 1 if kind == "pure" else 3) for _ in range(9)]
+        for beam in beams:
+            p_ref, pt_ref = _per_state_polarization(beam, ops)
+            assert np.max(np.abs(am.polarization_vector(beam, ops) - p_ref)) < 1e-12
+            assert np.max(np.abs(am.polarization_tensor(beam, ops) - pt_ref)) < 1e-12
+        members = np.concatenate([m for _, m in beams])
+        p, pt = am.polarization_batch(members, ops)
+        for k, vec in enumerate(members):
+            p_ref, pt_ref = _per_state_polarization(pure(vec), ops)
             assert np.max(np.abs(p[k] - p_ref)) < 1e-12
             assert np.max(np.abs(pt[k] - pt_ref)) < 1e-12
-            assert np.max(np.abs(am.polarization_vector(st, ops) - p_ref)) < 1e-12
-            assert np.max(np.abs(am.polarization_tensor(st, ops) - pt_ref)) < 1e-12
 
 
 class TestObservableTable:
@@ -272,14 +289,11 @@ class TestObservableTable:
 
 
 def _random_stacks(L, rng):
-    """Six normalized state vectors and four density matrices of rank 3 for L."""
+    """Six normalized state vectors and four beams of three members for L."""
     dim = 2 * L + 1
     vecs = rng.normal(size=(6, dim)) + 1j * rng.normal(size=(6, dim))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    raw = rng.normal(size=(4, dim, 3)) + 1j * rng.normal(size=(4, dim, 3))
-    rhos = raw @ raw.conj().swapaxes(1, 2)
-    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
-    return vecs, rhos
+    return vecs, [random_beam(rng, dim, 3) for _ in range(4)]
 
 
 def _expectations(p, pt, L):
@@ -306,23 +320,25 @@ class TestBandedAlgebra:
         comps = (ops.Lx, ops.Ly, ops.Lz)
         obs = np.stack(list(comps) + [comps[i] @ comps[j] + comps[j] @ comps[i]
                                       for i, j in am.TENSOR_PAIRS])
-        vecs, rhos = _random_stacks(L, np.random.default_rng(L))
+        vecs, beams = _random_stacks(L, np.random.default_rng(L))
+        rhos = np.array([density(beam) for beam in beams])
         dense = {"pure": np.einsum("ni,kij,nj->nk", vecs.conj(), obs, vecs).real,
                  "mixed": np.einsum("nij,kji->nk", rhos, obs).real}
-        for kind, data in (("pure", vecs), ("mixed", rhos)):
-            got = _expectations(*am.polarization_batch(data, ops), L)
+        mixed = (np.array([am.polarization_vector(beam, ops) for beam in beams]),
+                 np.array([am.polarization_tensor(beam, ops) for beam in beams]))
+        for kind, pol in (("pure", am.polarization_batch(vecs, ops)), ("mixed", mixed)):
+            got = _expectations(*pol, L)
             assert np.max(np.abs(got - dense[kind])) <= 1e-12 * L * (L + 1), kind
 
     @pytest.mark.parametrize("L", [1, 4])
     def test_signs_of_the_ladder_band(self, L):
         # <L+> = <Lx> + i <Ly>: psi = pi/2 points along phi, psi = 0 along rho,
-        # for a state vector and for its density matrix alike
+        # for a stack of state vectors and for a beam alike
         ops = am.build_operators(L)
         for psi, axis in ((np.pi / 2, 1), (0.0, 0)):
-            vec = am.coherent_state(ops, np.pi / 2, psi).data
-            rho = am.mixed_state(np.outer(vec, vec.conj())).data
-            for data in (vec[None], rho[None]):
-                p = am.polarization_batch(data, ops)[0][0]
+            vec = am.coherent_state(ops, np.pi / 2, psi)
+            for p in (am.polarization_batch(vec[None], ops)[0][0],
+                      am.polarization_vector(pure(vec), ops)):
                 assert p[axis] == pytest.approx(1.0, abs=1e-12)
                 assert np.max(np.abs(np.delete(p, axis))) < 1e-12
 
@@ -371,28 +387,12 @@ class TestInitialPolarizationClosed:
 
 
 class TestStateValidation:
-    def test_pure_norm(self):
-        with pytest.raises(DomainError):
-            am.pure_state([1.0, 1.0, 0.0])
-
-    def test_mixed_trace(self):
-        with pytest.raises(DomainError):
-            am.mixed_state(np.eye(3))
-
-    def test_mixed_hermiticity(self):
-        rho = np.eye(3) / 3.0
-        rho[0, 1] = 0.5
-        with pytest.raises(DomainError):
-            am.mixed_state(rho)
-
-    def test_mixed_positivity(self):
-        rho = np.diag([0.7, 0.5, -0.2])
-        with pytest.raises(DomainError):
-            am.mixed_state(rho)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(DomainError):
-            am.pure_state([bad, 0.0, 0.0])
-        with pytest.raises(DomainError):
-            am.mixed_state(np.diag([bad, 0.5, 0.5]))
+        # 0 times a non-finite psi makes the pole amplitude NaN, and a NaN
+        # theta every amplitude; the norm check rejects both
+        ops = am.build_operators(1)
+        with pytest.raises(DomainError, match="norm"):
+            am.coherent_state(ops, 0.0, bad)
+        with pytest.raises(DomainError, match="norm"):
+            am.coherent_state(ops, np.nan, 0.3)

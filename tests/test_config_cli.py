@@ -679,28 +679,62 @@ def test_output_path_that_cannot_be_opened_is_a_config_error(argv, tmp_path, mon
         "message": f"cannot open output path {out_path!r}: No such file or directory"}
 
 
-@pytest.mark.parametrize("blocked", ["out_oracle.csv", "out_comparison.json", "output.path"])
-def test_simulate_companion_file_that_cannot_be_opened_is_a_config_error(blocked, tmp_path,
-                                                                          capsys):
-    # a directory where simulate writes one of its three files; output.path
-    # names a file in a missing directory
+def small_oracle_config(tmp_path, out_path):
+    """tmp_path/sim.json: a 16-step frozen L = 1 simulate with the oracle on,
+    writing to out_path; returns its path as a string."""
     doc = json.loads((CONFIG_DIR / "frozen_sim.json").read_text())
     doc["scenario"] = {"mode": "frozen", "t_end_s": 1.0, "steps": 16, "A_rad_s": 3.0}
     doc["beam"]["L"] = 1
     doc["oracle"] = {"enabled": True}
-    doc["output"]["path"] = str(tmp_path / "out.csv")
-    if blocked == "output.path":
-        doc["output"]["path"] = str(tmp_path / "missing" / "out.csv")
-    else:
-        (tmp_path / blocked).mkdir()
+    doc["output"]["path"] = str(out_path)
     path = tmp_path / "sim.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+    return str(path)
+
+
+@pytest.mark.parametrize("blocked", ["out.csv", "out_oracle.csv", "out_comparison.json",
+                                     "output.path"])
+def test_simulate_companion_file_that_cannot_be_opened_is_a_config_error(blocked, tmp_path,
+                                                                          capsys):
+    # a directory where simulate writes one of its three files; output.path
+    # names a file in a missing directory.  Every file is opened before any
+    # is written, and those the run created are removed, so none is left
+    out_path = tmp_path / "out.csv"
+    if blocked == "output.path":
+        out_path = tmp_path / "missing" / "out.csv"
+    else:
+        (tmp_path / blocked).mkdir()
+    code, out, err = run_cli(["simulate", "--config", small_oracle_config(tmp_path, out_path)],
+                             capsys)
     assert code == 2
     assert out == ""
     error = json.loads(err)
     assert error["error"] == "config"
     assert error["message"].startswith("cannot open output path ")
+    left = {"sim.json"} | ({blocked} if blocked != "output.path" else set())
+    assert {p.name for p in tmp_path.iterdir()} == left
+
+
+def test_simulate_keeps_existing_files_on_failure_and_replaces_them_on_success(tmp_path,
+                                                                              capsys):
+    # earlier outputs longer than the new ones: a failed open leaves their
+    # bytes, and a successful run leaves exactly a fresh run's bytes
+    earlier = {name: name * 10000 for name in ("out.csv", "out_oracle.csv")}
+    for name, text in earlier.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "out_comparison.json").mkdir()
+    config = small_oracle_config(tmp_path, tmp_path / "out.csv")
+    assert run_cli(["simulate", "--config", config], capsys)[0] == 2
+    for name, text in earlier.items():
+        assert (tmp_path / name).read_text() == text
+    (tmp_path / "out_comparison.json").rmdir()
+    assert run_cli(["simulate", "--config", config], capsys)[0] == 0
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    assert run_cli(["simulate", "--config", config, "--out", str(fresh / "out.csv")],
+                   capsys)[0] == 0
+    for name in ("out.csv", "out_oracle.csv", "out_comparison.json"):
+        assert (tmp_path / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 # a coefficient the run needs that neither the scenario nor the ring gives

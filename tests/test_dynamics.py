@@ -332,6 +332,18 @@ class TestOracleBasics:
         dy.evolve_oracle(scn, rtol=1e-6, return_states=True)
         assert shapes and set(shapes) == {(4, 4), (3, 3)}
 
+    @pytest.mark.parametrize("L", [1, 3, 100])
+    def test_initial_state_is_the_am_core_beam(self, L):
+        # the tensor beam is tensor_mixture itself, the vector beam the
+        # coherent vector at weight 1, to the bit
+        ops = am.build_operators(L)
+        weights, members = dy.initial_state(frozen_scn(L=L, theta=1.1, psi=2.3), ops)
+        mix_weights, mix_members = am.tensor_mixture(ops, 1.1, 2.3)
+        assert np.array_equal(weights, mix_weights) and np.array_equal(members, mix_members)
+        weights, members = dy.initial_state(tmp_scn(L=L, kind="vector", theta=1.1, psi=2.3), ops)
+        assert np.array_equal(weights, [1.0])
+        assert np.array_equal(members, am.coherent_state(ops, 1.1, 2.3)[None])
+
     def test_pure_precession(self):
         # Omega Lz alone: P_z constant, transverse pair rotates rigidly
         scn = tmp_scn(b=0.0, Omega=2.0, kind="vector", theta=0.9, psi=0.4,
@@ -557,20 +569,41 @@ def _linear_drive_order():
 
 
 def _reference_state(scn, ops):
-    """The scenario's initial state built from am_core alone: a vector or a density matrix."""
+    """The scenario's initial rho = sum_k w_k |m_k><m_k|, its beam built from am_core alone."""
     if scn.kind == "vector":
-        return am.coherent_state(ops, scn.theta, scn.psi).data
-    return am.tensor_mixture(ops, scn.theta, scn.psi).data
+        weights, members = np.ones(1), am.coherent_state(ops, scn.theta, scn.psi)[None]
+    else:
+        weights, members = am.tensor_mixture(ops, scn.theta, scn.psi)
+    return np.einsum("k,ki,kj->ij", weights, members, members.conj())
+
+
+def _dense_polarization(rho, ops):
+    """P and unit-trace Pt of an (n, dim, dim) stack of rho, each from Tr(rho O)
+    with the dense L_i and their products."""
+    comps = (ops.Lx, ops.Ly, ops.Lz)
+
+    def expectation(op):
+        return np.einsum("nij,ji->n", rho, op).real
+
+    p = np.stack([expectation(op) for op in comps], axis=1) / ops.L
+    pt = np.empty((len(rho), 3, 3))
+    for i in range(3):
+        for j in range(3):
+            val = 3.0 * expectation(comps[i] @ comps[j] + comps[j] @ comps[i])
+            if i == j:
+                val -= 2.0 * ops.L * (ops.L + 1.0)
+            pt[:, i, j] = val / (2.0 * ops.L * (2.0 * ops.L - 1.0)) + (i == j) / 3.0
+    return p, pt
 
 
 def _expm_reference(series, scn, ops, generator):
-    """P/Pt of U(t) state0 (U(t)^dagger) with U(t) = generator(t) from scipy's expm."""
-    data = _reference_state(scn, ops)
+    """P/Pt of U(t) rho0 U(t)^dagger with U(t) = generator(t) from scipy's expm."""
+    rho = _reference_state(scn, ops)
     states = []
     for t in series.times:
         u = generator(t)
-        states.append(u @ data if data.ndim == 1 else u @ data @ u.conj().T)
-    return am.polarization_batch(np.array(states), ops)
+        states.append(u @ rho @ u.conj().T)
+    return _dense_polarization(np.array(states), ops)
 
 
 class TestSpectralOracle:
@@ -665,31 +698,29 @@ class TestPiecewiseOracle:
                                          (1, "tensor"), (2, "tensor")],
                              ids=["1", "2", "tensor-1", "tensor-2"])
     def test_linear_drive_matches_ode_solver(self, L, kind):
-        # an independent integrator of i d(psi)/dt = H(t) psi, or of
-        # i d(rho)/dt = [H(t), rho] on the flattened rho: a propagator that
-        # samples H(t) at shifted times still self-converges, but not to this
+        # an independent integrator of i d(rho)/dt = [H(t), rho] on the
+        # flattened rho: a propagator that samples H(t) at shifted times still
+        # self-converges, but not to this
         from scipy.integrate import solve_ivp
         scn = resonance_scn(L=L, kind=kind, Omega=2.0, A=0.4, omega_drive=4.3,
                             phi=0.3, theta=1.1, psi=0.5, t_end=2 * np.pi, steps=97,
                             drive="linear")
         ops = am.build_operators(L)
         series = dy.evolve_oracle(scn, rtol=1e-10)
-        state0 = _reference_state(scn, ops)
-        shape = state0.shape
+        rho0 = _reference_state(scn, ops)
+        shape = rho0.shape
         # the dense terms, built once; H(t) = sum_k a_k f_k(omega t + phi) H_k
         terms = [(a, f, ops.observable(row)) for a, f, row in dy.hamiltonian_terms(scn)]
 
         def rhs(t, y):
             phase = scn.omega_drive * t + scn.phi
             h = sum((a if f is None else a * f(phase)) * hk for a, f, hk in terms)
-            if len(shape) == 1:
-                return -1j * (h @ y)
             rho = y.reshape(shape)
             return (-1j * (h @ rho - rho @ h)).ravel()
 
-        sol = solve_ivp(rhs, (0.0, scn.t_end), state0.ravel(), method="DOP853",
+        sol = solve_ivp(rhs, (0.0, scn.t_end), rho0.ravel(), method="DOP853",
                         t_eval=series.times, rtol=1e-12, atol=1e-13)
-        p, pt = am.polarization_batch(sol.y.T.reshape((-1,) + shape), ops)
+        p, pt = _dense_polarization(sol.y.T.reshape((-1,) + shape), ops)
         assert np.max(np.abs(series.P - p)) < 1e-9
         assert np.max(np.abs(series.Pt - pt)) < 1e-9
 
@@ -716,9 +747,8 @@ class TestPiecewiseOracle:
                 u = (expm(-1j * h * ((0.25 - r) * h1 + (0.25 + r) * h2))
                      @ expm(-1j * h * ((0.25 + r) * h1 + (0.25 - r) * h2)) @ u)
             unitaries.append(u)
-        data = _reference_state(scn, ops)
-        states = [v @ data if data.ndim == 1 else v @ data @ v.conj().T for v in unitaries]
-        p, pt = am.polarization_batch(np.array(states), ops)
+        rho = _reference_state(scn, ops)
+        p, pt = _dense_polarization(np.array([v @ rho @ v.conj().T for v in unitaries]), ops)
         assert np.max(np.abs(series.P - p)) <= 1e-12
         assert np.max(np.abs(series.Pt - pt)) <= 1e-12
 
