@@ -144,9 +144,12 @@ def coherent_state(ops, theta, psi):
     taken in log space with the sign of each factor, so that none overflows
     or underflows before the product does.  At theta = 0 and theta = pi the
     state is exactly |L, L> and exp(2i L psi) |L, -L>.  Returns the (dim,)
-    vector; a norm off 1 by more than 1e-12, as a NaN angle gives, is a
-    DomainError.
+    vector.  A non-finite theta or psi, which has no unit-norm state, is a
+    DomainError before any arithmetic, as is a norm off 1 by more than 1e-12.
     """
+    if not (math.isfinite(theta) and math.isfinite(psi)):
+        raise DomainError(f"theta and psi must be finite for a unit-norm state, "
+                          f"got theta={theta}, psi={psi}")
     n = 2 * ops.L
     if theta == 0.0 or theta == np.pi:
         # a vanishing half-angle factor would make 0 log 0 = NaN

@@ -245,6 +245,10 @@ def cmd_simulate(args):
     if with_oracle and not path:
         raise ConfigError("simulate with oracle.enabled writes three files; "
                           "give --out or output.path")
+    if with_oracle and os.path.exists(path) and not os.path.isfile(path):
+        # the companion files would land beside a device such as /dev/null
+        raise ConfigError(f"cannot open output path {path!r}: not a regular file, "
+                          "and oracle.enabled writes two more files beside it")
     # every result is computed, then every file opened, before any is written,
     # so a failed run writes nothing
     closed = dynamics.closed_form(scn)

@@ -181,23 +181,17 @@ def _shortest(x):
              & (np.abs(high - np.rint(high)) > _TIE_GUARD))
     first = n + np.ceil(low).astype(np.int64)
     last = n + np.floor(high).astype(np.int64)
-    # the largest power of ten with a multiple in [first, last]; where the
-    # largest is 10**j, so is every smaller one, so each round tries only the
-    # indices the round before kept.  10**16 is as far as it needs to go:
-    # 10**17 is a multiple of it, and then the nearest one
-    step = np.ones_like(n)
-    live = np.arange(len(n))       # the indices with a multiple of 10**(j - 1)
-    for j in range(1, 17):
-        power = np.int64(10**j)
-        live = live[last[live] // power * power >= first[live]]
-        if not live.size:
-            break
-        step[live] = power
-    # the multiple of step nearest n + frac, in the window as the window is symmetric
-    q, r = np.divmod(n, step)
-    over = (2 * r - step) + 2.0 * frac       # sign of the distance past the midpoint
-    exact &= np.abs(over) > _TIE_GUARD
-    n = (q + (over > 0.0)) * step
+    # [first, last] is under 23 integers wide (half an ulp is at most
+    # 10**17 * 2**-53 on this scale), so it holds at most one multiple of
+    # 100, and that one is then the multiple of the largest power of ten in
+    # it.  Without one, the multiple of 10 nearest n + frac lies in the
+    # window if any does, the window being symmetric about n + frac; else n
+    hundred = last // 100 * 100
+    q, r = np.divmod(n, 10)
+    over = (2 * r - 10) + 2.0 * frac         # sign of the distance past the midpoint
+    tens = (hundred < first) & (last // 10 * 10 >= first)
+    exact &= ~tens | (np.abs(over) > _TIE_GUARD)
+    n = np.where(hundred >= first, hundred, np.where(tens, (q + (over > 0.0)) * 10, n))
     _carry(n, e)
     return n, e, _zeros(x, n, e, exact)
 

@@ -127,10 +127,42 @@ def load_radial_density(path):
     return r, rho
 
 
-def mean_square_radius(r, rho):
-    """<r^2> = int(rho r^3 dr) / int(rho r dr) by composite Simpson quadrature."""
+def _simpson(y, x):
+    """Composite Simpson integral of samples y on the increasing grid x.
+
+    The rule and its operation order are those of scipy >= 1.11's
+    simpson(y, x=x): a parabola through each pair of intervals from the
+    start, summed, and for an even sample count Cartwright's correction for
+    the last interval, the parabola through the last three samples
+    integrated over it.
+    """
     import numpy as np
-    from scipy.integrate import simpson   # deferred: scipy is slow to import
+    h = np.diff(x)
+    k = (len(y) - 1) // 2 * 2           # the intervals the pairs cover
+    h0, h1 = h[0:k:2], h[1:k:2]
+    hsum = h0 + h1
+    h0_h1 = h0 / h1
+    total = np.sum(hsum / 6.0 * (y[0:k:2] * (2.0 - 1.0 / h0_h1)
+                                 + y[1:k:2] * (hsum * (hsum / (h0 * h1)))
+                                 + y[2:k + 1:2] * (2.0 - h0_h1)))
+    if k < len(y) - 1:
+        # 1-element arrays: numpy's array power rounds b**3 unlike the scalar one
+        a, b = h[-2:, None]
+        total += ((2 * b**2 + 3 * a * b) / (6 * (b + a)) * y[-1]
+                  + (b**2 + 3.0 * a * b) / (6 * a) * y[-2]
+                  - b**3 / (6 * a * (a + b)) * y[-3])[0]
+    return total
+
+
+def mean_square_radius(r, rho):
+    """<r^2> = int(rho r^3 dr) / int(rho r dr) by composite Simpson quadrature.
+
+    Simpson's rule on the pairs of intervals from r[0]; with an even number
+    of samples the last interval takes Cartwright's correction, the parabola
+    through the last three samples (_simpson).  This is scipy >= 1.11's
+    simpson(y, x=x) to the bit; scipy 1.10 averaged two rules instead.
+    """
+    import numpy as np
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if r.shape != rho.shape or r.ndim != 1 or r.size < 3:
@@ -139,10 +171,10 @@ def mean_square_radius(r, rho):
         raise DomainError("radial grid must be strictly increasing")
     if np.any(rho < 0):
         raise DomainError("density must be nonnegative")
-    norm = simpson(rho * r, x=r)
+    norm = _simpson(rho * r, r)
     if norm <= 0:
         raise DomainError("density has zero (or negative) norm")
-    return simpson(rho * r**3, x=r) / norm
+    return _simpson(rho * r**3, r) / norm
 
 
 def intrinsic_eqm(mean_r2):

@@ -396,3 +396,13 @@ class TestStateValidation:
             am.coherent_state(ops, 0.0, bad)
         with pytest.raises(DomainError, match="norm"):
             am.coherent_state(ops, np.nan, 0.3)
+
+    @pytest.mark.parametrize("theta, psi", [(np.inf, 0.3), (-np.inf, 0.3), (1.1, np.nan),
+                                            (1.1, np.inf), (1.1, -np.inf), (np.pi, np.inf)],
+                             ids=["theta-inf", "theta-minus-inf", "psi-nan", "psi-inf",
+                                  "psi-minus-inf", "pole-psi-inf"])
+    def test_non_finite_angle_is_one_domain_error(self, theta, psi):
+        # rejected before any arithmetic: no ValueError, OverflowError or warning
+        ops = am.build_operators(2)
+        with pytest.raises(DomainError, match="theta and psi must be finite"):
+            am.coherent_state(ops, theta, psi)

@@ -40,6 +40,11 @@ FRESH_CLI_STDLIB = ("import sys; from oamsim import cli; rc = cli.main(sys.argv[
                     "& {'dataclasses', 'inspect'})); sys.exit(rc)")
 
 
+# runs cli.main on its argv in a fresh interpreter in which scipy cannot be imported
+NO_SCIPY_CLI = ("import sys; sys.modules['scipy'] = None; from oamsim import cli; "
+                "sys.exit(cli.main(sys.argv[1:]))")
+
+
 def fresh_cli(argv, script=FRESH_CLI):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -321,6 +326,19 @@ class TestMomentsCommand:
         assert doc["beam_mean_r2_m2"] == pytest.approx(a**2 / 2, rel=1e-5)
 
 
+def density_moments_config(tmp_path):
+    """tmp_path/m.json: moments at L = 10 of a uniform disc sampled at 1000
+    radii in tmp_path/disc.txt; returns its path as a string."""
+    a = 2.0e-9
+    density = tmp_path / "disc.txt"
+    density.write_text("\n".join(f"{a * i / 1000:.17g} 1.0" for i in range(1, 1001)) + "\n")
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "beam": {"kinetic_energy_eV": 3e5, "L": 10, "density_path": str(density)},
+        "ring": {"R0_m": 0.5, "n": 0.5}}))
+    return str(path)
+
+
 REPORT_RUNS = pytest.mark.parametrize("argv", [
     ["constants"],
     ["freeze", "--config", str(CONFIG_DIR / "ring300kev.json")],
@@ -345,21 +363,33 @@ class TestReportCommandsStartWithoutNumpy:
         assert fresh_cli([*argv, "--out", str(out)], FRESH_CLI_STDLIB) == "[]"
         assert out.read_text()
 
-    def test_density_route_loads_numpy_and_scipy_on_demand(self, tmp_path):
-        a = 2.0e-9
-        density = tmp_path / "disc.txt"
-        density.write_text("\n".join(f"{a * i / 1000:.17g} 1.0" for i in range(1, 1001)) + "\n")
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({
-            "beam": {"kinetic_energy_eV": 3e5, "L": 10, "density_path": str(density)},
-            "ring": {"R0_m": 0.5, "n": 0.5}}))
+    def test_density_route_loads_numpy_and_not_scipy(self, tmp_path):
+        # numpy integrates the density on demand; scipy is never a runtime import
         out = tmp_path / "report.json"
-        loaded = fresh_cli(["moments", "--config", str(path), "--format", "json",
-                            "--out", str(out)])
-        assert loaded == "['numpy', 'scipy']"
+        loaded = fresh_cli(["moments", "--config", density_moments_config(tmp_path),
+                            "--format", "json", "--out", str(out)])
+        assert loaded == "['numpy']"
         # SHA-256 of the same report before the numerical imports were deferred
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "6b125616c278a7afc840ca276aab76a743e15d94c5d32a2e4f3a8df3d3d4d49f")
+
+
+@pytest.mark.parametrize("command", ["constants", "freeze", "moments", "moments-density",
+                                     "simulate-oracle", "scan", "verify"])
+def test_no_command_imports_scipy(command, tmp_path):
+    # every command exits 0 in an interpreter where importing scipy fails
+    out = tmp_path / "out.txt"
+    argv = {
+        "constants": ["constants"],
+        "freeze": ["freeze", "--config", str(CONFIG_DIR / "ring300kev.json")],
+        "moments": ["moments", "--config", str(CONFIG_DIR / "moments100.json")],
+        "moments-density": ["moments", "--config", density_moments_config(tmp_path)],
+        "simulate-oracle": ["simulate", "--config", small_oracle_config(tmp_path, out)],
+        "scan": ["scan", "--config", str(CONFIG_DIR / "resonance_scan.json")],
+        "verify": ["verify"],
+    }[command]
+    fresh_cli([*argv, "--out", str(out)], NO_SCIPY_CLI)
+    assert out.read_text()
 
 
 class TestSimulateCommand:
@@ -713,6 +743,25 @@ def test_simulate_companion_file_that_cannot_be_opened_is_a_config_error(blocked
     assert error["message"].startswith("cannot open output path ")
     left = {"sim.json"} | ({blocked} if blocked != "output.path" else set())
     assert {p.name for p in tmp_path.iterdir()} == left
+
+
+def test_simulate_with_oracle_to_a_device_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # a link to /dev/null: the companion files would be created beside the
+    # link, so the run is refused before any work and leaves nothing
+    def no_work(scn):
+        raise AssertionError("closed_form ran")
+    monkeypatch.setattr(dy, "closed_form", no_work)
+    out_path = tmp_path / "out.csv"
+    out_path.symlink_to(os.devnull)
+    code, out, err = run_cli(["simulate", "--config", small_oracle_config(tmp_path, out_path)],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "config",
+        "message": f"cannot open output path {str(out_path)!r}: not a regular file, "
+                   "and oracle.enabled writes two more files beside it"}
+    assert {p.name for p in tmp_path.iterdir()} == {"sim.json", "out.csv"}
 
 
 def test_simulate_keeps_existing_files_on_failure_and_replaces_them_on_success(tmp_path,

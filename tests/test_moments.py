@@ -83,6 +83,18 @@ class TestIntrinsicEqm:
         v2 = mo.mean_square_radius(r_fine, density(r_fine))
         assert abs(v1 - v2) / v2 < 1e-6
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 11, 12, 999, 1000, 4096, 4097])
+    def test_simpson_matches_scipy_on_non_uniform_grids(self, n):
+        import scipy
+        from scipy.integrate import simpson
+        if n % 2 == 0 and tuple(map(int, scipy.__version__.split(".")[:2])) < (1, 11):
+            pytest.skip("before 1.11 scipy averages two rules for an even sample count")
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = np.cumsum(rng.uniform(0.1, 1.0, n)) * 1e-9
+            y = rng.uniform(0.0, 2.0, n) * x**3
+            assert mo._simpson(y, x) == pytest.approx(simpson(y, x=x), rel=1e-15, abs=0)
+
     def test_zero_norm_density(self):
         r = np.linspace(1e-12, 1e-9, 11)
         with pytest.raises(DomainError):
