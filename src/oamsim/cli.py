@@ -170,8 +170,7 @@ def cmd_moments(args):
         q0 = moments.intrinsic_eqm(mean_r2)
         qs = moments.spectroscopic_eqm(q0, L, L)
     else:
-        ms = moments.moment_set(L, b0)
-        q0, qs, mean_r2 = ms.Q0_Cm2, ms.Qs_Cm2, ms.mean_r2
+        mean_r2, q0, qs = moments.beam_model_eqm(L)
     geo = ring_config.landau_geometry(b0, 0, L)
     r0 = doc.get("ring", {}).get("R0_m")
     ecqm_zz = moments.ecqm([0.0, 0.0, L], [0.0, 0.0, 0.5],

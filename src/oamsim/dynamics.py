@@ -755,7 +755,7 @@ def _peak_samples(n, rows, width, first, delta, h):
     return row, index
 
 
-def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=1e-7):
+def resonance_scan(base, omega_values, with_oracle=False, oracle_rtol=_ORACLE_RTOL):
     """Peak |P_z| of the resonance closed form over a drive-frequency grid.
 
     Each peak is the exact maximum over the time grid, found from the two

@@ -75,6 +75,49 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="0 < n < 1"):
             cfg.validate_config({"ring": {"n": 1.5}}, "freeze")
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("beam", "kinetic_energy_eV", True, "beam.kinetic_energy_eV: expected a number"),
+        ("oracle", "enabled", 1, "oracle.enabled: expected a boolean"),
+        ("output", "path", 3, "output.path: expected a string"),
+        ("scan", "omega_values_rad_s", "100", "scan.omega_values_rad_s: expected a list of "
+                                              "numbers"),
+        ("scan", "omega_values_rad_s", [100, "x"], "scan.omega_values_rad_s: expected a list "
+                                                   "of numbers")],
+        ids=["bool-for-number", "int-for-bool", "int-for-string", "string-for-list",
+             "string-in-list"])
+    def test_value_of_the_wrong_type_rejected(self, section, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate_config({section: {key: value}}, "simulate")
+
+    @pytest.mark.parametrize("doc, command, message", [
+        ([], "freeze", "configuration must be a JSON object"),
+        ({"beam": 3}, "freeze", "section 'beam' must be an object"),
+        ({}, "freeze", "command 'freeze' requires a 'beam' section"),
+        ({}, "verify", "unknown command 'verify'")],
+        ids=["list-document", "scalar-section", "missing-section", "unknown-command"])
+    def test_document_rejected(self, doc, command, message):
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate_config(doc, command)
+
+    def test_list_document_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, out, err = run_cli(["freeze", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "config",
+                                   "message": "configuration must be a JSON object"}
+
+    def test_empty_scan_list_rejected(self, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "resonance_scan.json").read_text())
+        doc["scan"] = {"omega_values_rad_s": []}
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["scan", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "config",
+                                   "message": "scan.omega_values_rad_s must be nonempty"}
+
     @pytest.mark.parametrize("section, key, value", [
         ("beam", "theta", math.nan), ("scenario", "t_end_s", math.inf),
         ("scenario", "A_rad_s", -math.inf), ("scan", "omega_values_rad_s", [1.0, math.nan]),

@@ -843,6 +843,10 @@ class TestClosedFormFrozen:
         series = dy.closed_form_frozen(frozen_scn(theta=0.0))
         assert np.max(np.abs(series.P[:, 2])) == 0.0
 
+    def test_other_mode_rejected(self):
+        with pytest.raises(DomainError, match="closed_form_frozen requires mode='frozen'"):
+            dy.closed_form_frozen(tmp_scn())
+
     def test_tensor_quarter_period(self):
         # 2At = pi/2 with A = 0.5 at t = pi/2
         scn = frozen_scn(t_end=np.pi, steps=3)
@@ -877,6 +881,11 @@ class TestClosedFormResonance:
         scn = resonance_scn(A=0.0, omega_drive=0.6)
         series = dy.closed_form_resonance(scn)
         assert np.max(np.abs(series.P[:, 2])) == 0.0
+
+    def test_other_mode_rejected(self):
+        with pytest.raises(DomainError,
+                           match="closed_form_resonance requires mode='resonance'"):
+            dy.closed_form_resonance(tmp_scn())
 
     def test_exact_resonance_envelope(self):
         scn = resonance_scn(t_end=4 * np.pi, steps=4097)
@@ -952,6 +961,10 @@ class TestResonanceScan:
     def test_empty_grid(self):
         with pytest.raises(DomainError):
             dy.resonance_scan(resonance_scn(), [])
+
+    def test_other_mode_rejected(self):
+        with pytest.raises(DomainError, match="requires a resonance-mode scenario"):
+            dy.resonance_scan(frozen_scn(), [1.0])
 
     @pytest.mark.parametrize("kind", ["vector", "tensor"])
     def test_blocks_match_per_frequency_closed_form(self, kind, monkeypatch):

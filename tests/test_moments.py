@@ -100,6 +100,15 @@ class TestIntrinsicEqm:
         with pytest.raises(DomainError):
             mo.mean_square_radius(r, np.zeros_like(r))
 
+    @pytest.mark.parametrize("r, rho, message", [
+        ([0.0, 1.0], [1.0, 1.0], "matching 1-d arrays of length >= 3"),
+        ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], "radial grid must be strictly increasing"),
+        ([0.0, 1.0, 2.0], [1.0, -1.0, 1.0], "density must be nonnegative")],
+        ids=["two-samples", "non-increasing", "negative"])
+    def test_bad_density_table_rejected(self, r, rho, message):
+        with pytest.raises(DomainError, match=message):
+            mo.mean_square_radius(np.array(r), np.array(rho))
+
     def test_density_file_round_trip(self, tmp_path):
         a = 1.5e-9
         r = np.linspace(1e-15, a, 501)
@@ -112,6 +121,16 @@ class TestIntrinsicEqm:
         assert np.array_equal(r, r2) and np.array_equal(rho, rho2)
         assert mo.intrinsic_eqm(mo.mean_square_radius(r2, rho2)) == pytest.approx(
             E_CHARGE * a**2 / 2.0, rel=1e-5)
+
+    @pytest.mark.parametrize("content, message", [
+        ("# r_m density\n# none\n", "density.txt: no data rows"),
+        ("0.0 1.0\n1.0 -0.5\n2.0 1.0\n", "density.txt: density must be nonnegative")],
+        ids=["comments-only", "negative"])
+    def test_density_file_without_a_valid_profile(self, tmp_path, content, message):
+        path = tmp_path / "density.txt"
+        path.write_text(content)
+        with pytest.raises(DomainError, match=message):
+            mo.load_radial_density(path)
 
     def test_density_file_errors(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -183,6 +202,10 @@ class TestSpectroscopicEqm:
     def test_rejects_bad_projection(self):
         with pytest.raises(DomainError):
             mo.spectroscopic_eqm(1.0, 2, 3)
+
+    def test_rejects_j_below_one_half(self):
+        with pytest.raises(DomainError, match="j must be >= 1/2, got 0.25"):
+            mo.spectroscopic_eqm(1.0, 0.25, 0.0)
 
 
 class TestQuadrupoleTensorOperator:
@@ -276,6 +299,10 @@ class TestEcqm:
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(DomainError):
             mo.ecqm([0, 0, 1], [0, 0, 0.5], 0.0)
+
+    def test_rejects_a_two_vector(self):
+        with pytest.raises(DomainError, match="three components each"):
+            mo.ecqm([0, 1], [0, 0, 0.5], M_E_C2_EV)
 
 
 class TestScaleEstimates:
