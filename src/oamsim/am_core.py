@@ -77,6 +77,12 @@ class AmOperators:
         return (np.array([np.ones(self.dim), m, m * m]), np.array([c, c * (m[:-1] + m[1:])]),
                 (c[:-1] * c[1:])[None])
 
+    @cached_property
+    def _row_bands(self):
+        """Each row's full-length diagonal and bands 1 and 2, keyed by the row's
+        dtype and bytes: observable evaluates a row once and slices it for every block."""
+        return {}
+
     def observable(self, coeffs, rows=slice(None)):
         """Matrix of a row of OBSERVABLES or a real combination of rows, on the
         basis indices rows: the whole space, or one of PARITY_BLOCKS.
@@ -86,11 +92,17 @@ class AmOperators:
         nonzero band 1, which couples the blocks, is a DomainError.
         """
         t, index = np.asarray(coeffs), range(self.dim)[rows]
-        d, q = len(index), self.bands
+        key = (t.dtype.str, t.tobytes())
+        if key not in self._row_bands:
+            q = self.bands
+            self._row_bands[key] = ((t[:3].real * (self.L * (self.L + 1.0), 1.0, 1.0)) @ q[0],
+                                    t[3:5] @ q[1], t[5:] @ q[2])
+        diag, band_1, band_2 = self._row_bands[key]
+        d = len(index)
         out = np.zeros((d, d), dtype=complex)
         flat = out.reshape(-1)      # diagonal k of out is flat[k::d + 1], cut at row d - k
-        flat[::d + 1] = ((t[:3].real * (self.L * (self.L + 1.0), 1.0, 1.0)) @ q[0])[rows]
-        for k, band in ((1, t[3:5] @ q[1]), (2, t[5:] @ q[2])):
+        flat[::d + 1] = diag[rows]
+        for k, band in ((1, band_1), (2, band_2)):
             if k % index.step:
                 if band.any():
                     raise DomainError(f"the row couples m to m +- {k}, across the parity blocks")

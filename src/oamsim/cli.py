@@ -28,18 +28,24 @@ from .reference import constants_report
 # them where they run: constants, freeze and moments start without numpy.
 
 
-def _open_out(path, newline=None, mode="w"):
-    """Open an output file for writing (or appending, mode "a"); a path that
-    cannot be opened is a ConfigError."""
+# O_BINARY (Windows only) keeps the newlines untranslated; neither O_TRUNC nor
+# O_APPEND: a file is rewritten in place from offset 0
+_OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _open_out(path, newline):
+    """Open an output file to be written from offset 0, its bytes kept until
+    they are written over; a path that cannot be opened is a ConfigError."""
     try:
-        return open(path, mode, newline=newline)
+        fd = os.open(path, _OUT_FLAGS, 0o666)
     except OSError as exc:
         raise ConfigError(f"cannot open output path {path!r}: {exc.strerror}") from None
+    return open(fd, "w", newline=newline)
 
 
 def _emit(text, out_path):
     if out_path:
-        with _open_out(out_path) as f:
+        with _open_all([(out_path, None)]) as (f,):
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -203,21 +209,42 @@ def _out_path(args, doc):
     return args.out or doc.get("output", {}).get("path")
 
 
+def _cut(f):
+    """Flush f and cut a regular file at the last byte written, so no byte of a
+    longer earlier file remains.  If the flush fails, the cut is at the
+    descriptor's offset: the bytes that reached the file."""
+    try:
+        f.flush()
+    finally:
+        fd = f.fileno()
+        st = os.fstat(fd)
+        # a pipe or a device such as /dev/null is never cut
+        if stat.S_ISREG(st.st_mode):
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            if st.st_size > end:
+                os.ftruncate(fd, end)
+
+
 @contextlib.contextmanager
 def _open_all(targets):
     """Open every (path, newline) of targets for writing, before any is written.
 
-    Each is opened for appending, so that an existing file keeps its bytes
-    until every path is open; only then are the regular files emptied.  If
-    one cannot be opened, the files opened so far are closed, those this
-    call created are removed, and the ConfigError is raised.
+    Each file is rewritten in place from offset 0: no file is emptied first,
+    and an existing one keeps its bytes until they are written over.  On
+    exit, normal or by an exception, each regular file is cut at the last
+    byte written (see _cut), so it holds exactly what this run wrote.  Only a
+    process killed outright while writing (SIGKILL, power loss) can leave the
+    new bytes followed by the tail of a longer earlier file.  If one path
+    cannot be opened, the files opened so far are closed, those this call
+    created are removed, existing ones are left untouched, and the
+    ConfigError is raised.
     """
     with contextlib.ExitStack() as stack:
         files, created = [], []
         try:
             for path, newline in targets:
                 existed = os.path.exists(path)
-                files.append(stack.enter_context(_open_out(path, newline, "a")))
+                files.append(stack.enter_context(_open_out(path, newline)))
                 if not existed:
                     created.append(path)
         except ConfigError:
@@ -225,10 +252,10 @@ def _open_all(targets):
             for path in created:
                 os.remove(path)
             raise
+        # registered after every open, so they run (before the closes) only
+        # once the files may have been written
         for f in files:
-            # a pipe or a device such as /dev/null cannot be truncated
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                f.truncate(0)
+            stack.callback(_cut, f)
         yield files
 
 

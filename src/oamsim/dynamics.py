@@ -876,13 +876,16 @@ def write_series_json(series, fileobj):
     are formatted by floattext.text_rows, block by block.
     """
     fileobj.write("{\n")
+    nulls = None    # an all-NaN column's text, built on first use: every column has one length
     for name, col in _series_columns(series):
         if not len(col):
             fileobj.write(f"  {json.dumps(name)}: [],\n")
             continue
         fileobj.write(f"  {json.dumps(name)}: [\n    ")
         if _all_nan(col):
-            fileobj.write("null" + ",\n    null" * (len(col) - 1))
+            if nulls is None:
+                nulls = "null" + ",\n    null" * (len(col) - 1)
+            fileobj.write(nulls)
         else:
             # every value is followed by the separator, which the last must not be
             blocks = floattext.text_rows([col], _JSON_SEPARATOR, floattext.JSON)

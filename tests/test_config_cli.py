@@ -829,6 +829,87 @@ def test_simulate_keeps_existing_files_on_failure_and_replaces_them_on_success(t
         assert (tmp_path / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
+def test_simulate_writer_that_raises_leaves_exactly_the_bytes_it_wrote(tmp_path, monkeypatch):
+    # the files are rewritten in place over longer earlier ones; a writer that
+    # fails partway, past the write buffer, leaves what it wrote and no byte
+    # of the earlier files: the companions, not yet written, are left empty
+    names = ("out.csv", "out_oracle.csv", "out_comparison.json")
+    for name in names:
+        (tmp_path / name).write_text("#" * 100000)
+    written = "0123456789\n" * 2000
+
+    def partial(series, fileobj):
+        fileobj.write(written)
+        raise RuntimeError("writer failed")
+    monkeypatch.setattr(dy, "write_series_csv", partial)
+    with pytest.raises(RuntimeError, match="writer failed"):
+        cli.main(["simulate", "--config", small_oracle_config(tmp_path, tmp_path / "out.csv")])
+    assert (tmp_path / "out.csv").read_bytes() == written.encode()
+    assert (tmp_path / "out_oracle.csv").read_bytes() == b""
+    assert (tmp_path / "out_comparison.json").read_bytes() == b""
+
+
+# runs cli.main on argv[2:] in a fresh interpreter that can write no file past
+# argv[1] bytes: the write that crosses it is cut short and the next fails (EFBIG)
+SIZE_LIMITED_CLI = ("import resource, signal, sys; from oamsim import cli; "
+                    "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+                    "resource.setrlimit(resource.RLIMIT_FSIZE, "
+                    "(int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_FSIZE)[1])); "
+                    "sys.exit(cli.main(sys.argv[2:]))")
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--format", "json"],
+    ["freeze", "--config", str(CONFIG_DIR / "ring300kev.json")],
+    ["scan", "--config", str(CONFIG_DIR / "resonance_scan.json")],
+    ["simulate", "--config", str(CONFIG_DIR / "frozen_sim.json")],
+], ids=["constants", "freeze", "scan", "simulate"])
+def test_failed_write_leaves_exactly_the_bytes_that_reached_the_file(argv, tmp_path, capsys):
+    # a write (simulate) or the last flush (the others) fails; the file is cut
+    # where the descriptor stands, so it holds the head of a fresh run's bytes
+    # and none of the longer earlier file
+    pytest.importorskip("resource")
+    fresh = tmp_path / "fresh"
+    assert run_cli(argv + ["--out", str(fresh)], capsys)[0] == 0
+    expected = fresh.read_bytes()
+    limit = len(expected) // 2
+    out = tmp_path / "out"
+    out.write_bytes(b"#" * (3 * len(expected)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", SIZE_LIMITED_CLI, str(limit), *argv,
+                           "--out", str(out)], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "File too large" in proc.stderr
+    assert out.read_bytes() == expected[:limit]
+
+
+@pytest.mark.parametrize("earlier", ["longer", "shorter"])
+@pytest.mark.parametrize("argv", [
+    ["scan", "--config", str(CONFIG_DIR / "resonance_scan.json")],
+    ["moments", "--config", str(CONFIG_DIR / "moments100.json"), "--format", "json"],
+], ids=["scan", "moments"])
+def test_out_over_an_existing_file_writes_the_bytes_of_a_fresh_run(argv, earlier, tmp_path,
+                                                                   capsys):
+    fresh = tmp_path / "fresh"
+    assert run_cli(argv + ["--out", str(fresh)], capsys)[0] == 0
+    expected = fresh.read_bytes()
+    out = tmp_path / "out"
+    out.write_bytes(b"#" * (3 * len(expected) if earlier == "longer" else 10))
+    assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--config", str(CONFIG_DIR / "resonance_scan.json")],
+    ["constants"],
+], ids=["scan", "constants"])
+def test_out_to_the_null_device_exits_0(argv, capsys):
+    # a device is written but never cut
+    code, out, err = run_cli(argv + ["--out", os.devnull], capsys)
+    assert (code, out, err) == (0, "", "")
+
+
 # a coefficient the run needs that neither the scenario nor the ring gives
 @pytest.mark.parametrize("command, ring, scenario, message", [
     ("simulate", {"B0_T": 1.0}, {"mode": "frozen"},
