@@ -155,7 +155,8 @@ def coherent_state(ops, theta, psi):
 
     taken in log space with the sign of each factor, so that none overflows
     or underflows before the product does.  At theta = 0 and theta = pi the
-    state is exactly |L, L> and exp(2i L psi) |L, -L>.  Returns the (dim,)
+    state is exactly |L, L> and exp(2i L psi) |L, -L>; at |theta| = 5e-324,
+    whose half angle rounds to 0, it is |L, L> too.  Returns the (dim,)
     vector.  A non-finite theta or psi, which has no unit-norm state, is a
     DomainError before any arithmetic, as is a norm off 1 by more than 1e-12.
     """
@@ -163,14 +164,14 @@ def coherent_state(ops, theta, psi):
         raise DomainError(f"theta and psi must be finite for a unit-norm state, "
                           f"got theta={theta}, psi={psi}")
     n = 2 * ops.L
-    if theta == 0.0 or theta == np.pi:
+    cos_half, sin_half = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    if sin_half == 0.0 or theta == np.pi:
         # a vanishing half-angle factor would make 0 log 0 = NaN
-        end = 0 if theta == 0.0 else n
+        end = 0 if sin_half == 0.0 else n
         vec = np.zeros(n + 1, dtype=complex)
         vec[end] = np.exp(1j * end * psi)
         return _unit_norm(vec)
     k = np.arange(n + 1)
-    cos_half, sin_half = math.cos(0.5 * theta), math.sin(0.5 * theta)
     # C(2L, k) as exact integers, whose logs round once
     log_abs = (0.5 * np.array([math.log(math.comb(n, j)) for j in range(n + 1)])
                + (n - k) * math.log(abs(cos_half)) + k * math.log(abs(sin_half)))

@@ -33,19 +33,9 @@ from .reference import constants_report
 _OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
-def _open_out(path, newline):
-    """Open an output file to be written from offset 0, its bytes kept until
-    they are written over; a path that cannot be opened is a ConfigError."""
-    try:
-        fd = os.open(path, _OUT_FLAGS, 0o666)
-    except OSError as exc:
-        raise ConfigError(f"cannot open output path {path!r}: {exc.strerror}") from None
-    return open(fd, "w", newline=newline)
-
-
 def _emit(text, out_path):
     if out_path:
-        with _open_all([(out_path, None)]) as (f,):
+        with _open_all([out_path]) as (f,):
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -226,32 +216,34 @@ def _cut(f):
 
 
 @contextlib.contextmanager
-def _open_all(targets):
-    """Open every (path, newline) of targets for writing, before any is written.
+def _open_all(paths):
+    """Open every path of paths for writing, before any is written.
 
-    Each file is rewritten in place from offset 0: no file is emptied first,
-    and an existing one keeps its bytes until they are written over.  On
-    exit, normal or by an exception, each regular file is cut at the last
-    byte written (see _cut), so it holds exactly what this run wrote.  Only a
-    process killed outright while writing (SIGKILL, power loss) can leave the
-    new bytes followed by the tail of a longer earlier file.  If one path
-    cannot be opened, the files opened so far are closed, those this call
-    created are removed, existing ones are left untouched, and the
-    ConfigError is raised.
+    No newline is translated, so a file holds exactly the text written to
+    it, with "\\n" line ends on every platform.  Each file is rewritten in
+    place from offset 0: no file is emptied first, and an existing one keeps
+    its bytes until they are written over.  On exit, normal or by an
+    exception, each regular file is cut at the last byte written (see _cut),
+    so it holds exactly what this run wrote.  Only a process killed outright
+    while writing (SIGKILL, power loss) can leave the new bytes followed by
+    the tail of a longer earlier file.  If one path cannot be opened, the
+    files opened so far are closed, those this call created are removed,
+    existing ones are left untouched, and a ConfigError names the path.
     """
     with contextlib.ExitStack() as stack:
         files, created = [], []
-        try:
-            for path, newline in targets:
-                existed = os.path.exists(path)
-                files.append(stack.enter_context(_open_out(path, newline)))
-                if not existed:
-                    created.append(path)
-        except ConfigError:
-            stack.close()
-            for path in created:
-                os.remove(path)
-            raise
+        for path in paths:
+            existed = os.path.exists(path)
+            try:
+                fd = os.open(path, _OUT_FLAGS, 0o666)
+            except OSError as exc:
+                stack.close()
+                for done in created:
+                    os.remove(done)
+                raise ConfigError(f"cannot open output path {path!r}: {exc.strerror}") from None
+            files.append(stack.enter_context(open(fd, "w", newline="")))
+            if not existed:
+                created.append(path)
         # registered after every open, so they run (before the closes) only
         # once the files may have been written
         for f in files:
@@ -282,7 +274,7 @@ def cmd_simulate(args):
     if not path:
         write(closed, sys.stdout)
         return 0
-    targets = [(path, "")]
+    paths = [path]
     if with_oracle:
         # absent, the tolerance is the oracle's default
         given = {"oracle_rtol": oracle_cfg["tolerance"]} if "tolerance" in oracle_cfg else {}
@@ -291,8 +283,8 @@ def cmd_simulate(args):
         cmp_doc["oracle_diagnostics"] = cmp_doc.pop("oracle").diagnostics
         text = json.dumps(_sanitize(cmp_doc), indent=2, sort_keys=True) + "\n"
         base, ext = os.path.splitext(path)
-        targets += [(f"{base}_oracle{ext}", ""), (f"{base}_comparison.json", None)]
-    with _open_all(targets) as files:
+        paths += [f"{base}_oracle{ext}", f"{base}_comparison.json"]
+    with _open_all(paths) as files:
         write(closed, files[0])
         if with_oracle:
             write(report.oracle, files[1])

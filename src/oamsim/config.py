@@ -8,7 +8,7 @@ typo can never silently change the physics.
 import json
 import math
 
-from .errors import ConfigError
+from .errors import ConfigError, require_budget
 
 # section -> key -> (type, validator or None)
 _POSITIVE = ("must be > 0", lambda v: v > 0)
@@ -221,6 +221,7 @@ def scan_omegas(doc):
                                   "give the list or omega_min/omega_max/points")
         return list(values)
     if all(k in scan for k in needed):
+        require_budget(f"the {scan['points']} scan frequencies", scan["points"] * 8)
         import numpy as np
         return list(np.linspace(scan["omega_min_rad_s"], scan["omega_max_rad_s"],
                                 scan["points"]))

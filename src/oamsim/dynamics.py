@@ -42,7 +42,7 @@ from .am_core import (OBSERVABLES, PARITY_BLOCKS, TENSOR_PAIRS, _ensemble_polari
 # kept importable from dynamics: perfbench's tracer self-test patches it here
 from .am_core import polarization_tensor  # noqa: F401
 from .constants import HBAR
-from .errors import ConvergenceError, DomainError, require_int
+from .errors import ConvergenceError, DomainError, require_budget, require_int
 from .ring_config import field_gradients
 
 # the numeric series columns, in CSV and JSON order; the tensor follows TENSOR_PAIRS
@@ -61,7 +61,6 @@ _CHOICES = {"mode": tuple(_READS), "kind": ("vector", "tensor"),
             "drive": ("corotating", "linear")}
 _ORACLE_RTOL = 1e-9                # the piecewise oracle's default refinement tolerance
 _BLOCK_BYTES = 2 * 2**20           # oracle members per streamed block; a scan block's kernel arrays
-_INTERVAL_BUDGET_BYTES = 2**30     # the oracle's term blocks, and one _propagate level's unitaries
 _CHUNK_BYTES = 2 * 2**20           # substep unitaries it holds per streamed chunk
 # fourth-order commutator-free Magnus step: Gauss-Legendre nodes within a
 # substep and the weights of H at those nodes in the two exponentials
@@ -126,6 +125,8 @@ class DynamicsScenario:
                               "plus the angles' multiples is not a finite float")
 
     def times(self):
+        """The steps sample times from 0 to t_end; a grid over the budget is refused first."""
+        require_budget(f"the {self.steps} sample times", self.steps * 8)
         return np.linspace(0.0, self.t_end, self.steps)
 
 
@@ -350,11 +351,8 @@ def _propagate(scn, blocks, members, n_sub):
     n_out = len(times) - 1
     k, dim = members.shape
     sizes = [len(block[0][2]) for block in blocks]
-    need = n_out * n_sub * sum(d * d for d in sizes) * 16
-    if need > _INTERVAL_BUDGET_BYTES:
-        raise ConvergenceError(
-            f"{n_sub} substeps over {n_out} intervals need {need / 2**30:.3g} GiB of "
-            f"unitaries, over the {_INTERVAL_BUDGET_BYTES / 2**30:g} GiB budget")
+    require_budget(f"{n_sub} substeps over {n_out} intervals",
+                   n_out * n_sub * sum(d * d for d in sizes) * 16, of="unitaries")
     if any(hk.imag.any() for block in blocks for _, _, hk in block):
         raise DomainError("the piecewise propagator needs real Hamiltonian terms")
     dt_sub = (times[1] - times[0]) / n_sub
@@ -543,11 +541,8 @@ def evolve_oracle(scn, rtol=_ORACLE_RTOL, max_halvings=20, fixed_substeps=None,
     if fixed_substeps is not None:
         require_int("fixed_substeps", fixed_substeps, 1)
     terms = hamiltonian_terms(scn)
-    need = len(terms) * ((scn.L + 1)**2 + scn.L**2) * 16
-    if need > _INTERVAL_BUDGET_BYTES:
-        raise ConvergenceError(
-            f"the parity blocks of the {len(terms)}-term Hamiltonian at L = {scn.L} need "
-            f"{need / 2**30:.3g} GiB, over the {_INTERVAL_BUDGET_BYTES / 2**30:g} GiB budget")
+    require_budget(f"the parity blocks of the {len(terms)}-term Hamiltonian at L = {scn.L}",
+                   len(terms) * ((scn.L + 1)**2 + scn.L**2) * 16)
     ops = build_operators(scn.L)
     # each term on each parity block, (a_k, f_k, H_k) with H_k a (d_b, d_b) block
     blocks = [[(a, f, ops.observable(row, rows)) for a, f, row in terms]

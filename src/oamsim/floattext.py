@@ -1,11 +1,12 @@
 """The exact text of ``'%.17g' % x`` and of ``repr(x)`` for float64 arrays, built with numpy.
 
-``format_cells`` lays each value out as NUL-padded uint8 fields of a fixed
-width, so that many values become one text with a single
-``bytes.translate(None, b"\\0")``; ``text_rows`` joins such fields into
-rows.  A ``Style`` says how the cells spell their values: ``G17`` as
-``'%.17g' % x`` (CSV cells), ``JSON`` as ``repr(x)`` with ``null``,
-``Infinity`` and ``-Infinity`` for the non-finite values (JSON cells).
+``text_rows`` is the one entry point.  It lays each value out as a
+NUL-padded uint8 field of a fixed width, copies the fields into rows of
+bytes, and turns each block of rows into one text with a single
+``bytes.translate(None, b"\\0")``.  A ``Style`` says how the cells spell
+their values: ``G17`` as ``'%.17g' % x`` (CSV cells), ``JSON`` as
+``repr(x)`` with ``null``, ``Infinity`` and ``-Infinity`` for the
+non-finite values (JSON cells).
 
 Two lookup tables, built with numpy at import, give a field its characters.
 ``_GROUPS`` holds the four digit bytes of each of the 10**4 groups of four
@@ -248,20 +249,6 @@ G17 = Style(_significands, 17, False, "%.17g".__mod__)     # '%.17g' % x
 JSON = Style(_shortest, 16, True, _json_number)            # repr(x), non-finite as in JSON
 
 
-def format_cells(values, style):
-    """uint8 fields of shape values.shape + (WIDTH,): each value spelled as
-    style says, NUL-padded.
-
-    The NUL bytes are spread through each field; deleting them leaves the text.
-    """
-    shape = np.shape(values)
-    x = np.asarray(values, dtype=np.float64).ravel()
-    out = np.zeros((len(x), WIDTH), dtype=np.uint8)
-    for start in range(0, len(x), _CHUNK):
-        _fill(x[start:start + _CHUNK], out[start:start + _CHUNK], style)
-    return out.reshape(shape + (WIDTH,))
-
-
 def _fill(x, out, style):
     """Write the fields of x, spelled as style says, into the zeroed rows of out."""
     n, e, exact = style.digits(x)
@@ -319,8 +306,14 @@ def text_rows(columns, tail, style):
             line += bytes(WIDTH)
     line = np.frombuffer(bytes(line + tail.encode()), dtype=np.uint8)
     for start in range(0, len(arrays[0]) if arrays else 0, _BLOCK_ROWS):
-        fields = format_cells(np.column_stack([col[start:start + _BLOCK_ROWS]
-                                               for col in arrays]), style)
+        cells = np.asarray(np.column_stack([col[start:start + _BLOCK_ROWS] for col in arrays]),
+                           dtype=np.float64)
+        # each value as a NUL-padded field, _CHUNK values per pass
+        x = cells.ravel()
+        fields = np.zeros((len(x), WIDTH), dtype=np.uint8)
+        for i in range(0, len(x), _CHUNK):
+            _fill(x[i:i + _CHUNK], fields[i:i + _CHUNK], style)
+        fields = fields.reshape(cells.shape + (WIDTH,))
         rows = np.empty((len(fields), len(line)), dtype=np.uint8)
         rows[:] = line
         for k, offset in enumerate(offsets):

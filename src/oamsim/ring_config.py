@@ -49,7 +49,11 @@ def kinematics(kinetic_energy_ev):
     if not 0 <= kinetic_energy_ev < math.inf:    # written so that NaN fails too
         raise DomainError(f"kinetic energy must be finite and >= 0 eV, got {kinetic_energy_ev}")
     gamma = gamma_from_kinetic_energy(kinetic_energy_ev)
-    beta = math.sqrt(1.0 - 1.0 / gamma**2)
+    try:
+        beta = math.sqrt(1.0 - 1.0 / gamma**2)
+    except OverflowError:    # from about 6.9e159 eV
+        raise DomainError(f"kinetic energy {kinetic_energy_ev} eV puts gamma**2 beyond "
+                          "the float range") from None
     return Kinematics(kinetic_energy_ev=float(kinetic_energy_ev), gamma=gamma,
                       beta_tilde=beta, velocity=beta * C)
 
@@ -84,11 +88,17 @@ def frozen_setup(kinetic_energy_ev, R0, n):
     if not 0.0 < n < 1.0:
         raise DomainError(f"field index must satisfy 0 < n < 1, got {n}")
     kin = kinematics(kinetic_energy_ev)
+    if kin.beta_tilde == 0.0:    # gamma rounds to 1 below about 5.7e-11 eV
+        raise DomainError(f"kinetic energy {kinetic_energy_ev} eV rounds beta to 0: "
+                          "the frozen ring has no finite field")
     omega = kin.velocity / R0
     B0 = omega * kin.gamma * M_E * (kin.gamma**2 + 1.0) / E_CHARGE
     # B0 = (2/beta^2 - 1) * beta x E with E radial (inward) and B0 vertical.
     E = -B0 * C / ((2.0 / kin.beta_tilde**2 - 1.0) * kin.beta_tilde)
     Omega = larmor_omega(kin, B0, E)
+    if not (math.isfinite(E) and math.isfinite(Omega)):    # so B0 and omega are finite too
+        raise DomainError(f"the frozen ring's fields at {kinetic_energy_ev} eV and R0 = {R0} m "
+                          "are beyond the float range")
     return RingSetup(kin=kin, B0=B0, E=E, R0=float(R0), n=float(n),
                      omega=omega, Omega=Omega)
 

@@ -125,6 +125,16 @@ class TestCoherentState:
         south = am.coherent_state(ops, np.pi, 0.4)
         assert np.count_nonzero(south) == 1 and south[-1] == np.exp(2j * L * 0.4)
 
+    @pytest.mark.parametrize("L", [1, 2, 100])
+    @pytest.mark.parametrize("theta", [5e-324, -5e-324])
+    def test_half_angle_whose_sine_underflows_is_the_north_pole(self, L, theta):
+        # 0.5 * theta rounds to 0, so sin(theta / 2) is 0 and its log undefined
+        ops = am.build_operators(L)
+        got = am.coherent_state(ops, theta, 2.3)
+        assert got.tobytes() == am.coherent_state(ops, 0.0, 2.3).tobytes()
+        # the next float's half angle is subnormal, not 0: the binomial route
+        assert np.count_nonzero(am.coherent_state(ops, 1e-323, 2.3)) > 1
+
 
 class TestTensorMixture:
     @pytest.mark.parametrize("L,theta,psi", [(1, 0.7, 1.1), (2, np.pi / 2, 0.0),

@@ -910,6 +910,92 @@ def test_out_to_the_null_device_exits_0(argv, capsys):
     assert (code, out, err) == (0, "", "")
 
 
+@pytest.mark.parametrize("argv, written", [
+    (["constants", "--format", "json"], ["out"]),
+    (["freeze", "--config", str(CONFIG_DIR / "ring300kev.json")], ["out"]),
+    (["moments", "--config", str(CONFIG_DIR / "moments100.json"), "--format", "json"], ["out"]),
+    (["verify"], ["out"]),
+    (["scan", "--config", str(CONFIG_DIR / "resonance_scan.json")], ["out"]),
+    (["simulate", "--format", "json"], ["out", "out_comparison.json", "out_oracle"]),
+], ids=["constants", "freeze", "moments", "verify", "scan", "simulate"])
+def test_files_hold_newlines_untranslated_where_the_line_separator_is_crlf(
+        argv, written, tmp_path, monkeypatch, capsys):
+    # the pure-Python io translates "\n" to os.linesep at open, as Windows
+    # does, unless a file is opened with newline=""
+    import _pyio
+
+    from oamsim import verify
+    monkeypatch.setattr(verify, "run_all", lambda: [])
+    monkeypatch.setattr(cli, "open", _pyio.open, raising=False)
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    if argv[0] == "simulate":
+        argv = argv + ["--config", small_oracle_config(tmp_path, tmp_path / "unused.csv")]
+    out = tmp_path / "files"
+    out.mkdir()
+    assert run_cli(argv + ["--out", str(out / "out")], capsys)[0] == 0
+    assert sorted(p.name for p in out.iterdir()) == written
+    for name in written:
+        text = (out / name).read_bytes()
+        assert text.endswith(b"\n") and b"\r" not in text, name
+
+
+@pytest.mark.parametrize("energy", [1e-300, 1e200])
+@pytest.mark.parametrize("command, config", [("freeze", "ring300kev.json"),
+                                             ("moments", "moments100.json"),
+                                             ("simulate", "frozen_sim.json")])
+def test_energy_past_the_float_range_exits_1_and_writes_nothing(command, config, energy,
+                                                                tmp_path, capsys):
+    # 1e-300 eV rounds beta to 0 in the frozen ring; at 1e200 eV gamma**2 overflows
+    doc = json.loads((CONFIG_DIR / config).read_text())
+    doc["beam"]["kinetic_energy_eV"] = energy
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    out_path = tmp_path / "out" / "result"
+    out_path.parent.mkdir()
+    code, out, err = run_cli([command, "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "numerical"
+    assert list(out_path.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, config, section, key, grid", [
+    ("simulate", "frozen_sim.json", "scenario", "steps", "sample times"),
+    ("scan", "resonance_scan.json", "scan", "points", "scan frequencies"),
+], ids=["simulate-steps", "scan-points"])
+def test_grid_over_the_budget_exits_1_before_allocating(command, config, section, key, grid,
+                                                        tmp_path, monkeypatch, capsys):
+    def no_grid(*args):
+        raise AssertionError("linspace called")
+    monkeypatch.setattr(np, "linspace", no_grid)
+    doc = json.loads((CONFIG_DIR / config).read_text())
+    doc[section][key] = 10**30
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    out_path = tmp_path / "out" / "result.csv"
+    out_path.parent.mkdir()
+    code, out, err = run_cli([command, "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "numerical", "message": f"the {10**30} {grid} need "
+                                                                "7.45e+21 GiB, over the 1 GiB budget"}
+    assert list(out_path.parent.iterdir()) == []
+
+
+def test_simulate_at_a_theta_whose_half_angle_rounds_to_0_exits_0(tmp_path, capsys):
+    # the oracle's coherent state at theta = 5e-324 is the north pole |L, L>
+    config = Path(small_oracle_config(tmp_path, tmp_path / "out.csv"))
+    doc = json.loads(config.read_text())
+    doc["beam"].update(L=2, theta=5e-324)
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli(["simulate", "--config", str(config)], capsys)
+    assert (code, out, err) == (0, "", "")
+    report = json.loads((tmp_path / "out_comparison.json").read_text())
+    assert report["max_abs_deviation"] < 1e-12
+
+
 # a coefficient the run needs that neither the scenario nor the ring gives
 @pytest.mark.parametrize("command, ring, scenario, message", [
     ("simulate", {"B0_T": 1.0}, {"mode": "frozen"},

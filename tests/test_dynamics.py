@@ -188,6 +188,31 @@ def test_integer_arguments_rejected(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("steps, bounded", [(10**30, True), (2**53 + 1, True),
+                                            (2**27 + 1, True), (2**27, False)],
+                         ids=["1e30", "2^53+1", "over", "grid-fits"])
+def test_time_grid_budget_checked_before_allocation(steps, bounded, monkeypatch):
+    # float64 samples: 2**27 of them take exactly 1 GiB
+    def no_grid(*args):
+        raise AssertionError("linspace called")
+    monkeypatch.setattr(np, "linspace", no_grid)
+    scn = tmp_scn(steps=steps)
+    if not bounded:
+        with pytest.raises(AssertionError, match="linspace called"):
+            scn.times()
+        return
+    with pytest.raises(ConvergenceError, match="GiB budget") as err:
+        scn.times()
+    assert str(err.value) == (f"the {steps} sample times need {steps * 8 / 2**30:.3g} GiB, "
+                              "over the 1 GiB budget")
+
+
+def test_time_grid_past_the_float_range_is_refused():
+    # a JSON integer has no size limit, and 8 * 10**400 bytes no float value
+    with pytest.raises(ConvergenceError, match="sample times need inf GiB, over the 1 GiB budget"):
+        tmp_scn(steps=10**400).times()
+
+
 class TestBuildHamiltonian:
     def test_all_zero(self):
         scn = tmp_scn(Omega=0.0, b=0.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ class TestKinematics:
     def test_negative_energy(self):
         with pytest.raises(DomainError):
             rc.kinematics(-1.0)
+
+    def test_gamma_squared_overflow_is_a_domain_error(self):
+        # gamma**2 overflows from about 6.9e159 eV; the energy just below still works
+        assert rc.kinematics(6.8e159).beta_tilde == 1.0
+        for energy in (7e159, 3e305, 1e308):
+            with pytest.raises(DomainError, match="gamma\\*\\*2 beyond the float range"):
+                rc.kinematics(energy)
 
 
 class TestFrozenSetup:
@@ -67,6 +75,23 @@ class TestFrozenSetup:
     def test_rejects_bad_inputs(self, energy, r0, n):
         with pytest.raises(DomainError):
             rc.frozen_setup(energy, r0, n)
+
+    @pytest.mark.parametrize("energy, message", [
+        # gamma rounds to 1, so beta is 0 and 2 / beta**2 has no value
+        (5e-324, "rounds beta to 0"), (1e-300, "rounds beta to 0"), (1e-11, "rounds beta to 0"),
+        # B0 grows as gamma**3 and overflows before gamma**2 does
+        (1e108, "fields at 1e+108 eV and R0 = 0.5 m are beyond the float range"),
+        (1e155, "beyond the float range"),
+        # gamma**2 overflows
+        (1e200, "puts gamma**2 beyond the float range"), (1e308, "gamma**2")])
+    def test_energies_past_the_float_range_are_domain_errors(self, energy, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            rc.frozen_setup(energy, 0.5, 0.5)
+
+    def test_fields_past_the_float_range_at_a_small_radius(self):
+        assert math.isfinite(rc.frozen_setup(3e5, 1e-150, 0.5).Omega)
+        with pytest.raises(DomainError, match="beyond the float range"):
+            rc.frozen_setup(3e5, 1e-300, 0.5)
 
 
 @pytest.mark.parametrize("call", [
