@@ -10,8 +10,6 @@ onto Cartesian (x, y, z).
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -46,42 +44,35 @@ _WEIGHTS = np.hstack([OBSERVABLES[:, :3].real, 2.0 * np.stack(
 PARITY_BLOCKS = (slice(0, None, 2), slice(1, None, 2))
 
 
-@dataclass(frozen=True)
-class AmOperators:
+class AmOperators(NamedTuple):
     """The angular-momentum algebra for quantum number L, basis m = L, L-1, ..., -L.
 
     m (dim,) is the diagonal of Lz and c (dim-1,) the one nonzero diagonal
     of L+: c[i] = <m_i|L+|m_{i+1}> = sqrt(L(L+1) - m_{i+1}(m_{i+1} + 1)).
     Every operator here is banded: bands holds the band quantities Q of
-    OBSERVABLES, and observable(t) makes a row t a dense Hermitian matrix,
-    or one parity block of it.
-    Lx, Ly, Lz and Lsq = Lx^2 + Ly^2 + Lz^2 (public API, checks) are built on first use.
+    OBSERVABLES at offsets 0, 1 and 2, as the arrays (1, Lz, Lz^2),
+    (L+, {L+, Lz}) and (L+^2,), and observable(t) makes a row t a dense
+    Hermitian matrix, or one parity block of it.  build_operators makes
+    every array read-only.  Lx, Ly, Lz and Lsq = Lx^2 + Ly^2 + Lz^2 (public
+    API, checks) build a dense matrix on each access.
     """
 
     L: int
     m: np.ndarray
     c: np.ndarray
-    Lx = cached_property(lambda self: self.observable(OBSERVABLES[0]))
-    Ly = cached_property(lambda self: self.observable(OBSERVABLES[1]))
-    Lz = cached_property(lambda self: self.observable(OBSERVABLES[2]))
-    Lsq = cached_property(lambda self: self.Lx @ self.Lx + self.Ly @ self.Ly + self.Lz @ self.Lz)
+    bands: tuple
+    Lx = property(lambda self: self.observable(OBSERVABLES[0]))
+    Ly = property(lambda self: self.observable(OBSERVABLES[1]))
+    Lz = property(lambda self: self.observable(OBSERVABLES[2]))
+
+    @property
+    def Lsq(self):
+        lx, ly, lz = self.Lx, self.Ly, self.Lz
+        return lx @ lx + ly @ ly + lz @ lz
 
     @property
     def dim(self):
         return 2 * self.L + 1
-
-    @cached_property
-    def bands(self):
-        """The Q of OBSERVABLES at offsets 0, 1, 2: (1, Lz, Lz^2), (L+, {L+, Lz}), (L+^2,)."""
-        m, c = self.m, self.c
-        return (np.array([np.ones(self.dim), m, m * m]), np.array([c, c * (m[:-1] + m[1:])]),
-                (c[:-1] * c[1:])[None])
-
-    @cached_property
-    def _row_bands(self):
-        """Each row's full-length diagonal and bands 1 and 2, keyed by the row's
-        dtype and bytes: observable evaluates a row once and slices it for every block."""
-        return {}
 
     def observable(self, coeffs, rows=slice(None)):
         """Matrix of a row of OBSERVABLES or a real combination of rows, on the
@@ -91,18 +82,12 @@ class AmOperators:
         t_1, t_2.  On a parity block band 2 is the first off-diagonal, and a
         nonzero band 1, which couples the blocks, is a DomainError.
         """
-        t, index = np.asarray(coeffs), range(self.dim)[rows]
-        key = (t.dtype.str, t.tobytes())
-        if key not in self._row_bands:
-            q = self.bands
-            self._row_bands[key] = ((t[:3].real * (self.L * (self.L + 1.0), 1.0, 1.0)) @ q[0],
-                                    t[3:5] @ q[1], t[5:] @ q[2])
-        diag, band_1, band_2 = self._row_bands[key]
+        t, index, q = np.asarray(coeffs), range(self.dim)[rows], self.bands
         d = len(index)
         out = np.zeros((d, d), dtype=complex)
         flat = out.reshape(-1)      # diagonal k of out is flat[k::d + 1], cut at row d - k
-        flat[::d + 1] = diag[rows]
-        for k, band in ((1, band_1), (2, band_2)):
+        flat[::d + 1] = (t[:3].real * (self.L * (self.L + 1.0), 1.0, 1.0)) @ q[0][:, rows]
+        for k, band in ((1, t[3:5] @ q[1]), (2, t[5:] @ q[2])):
             if k % index.step:
                 if band.any():
                     raise DomainError(f"the row couples m to m +- {k}, across the parity blocks")
@@ -131,8 +116,11 @@ def build_operators(L):
     L = int(L)
     m = np.arange(L, -L - 1, -1, dtype=float)
     c = np.sqrt(L * (L + 1.0) - m[1:] * (m[1:] + 1.0))
-    m.flags.writeable = c.flags.writeable = False
-    return AmOperators(L=L, m=m, c=c)
+    bands = (np.array([np.ones(2 * L + 1), m, m * m]), np.array([c, c * (m[:-1] + m[1:])]),
+             np.array([c[:-1] * c[1:]]))
+    for array in (m, c, *bands):
+        array.flags.writeable = False
+    return AmOperators(L=L, m=m, c=c, bands=bands)
 
 
 def _unit_norm(vec):

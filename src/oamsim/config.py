@@ -196,13 +196,19 @@ def validate_config(doc, command):
 
 
 def load_config(path, command):
-    """Load and validate a JSON configuration file."""
+    """Load and validate a JSON configuration file.
+
+    Every decoding failure is a ConfigError: ValueError covers invalid JSON
+    (json.JSONDecodeError), bytes that do not decode (UnicodeDecodeError) and
+    an integer literal past Python's digit limit; RecursionError covers
+    nesting too deep for the parser.
+    """
     try:
         with open(path) as f:
             doc = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return validate_config(doc, command)
 

@@ -79,7 +79,8 @@ def frozen_setup(kinetic_energy_ev, R0, n):
     The orbital angular velocity follows from R0 = V/omega, the vertical
     field from omega = |e| B0 / (gamma m (gamma^2 + 1)), and the radial
     electric field from B0 = (2/beta^2 - 1) beta x E, all in closed form.
-    The resulting Larmor frequency equals omega to rounding.
+    The resulting Larmor frequency equals omega to rounding.  A ring whose
+    fields, frequencies or field gradients overflow is a DomainError.
     """
     if not kinetic_energy_ev > 0:
         raise DomainError("frozen setup requires kinetic energy > 0 eV")
@@ -96,11 +97,13 @@ def frozen_setup(kinetic_energy_ev, R0, n):
     # B0 = (2/beta^2 - 1) * beta x E with E radial (inward) and B0 vertical.
     E = -B0 * C / ((2.0 / kin.beta_tilde**2 - 1.0) * kin.beta_tilde)
     Omega = larmor_omega(kin, B0, E)
-    if not (math.isfinite(E) and math.isfinite(Omega)):    # so B0 and omega are finite too
+    setup = RingSetup(kin=kin, B0=B0, E=E, R0=float(R0), n=float(n), omega=omega, Omega=Omega)
+    # finite E and Omega make B0 and omega finite; the gradients grow as 1/R0^2
+    # and can overflow where the fields do not (R0 = 1e-152 m at 300 keV)
+    if not all(map(math.isfinite, (E, Omega, *field_gradients(setup)))):
         raise DomainError(f"the frozen ring's fields at {kinetic_energy_ev} eV and R0 = {R0} m "
                           "are beyond the float range")
-    return RingSetup(kin=kin, B0=B0, E=E, R0=float(R0), n=float(n),
-                     omega=omega, Omega=Omega)
+    return setup
 
 
 def frozen_residual(setup):

@@ -276,12 +276,11 @@ def check_algebra_suite(details):
     for L in range(1, 21):
         ops = am_core.build_operators(L)
         eye = np.eye(ops.dim)
-        pairs = ((ops.Lx, ops.Ly, ops.Lz), (ops.Ly, ops.Lz, ops.Lx),
-                 (ops.Lz, ops.Lx, ops.Ly))
-        for a, b, c in pairs:
+        lx, ly, lz = ops.Lx, ops.Ly, ops.Lz     # each access builds the matrix
+        for a, b, c in ((lx, ly, lz), (ly, lz, lx), (lz, lx, ly)):
             worst_comm = max(worst_comm, np.max(np.abs(a @ b - b @ a - 1j * c)))
         worst_lsq = max(worst_lsq, np.max(np.abs(ops.Lsq - L * (L + 1) * eye)))
-        for m in (ops.Lx, ops.Ly, ops.Lz):
+        for m in (lx, ly, lz):
             worst_herm = max(worst_herm, np.max(np.abs(m - m.conj().T)))
     rng = np.random.default_rng(7)
     worst_trace = 0.0

@@ -352,6 +352,25 @@ class TestBandedAlgebra:
                 assert p[axis] == pytest.approx(1.0, abs=1e-12)
                 assert np.max(np.abs(np.delete(p, axis))) < 1e-12
 
+    def test_operators_are_a_record_of_four_fields(self):
+        ops = am.build_operators(2)
+        assert am.AmOperators._fields == ("L", "m", "c", "bands")
+        L, m, c, (q0, q1, q2) = ops
+        assert L == 2 and m is ops.m and c is ops.c
+        assert np.array_equal(q0, [np.ones(5), m, m * m])
+        assert np.array_equal(q1, [c, c * (m[:-1] + m[1:])])
+        assert np.array_equal(q2, [c[:-1] * c[1:]])
+
+    @pytest.mark.parametrize("L", [1, 2, 7])
+    def test_every_array_is_read_only(self, L):
+        # every observable reads the bands, so one stray write would corrupt them all
+        ops = am.build_operators(L)
+        for array in (ops.m, ops.c, *ops.bands):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert np.array_equal(ops.Lz, np.diag(np.arange(L, -L - 1, -1)).astype(complex))
+
     def test_extraction_memory_is_linear_in_the_stack(self):
         # 4002 states at L = 100, as the frozen tensor oracle at 2001 steps extracts
         import tracemalloc

@@ -960,6 +960,47 @@ def test_energy_past_the_float_range_exits_1_and_writes_nothing(command, config,
     assert list(out_path.parent.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, config", [("freeze", "ring300kev.json"),
+                                             ("moments", "moments100.json"),
+                                             ("simulate", "frozen_sim.json")])
+def test_ring_whose_field_gradients_overflow_exits_1_and_writes_nothing(command, config,
+                                                                        tmp_path, capsys):
+    # at 300 keV and R0 = 1e-152 m the fields are finite, dEr/dR overflows
+    doc = json.loads((CONFIG_DIR / config).read_text())
+    doc["ring"]["R0_m"] = 1e-152
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    out_path = tmp_path / "out" / "result"
+    out_path.parent.mkdir()
+    code, out, err = run_cli([command, "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "numerical", "message": (
+        "the frozen ring's fields at 300000.0 eV and R0 = 1e-152 m are beyond the float range")}
+    assert list(out_path.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("content", [
+    b'{"beam": {"kinetic_energy_eV": 300000.0}, "ring": {"R0_m": 0.5, "n": 0.5, "\xe9": 1}}',
+    b'{"beam": {"kinetic_energy_eV": ' + b"9" * 5000 + b'}}',
+    b"[" * 100000,
+], ids=["not-utf8", "5000-digit-integer", "100000-nested"])
+def test_config_that_cannot_be_decoded_exits_2_and_writes_nothing(content, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_bytes(content)
+    out_path = tmp_path / "out" / "result"
+    out_path.parent.mkdir()
+    code, out, err = run_cli(["freeze", "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert error["message"].startswith(f"{path} is not valid JSON: ")
+    assert list(out_path.parent.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, config, section, key, grid", [
     ("simulate", "frozen_sim.json", "scenario", "steps", "sample times"),
     ("scan", "resonance_scan.json", "scan", "points", "scan frequencies"),

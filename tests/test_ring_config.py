@@ -93,6 +93,13 @@ class TestFrozenSetup:
         with pytest.raises(DomainError, match="beyond the float range"):
             rc.frozen_setup(3e5, 1e-300, 0.5)
 
+    def test_field_gradients_past_the_float_range_at_a_small_radius(self):
+        # the gradients grow as 1/R0^2 and overflow before the fields do
+        setup = rc.frozen_setup(3e5, 1e-151, 0.5)
+        assert all(map(math.isfinite, rc.field_gradients(setup)))
+        with pytest.raises(DomainError, match="R0 = 1e-152 m are beyond the float range"):
+            rc.frozen_setup(3e5, 1e-152, 0.5)
+
 
 @pytest.mark.parametrize("call", [
     lambda: rc.kinematics(math.nan), lambda: rc.kinematics(math.inf),
