@@ -17,7 +17,6 @@ _EXPORTS = {
                 "polarization_tensor", "polarization_vector", "tensor_mixture"),
     "dynamics": ("ComparisonReport", "DynamicsScenario", "PolarizationSeries",
                  "ScanResult", "SplittingTable", "build_hamiltonian", "closed_form",
-                 "closed_form_frozen", "closed_form_resonance", "closed_form_tmp",
                  "evolve_oracle", "level_splitting", "oracle_vs_closed_form",
                  "quadrupole_coefficient_frozen", "quadrupole_coupling", "resonance_scan"),
     "moments": ("EcqmTensor", "MomentSet", "beam_diameter", "delta_omega_estimate",

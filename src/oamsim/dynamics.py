@@ -31,6 +31,7 @@ propagator refined by substep halving, in real arithmetic.
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional
 
@@ -106,6 +107,13 @@ class DynamicsScenario:
         require_int("steps", self.steps, 2)
         if not self.t_end > 0:
             raise DomainError(f"t_end must be positive, got {self.t_end}")
+        # linspace's samples (at most 2**27 within the budget of times())
+        # increase strictly when the spacing t_end / (steps - 1) is a normal
+        # float; Python compares an int steps and a float quotient exactly
+        if self.steps - 1 > self.t_end / sys.float_info.min:
+            raise DomainError(f"the time grid's spacing {self.t_end} s / {self.steps - 1} is "
+                              f"below the smallest normal float {sys.float_info.min}: its "
+                              "sample times would not be strictly increasing")
         defaults = {f.name: f.default for f in fields(self)}
         unread = [name for name in _COEFFICIENTS if name not in _READS[self.mode]]
         if any(getattr(self, name) != defaults[name] for name in unread):
@@ -570,76 +578,51 @@ def evolve_oracle(scn, rtol=_ORACLE_RTOL, max_halvings=20, fixed_substeps=None,
     return (series, states) if return_states else series
 
 
-def _nan_series(scn):
-    """times, an all-NaN P to fill in, and Pt as a read-only NaN view: no closed form defines it."""
+def closed_form(scn):
+    """The closed form of the scenario's mode; NaN marks the components it does not define.
+
+    tmp: TMP beating of an initially tensor-polarized beam,
+
+        P_rho = -1/2 sin(2 theta) sin(Omega t + psi) sin(b t),
+        P_phi = +1/2 sin(2 theta) cos(Omega t + psi) sin(b t),  P_z = 0.
+
+    frozen: P_z under the frozen-OAM quadrupole interaction,
+
+        vector:  P_z = cos(2At) cos(theta) + 1/2 sin^2(theta) sin(2At) sin(2 psi)
+        tensor:  P_z = 1/2 sin^2(theta) sin(2At) sin(2 psi)
+
+    resonance: P_z near the omega = 2 Omega quadrupole resonance; with
+    omega' = sqrt((2 Omega - omega)^2 + A^2),
+
+        tensor:  P_z = (A/omega') sin^2(theta) sin(w't/2) [ ((2Omega-omega)/omega')
+                        sin(w't/2) cos(2 psi - phi) + cos(w't/2) sin(2 psi - phi) ]
+        vector:  adds (1 - 2 A^2/omega'^2 sin^2(w't/2)) cos(theta).
+
+    Each is the L = 1 formula evaluated at every L, exact only at L = 1
+    (ROADMAP.md item 6).  The resonance form is exact there only for the
+    corotating drive model; the linear drive obeys it within rotating-wave
+    corrections of order A/omega.  At L > 1 the resonance line is (2L - 1)
+    times wider and peaks higher than the formula says (ROADMAP.md item 9).
+    No closed form defines the tensor: Pt is a read-only NaN view.
+    """
+    if scn.mode == "tmp" and scn.kind != "tensor":
+        raise DomainError("the TMP closed form describes a tensor-polarized beam")
     times = scn.times()
     p = np.full((len(times), 3), np.nan)
-    pt = np.broadcast_to(np.nan, (len(times), 3, 3))
-    return times, p, pt
-
-
-def closed_form_tmp(scn):
-    """Closed-form TMP beating of an initially tensor-polarized beam.
-
-    P_rho = -1/2 sin(2 theta) sin(Omega t + psi) sin(b t),
-    P_phi = +1/2 sin(2 theta) cos(Omega t + psi) sin(b t),  P_z = 0.
-    This is the L = 1 formula evaluated at every L, exact only at L = 1
-    (ROADMAP.md item 6).
-    """
-    if scn.mode != "tmp":
-        raise DomainError("closed_form_tmp requires mode='tmp'")
-    if scn.kind != "tensor":
-        raise DomainError("the TMP closed form describes a tensor-polarized beam")
-    times, p, pt = _nan_series(scn)
-    env = 0.5 * np.sin(2.0 * scn.theta) * np.sin(scn.b * times)
-    arg = scn.Omega * times + scn.psi
-    p[:, 0] = -env * np.sin(arg)
-    p[:, 1] = env * np.cos(arg)
-    p[:, 2] = 0.0
-    return PolarizationSeries(times=times, P=p, Pt=pt, source="closed_form")
-
-
-def closed_form_frozen(scn):
-    """Closed-form P_z under the frozen-OAM quadrupole interaction.
-
-    vector:  P_z = cos(2At) cos(theta) + 1/2 sin^2(theta) sin(2At) sin(2 psi)
-    tensor:  P_z = 1/2 sin^2(theta) sin(2At) sin(2 psi)
-
-    This is the L = 1 formula evaluated at every L, exact only at L = 1
-    (ROADMAP.md item 6).
-    """
-    if scn.mode != "frozen":
-        raise DomainError("closed_form_frozen requires mode='frozen'")
-    times, p, pt = _nan_series(scn)
-    s2 = np.sin(scn.theta) ** 2
-    osc = 0.5 * s2 * np.sin(2.0 * scn.A * times) * np.sin(2.0 * scn.psi)
-    if scn.kind == "vector":
-        p[:, 2] = np.cos(2.0 * scn.A * times) * np.cos(scn.theta) + osc
+    if scn.mode == "tmp":
+        env = 0.5 * np.sin(2.0 * scn.theta) * np.sin(scn.b * times)
+        arg = scn.Omega * times + scn.psi
+        p[:, 0] = -env * np.sin(arg)
+        p[:, 1] = env * np.cos(arg)
+        p[:, 2] = 0.0
+    elif scn.mode == "frozen":
+        osc = 0.5 * np.sin(scn.theta) ** 2 * np.sin(2.0 * scn.A * times) * np.sin(2.0 * scn.psi)
+        p[:, 2] = (osc if scn.kind == "tensor"
+                   else np.cos(2.0 * scn.A * times) * np.cos(scn.theta) + osc)
     else:
-        p[:, 2] = osc
-    return PolarizationSeries(times=times, P=p, Pt=pt, source="closed_form")
-
-
-def closed_form_resonance(scn):
-    """Closed-form P_z near the omega = 2 Omega quadrupole resonance.
-
-    With omega' = sqrt((2 Omega - omega)^2 + A^2):
-
-    tensor:  P_z = (A/omega') sin^2(theta) sin(w't/2) [ ((2Omega-omega)/omega')
-                    sin(w't/2) cos(2 psi - phi) + cos(w't/2) sin(2 psi - phi) ]
-    vector:  adds (1 - 2 A^2/omega'^2 sin^2(w't/2)) cos(theta).
-
-    This is the L = 1 formula evaluated at every L, exact only at L = 1 and
-    there for the corotating drive model; the linear drive obeys it within
-    rotating-wave corrections of order A/omega.  At L > 1 the line is
-    (2L - 1) times wider and peaks higher than the formula says (ROADMAP.md
-    item 9).
-    """
-    if scn.mode != "resonance":
-        raise DomainError("closed_form_resonance requires mode='resonance'")
-    times, p, pt = _nan_series(scn)
-    p[:, 2] = _resonance_pz(scn, _resonance_factors(scn, [scn.omega_drive]), 0, times)
-    return PolarizationSeries(times=times, P=p, Pt=pt, source="closed_form")
+        p[:, 2] = _resonance_pz(scn, _resonance_factors(scn, [scn.omega_drive]), 0, times)
+    return PolarizationSeries(times=times, P=p, Pt=np.broadcast_to(np.nan, (len(times), 3, 3)),
+                              source="closed_form")
 
 
 def _resonance_factors(scn, omegas):
@@ -676,15 +659,6 @@ def _resonance_pz(scn, factors, row, times):
     if scn.kind == "vector":
         pz = pz + (1.0 - depth[row] * s_half**2) * np.cos(scn.theta)
     return pz
-
-
-def closed_form(scn):
-    """Dispatch the closed-form solution for the scenario mode."""
-    if scn.mode == "tmp":
-        return closed_form_tmp(scn)
-    if scn.mode == "frozen":
-        return closed_form_frozen(scn)
-    return closed_form_resonance(scn)
 
 
 def _peak_search(scn, factors, n):

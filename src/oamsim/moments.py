@@ -13,6 +13,7 @@ scalar moments behind the report commands load no numpy.
 """
 
 import math
+import numbers
 from typing import NamedTuple
 
 from .constants import (ALPHA, E_SIGNED, FM, GAUSSIAN_B2_J_PER_M3, HBAR,
@@ -46,6 +47,21 @@ class EcqmTensor(NamedTuple):
         return np.array(self.rows)
 
 
+def _in_float_range(what, compute):
+    """compute(), refused as a DomainError naming what when it leaves the float range.
+
+    A Python int or a float ** raises OverflowError there, and float
+    arithmetic gives inf or NaN; either is refused.
+    """
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is beyond the float range")
+    return value
+
+
 def tmp_electron():
     """Tensor magnetic polarizability e^2 hbar^2/(8 m^3) in fm^3.
 
@@ -60,10 +76,12 @@ def tmp_coefficient(B):
 
     The Gaussian-convention product beta_T B^2 (beta_T a volume) converts to
     joules as beta_T[m^3] * (4 pi / mu_0) * B[T]^2; dividing by hbar gives
-    the angular-frequency coefficient of the Lz^2 Hamiltonian term.
+    the angular-frequency coefficient of the Lz^2 Hamiltonian term.  A
+    coefficient beyond the float range is a DomainError.
     """
     beta_t_m3 = tmp_electron() * FM**3
-    return -beta_t_m3 * GAUSSIAN_B2_J_PER_M3 * B**2 / HBAR
+    return _in_float_range(f"the TMP coefficient at B = {B} T",
+                           lambda: -beta_t_m3 * GAUSSIAN_B2_J_PER_M3 * B**2 / HBAR)
 
 
 def tmp_energy_shift(beta_T_fm3, L, B, angle):
@@ -188,16 +206,20 @@ def spectroscopic_eqm(Q0, j, K):
     """Spectroscopic EQM  Qs = (3 K^2 - j(j+1)) / ((j+1)(2j+3)) * Q0.
 
     j may be integer or half-integer; K is the projection of the total
-    angular momentum on the symmetry axis, |K| <= j.
+    angular momentum on the symmetry axis, |K| <= j.  A j or K whose
+    products leave the float range is a DomainError.
     """
     for name, value in (("Q0", Q0), ("j", j), ("K", K)):
-        if not math.isfinite(value):
+        # an integer is finite, and math.isfinite overflows past the float range
+        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
     if j < 0.5:
         raise DomainError(f"j must be >= 1/2, got {j}")
     if abs(K) > j:
         raise DomainError(f"|K| = {abs(K)} exceeds j = {j}")
-    return (3.0 * K**2 - j * (j + 1.0)) / ((j + 1.0) * (2.0 * j + 3.0)) * Q0
+    return _in_float_range(
+        f"the spectroscopic EQM at j = {j}, K = {K}",
+        lambda: (3.0 * K**2 - j * (j + 1.0)) / ((j + 1.0) * (2.0 * j + 3.0)) * Q0)
 
 
 def quadrupole_tensor_operator(ops, Qs):
@@ -272,9 +294,11 @@ def eqm_scale_check(L, R0):
 def beam_model_eqm(L):
     """(<r^2>, Q0, Qs) of the diameter-model beam, with <r^2> = (d(L)/2)^2.
 
-    Qs is evaluated in the stretched configuration j = K = L.
+    Qs is evaluated in the stretched configuration j = K = L.  An L whose
+    <r^2> or Qs leaves the float range is a DomainError.
     """
-    mean_r2 = (0.5 * beam_diameter(L)) ** 2
+    mean_r2 = _in_float_range(f"<r^2> of the diameter-model beam at L = {L}",
+                              lambda: (0.5 * beam_diameter(L)) ** 2)
     q0 = intrinsic_eqm(mean_r2)
     return mean_r2, q0, spectroscopic_eqm(q0, L, L)
 

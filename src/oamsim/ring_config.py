@@ -128,16 +128,24 @@ def landau_geometry(B, n_r, l_z):
     """Beam waist and mean square radius of a Landau state.
 
     w_m = 2 sqrt(hbar/|e B|);  <r^2> = (w_m^2/2)(2 n_r + |l_z| + 1).
+    A field whose |e B| underflows to 0, or an <r^2> past the float range,
+    is a DomainError.
     """
     if not math.isfinite(B):
         raise DomainError(f"field must be finite, got {B}")
     if B == 0:
         raise DomainError("beam waist diverges at B = 0")
+    if E_CHARGE * abs(B) == 0:    # |B| below about 1.5e-305 T
+        raise DomainError(f"beam waist at B = {B} T is beyond the float range: "
+                          "|e B| underflows to 0")
     if not (math.isfinite(n_r) and n_r >= 0 and int(n_r) == n_r):
         raise DomainError(f"radial quantum number must be an integer >= 0, got {n_r}")
     if not (math.isfinite(l_z) and int(l_z) == l_z):
         raise DomainError(f"l_z must be an integer, got {l_z}")
     w_m = 2.0 * math.sqrt(HBAR / (E_CHARGE * abs(B)))
     mean_r2 = 0.5 * w_m**2 * (2 * int(n_r) + abs(int(l_z)) + 1)
+    if not math.isfinite(mean_r2):
+        raise DomainError(f"<r^2> of the Landau state at B = {B} T, n_r = {n_r}, l_z = {l_z} "
+                          "is beyond the float range")
     return LandauGeometry(B=float(B), w_m=w_m, mean_r2=mean_r2,
                           n_r=int(n_r), l_z=int(l_z))

@@ -1025,6 +1025,56 @@ def test_grid_over_the_budget_exits_1_before_allocating(command, config, section
     assert list(out_path.parent.iterdir()) == []
 
 
+_BEAM = {"kinetic_energy_eV": 3e5, "L": 1, "theta": 1.1, "psi": 0.7, "kind": "tensor"}
+_TMP = {"beam": _BEAM, "ring": {"B0_T": 1e200},
+        "scenario": {"mode": "tmp", "t_end_s": 1.0, "steps": 8}}
+_FROZEN = {"beam": _BEAM, "ring": {"R0_m": 0.5, "n": 0.5},
+           "scenario": {"mode": "frozen", "t_end_s": 1.0, "steps": 8}}
+_RESONANCE = {"beam": _BEAM, "ring": {"B0_T": 1.0},
+              "scenario": {"mode": "resonance", "t_end_s": 1.0, "steps": 8,
+                           "grad_amplitude_V_m2": 1.0}}
+_TINY_GRID = {"beam": _BEAM, "scenario": {"mode": "tmp", "t_end_s": 5e-324, "steps": 3,
+                                          "Omega_rad_s": 1.0, "b_rad_s": 0.5}}
+_SPECTROSCOPIC = f"the spectroscopic EQM at j = {10**160}, K = {10**160} is beyond the float range"
+_MODEL_R2 = f"<r^2> of the diameter-model beam at L = {10**200} is beyond the float range"
+_SPACING = ("the time grid's spacing 5e-324 s / 2 is below the smallest normal float "
+            "2.2250738585072014e-308: its sample times would not be strictly increasing")
+
+
+@pytest.mark.parametrize("command, fmt, doc, update, message", [
+    ("moments", "text", {"beam": {"kinetic_energy_eV": 3e5, "L": 1}}, {"ring": {"B0_T": 1e-310}},
+     "beam waist at B = 1e-310 T is beyond the float range: |e B| underflows to 0"),
+    ("moments", "json", {"beam": {"kinetic_energy_eV": 3e5, "L": 10**21}},
+     {"ring": {"B0_T": 1e-303}}, f"<r^2> of the Landau state at B = 1e-303 T, n_r = 0, "
+                                 f"l_z = {10**21} is beyond the float range"),
+    ("simulate", None, _TMP, {}, "the TMP coefficient at B = 1e+200 T is beyond the float range"),
+    ("moments", "text", {"beam": {"kinetic_energy_eV": 3e5, "L": 10**160}},
+     {"ring": {"B0_T": 1.0}}, _SPECTROSCOPIC),
+    ("moments", "text", {"beam": {"kinetic_energy_eV": 3e5, "L": 10**200}},
+     {"ring": {"B0_T": 1.0}}, _MODEL_R2),
+    ("simulate", None, _FROZEN, {"beam": {**_BEAM, "L": 10**160}}, _SPECTROSCOPIC),
+    ("simulate", None, _FROZEN, {"beam": {**_BEAM, "L": 10**200}}, _MODEL_R2),
+    ("simulate", None, _RESONANCE, {"beam": {**_BEAM, "L": 10**160}}, _SPECTROSCOPIC),
+    ("simulate", None, _RESONANCE, {"beam": {**_BEAM, "L": 10**200}}, _MODEL_R2),
+    ("simulate", None, _TINY_GRID, {}, _SPACING),
+    ("simulate", None, _TINY_GRID, {"oracle": {"enabled": True}}, _SPACING),
+], ids=["moments-B-underflow", "moments-landau-r2-overflow", "tmp-b-overflow",
+        "moments-L-1e160", "moments-L-1e200", "frozen-L-1e160", "frozen-L-1e200",
+        "resonance-L-1e160", "resonance-L-1e200", "tiny-grid", "tiny-grid-oracle"])
+def test_values_past_the_float_range_exit_1_and_write_nothing(command, fmt, doc, update,
+                                                              message, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**doc, **update}))
+    out_path = tmp_path / "out" / "result"
+    out_path.parent.mkdir()
+    argv = [command, "--config", str(path), "--out", str(out_path)]
+    code, out, err = run_cli(argv + (["--format", fmt] if fmt else []), capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "numerical", "message": message}
+    assert list(out_path.parent.iterdir()) == []
+
+
 def test_simulate_at_a_theta_whose_half_angle_rounds_to_0_exits_0(tmp_path, capsys):
     # the oracle's coherent state at theta = 5e-324 is the north pole |L, L>
     config = Path(small_oracle_config(tmp_path, tmp_path / "out.csv"))

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -211,6 +212,22 @@ def test_time_grid_past_the_float_range_is_refused():
     # a JSON integer has no size limit, and 8 * 10**400 bytes no float value
     with pytest.raises(ConvergenceError, match="sample times need inf GiB, over the 1 GiB budget"):
         tmp_scn(steps=10**400).times()
+
+
+@pytest.mark.parametrize("t_end, steps", [(5e-324, 3), (1e-300, 10**9),
+                                          (sys.float_info.min, 3)],
+                         ids=["zero", "subnormal", "half-of-normal"])
+def test_time_grid_with_a_subnormal_spacing_is_refused(t_end, steps):
+    with pytest.raises(DomainError,
+                       match="below the smallest normal float 2.2250738585072014e-308"):
+        tmp_scn(t_end=t_end, steps=steps)
+
+
+@pytest.mark.parametrize("steps", [2, 3, 2**20])
+def test_time_grid_at_the_smallest_normal_spacing_increases_strictly(steps):
+    times = tmp_scn(t_end=sys.float_info.min * (steps - 1), steps=steps).times()
+    assert times[1] == sys.float_info.min
+    assert np.all(np.diff(times) > 0)
 
 
 class TestBuildHamiltonian:
@@ -818,27 +835,23 @@ class TestPiecewiseOracle:
 
 class TestClosedFormTmp:
     def test_initial_zero(self):
-        series = dy.closed_form_tmp(tmp_scn())
+        series = dy.closed_form(tmp_scn())
         assert np.allclose(series.P[0], 0.0)
 
     def test_point_value(self):
         # theta=pi/4, Omega=0, psi=0, b=1: P_phi(pi/2) = 1/2
         scn = tmp_scn(Omega=0.0, b=1.0, theta=np.pi / 4, psi=0.0,
                       t_end=np.pi, steps=3)
-        series = dy.closed_form_tmp(scn)
+        series = dy.closed_form(scn)
         assert series.P[1, 1] == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_tilt_stays_zero(self):
-        series = dy.closed_form_tmp(tmp_scn(theta=0.0))
+        series = dy.closed_form(tmp_scn(theta=0.0))
         assert np.max(np.abs(np.nan_to_num(series.P))) == 0.0
 
     def test_requires_tensor_kind(self):
         with pytest.raises(DomainError):
-            dy.closed_form_tmp(tmp_scn(kind="vector"))
-
-    def test_mode_guard(self):
-        with pytest.raises(DomainError):
-            dy.closed_form_tmp(frozen_scn())
+            dy.closed_form(tmp_scn(kind="vector"))
 
     def test_oracle_matches_pointwise(self):
         scn = tmp_scn(steps=1024)
@@ -861,21 +874,17 @@ class TestClosedFormTmp:
 class TestClosedFormFrozen:
     def test_vector_initial_value(self):
         scn = frozen_scn(kind="vector", theta=0.8)
-        series = dy.closed_form_frozen(scn)
+        series = dy.closed_form(scn)
         assert series.P[0, 2] == pytest.approx(np.cos(0.8), rel=1e-12)
 
     def test_tensor_zero_tilt(self):
-        series = dy.closed_form_frozen(frozen_scn(theta=0.0))
+        series = dy.closed_form(frozen_scn(theta=0.0))
         assert np.max(np.abs(series.P[:, 2])) == 0.0
-
-    def test_other_mode_rejected(self):
-        with pytest.raises(DomainError, match="closed_form_frozen requires mode='frozen'"):
-            dy.closed_form_frozen(tmp_scn())
 
     def test_tensor_quarter_period(self):
         # 2At = pi/2 with A = 0.5 at t = pi/2
         scn = frozen_scn(t_end=np.pi, steps=3)
-        series = dy.closed_form_frozen(scn)
+        series = dy.closed_form(scn)
         assert series.P[1, 2] == pytest.approx(0.5, rel=1e-12)
 
     def test_oracle_frequency_2A(self):
@@ -904,29 +913,24 @@ class TestClosedFormFrozen:
 class TestClosedFormResonance:
     def test_zero_coupling_tensor(self):
         scn = resonance_scn(A=0.0, omega_drive=0.6)
-        series = dy.closed_form_resonance(scn)
+        series = dy.closed_form(scn)
         assert np.max(np.abs(series.P[:, 2])) == 0.0
-
-    def test_other_mode_rejected(self):
-        with pytest.raises(DomainError,
-                           match="closed_form_resonance requires mode='resonance'"):
-            dy.closed_form_resonance(tmp_scn())
 
     def test_exact_resonance_envelope(self):
         scn = resonance_scn(t_end=4 * np.pi, steps=4097)
-        series = dy.closed_form_resonance(scn)
+        series = dy.closed_form(scn)
         expected = 0.5 * np.sin(series.times) * np.sin(2 * (np.pi / 4))
         assert np.max(np.abs(series.P[:, 2] - expected)) < 1e-12
 
     def test_vector_initial_value(self):
         scn = resonance_scn(kind="vector", theta=0.7)
-        series = dy.closed_form_resonance(scn)
+        series = dy.closed_form(scn)
         assert series.P[0, 2] == pytest.approx(np.cos(0.7), rel=1e-12)
 
     def test_degenerate_domain_error(self):
         scn = resonance_scn(A=0.0, Omega=0.5, omega_drive=1.0)
         with pytest.raises(DomainError):
-            dy.closed_form_resonance(scn)
+            dy.closed_form(scn)
 
     def test_corotating_oracle_exact(self):
         rep = dy.oracle_vs_closed_form(resonance_scn())
@@ -999,7 +1003,7 @@ class TestResonanceScan:
         base = resonance_scn(kind=kind, Omega=50.0, phi=0.4, theta=1.1, psi=0.3,
                              t_end=np.pi, steps=1001)
         grid = np.linspace(89.0, 111.0, 23)
-        expected = [np.nanmax(np.abs(dy.closed_form_resonance(
+        expected = [np.nanmax(np.abs(dy.closed_form(
             replace(base, omega_drive=w)).P[:, 2])) for w in grid]
         widest = 24
         assert scan_widths(base, grid).max() == widest
@@ -1210,7 +1214,7 @@ class TestSpectralEstimator:
 
 class TestSeriesSerialization:
     def test_csv_header_and_shape(self):
-        series = dy.closed_form_frozen(frozen_scn(steps=5))
+        series = dy.closed_form(frozen_scn(steps=5))
         buf = io.StringIO()
         dy.write_series_csv(series, buf)
         lines = buf.getvalue().splitlines()
@@ -1220,9 +1224,9 @@ class TestSeriesSerialization:
         assert lines[1].split(",")[1] == "nan"   # P_rho undefined in frozen closed form
 
     @pytest.mark.parametrize("closed", [
-        lambda: dy.closed_form_tmp(tmp_scn(steps=5000)),
-        lambda: dy.closed_form_frozen(frozen_scn(steps=5000, kind="vector")),
-        lambda: dy.closed_form_resonance(resonance_scn(steps=5000))],
+        lambda: dy.closed_form(tmp_scn(steps=5000)),
+        lambda: dy.closed_form(frozen_scn(steps=5000, kind="vector")),
+        lambda: dy.closed_form(resonance_scn(steps=5000))],
         ids=["tmp", "frozen", "resonance"])
     def test_closed_form_tensor_is_a_read_only_nan_view(self, closed):
         series = closed()
@@ -1268,11 +1272,11 @@ class TestSeriesSerialization:
         # carries -0.0; 9000 rows span three write blocks; the hand-built
         # series have columns that are NaN or infinite in some rows only, and
         # values where the notation changes or the kernel hands over
-        closed_tmp = dy.closed_form_tmp(tmp_scn(theta=0.0, steps=9000))
+        closed_tmp = dy.closed_form(tmp_scn(theta=0.0, steps=9000))
         assert np.any(np.signbit(closed_tmp.P) & (closed_tmp.P == 0.0))
         for series in (closed_tmp, partly_defined_series(), boundary_series(), empty_series(),
-                       dy.closed_form_frozen(frozen_scn(steps=4099)),
-                       dy.closed_form_resonance(resonance_scn(steps=300)),
+                       dy.closed_form(frozen_scn(steps=4099)),
+                       dy.closed_form(resonance_scn(steps=300)),
                        dy.evolve_oracle(frozen_scn(L=2, steps=300)),
                        dy.evolve_oracle(resonance_scn(steps=65, drive="linear"), rtol=1e-6)):
             buf = io.StringIO()
@@ -1280,14 +1284,14 @@ class TestSeriesSerialization:
             assert_same_text(buf.getvalue(), per_cell(series))
 
     @pytest.mark.parametrize("series", [
-        dy.closed_form_tmp(tmp_scn(theta=0.0, steps=301)),
-        dy.closed_form_frozen(frozen_scn(steps=301)),
-        dy.closed_form_resonance(resonance_scn(kind="vector", steps=301)),
+        dy.closed_form(tmp_scn(theta=0.0, steps=301)),
+        dy.closed_form(frozen_scn(steps=301)),
+        dy.closed_form(resonance_scn(kind="vector", steps=301)),
         dy.evolve_oracle(frozen_scn(L=2, steps=301)),
         partly_defined_series(),
         empty_series(),
         boundary_series(),
-        dy.closed_form_tmp(tmp_scn(theta=0.0, steps=9000)),
+        dy.closed_form(tmp_scn(theta=0.0, steps=9000)),
     ], ids=["tmp", "frozen", "resonance", "oracle", "partly-defined", "empty", "boundary",
             "tmp-9000-rows"])
     def test_json_bytes_match_json_dumps(self, series):
@@ -1308,14 +1312,14 @@ class TestSeriesSerialization:
 
     def test_json_dict_nan_handling(self):
         buf = io.StringIO()
-        dy.write_series_json(dy.closed_form_frozen(frozen_scn(steps=4)), buf)
+        dy.write_series_json(dy.closed_form(frozen_scn(steps=4)), buf)
         doc = json.loads(buf.getvalue())
         assert doc["source"] == "closed_form"
         assert doc["P_rho"][0] is None
         assert doc["P_z"][0] == 0.0
 
     def test_validate_rejects_bad_times(self):
-        series = dy.closed_form_frozen(frozen_scn(steps=8))
+        series = dy.closed_form(frozen_scn(steps=8))
         series.times[3] = series.times[2]
         with pytest.raises(DomainError):
             series.validate()

@@ -347,6 +347,26 @@ class TestScaleEstimates:
         with pytest.raises(DomainError, match="finite"):
             call()
 
+    @pytest.mark.parametrize("call, what", [
+        (lambda: mo.tmp_coefficient(1e200), "the TMP coefficient at B = 1e+200 T"),
+        (lambda: mo.tmp_coefficient(-1e154), "the TMP coefficient at B = -1e+154 T"),
+        (lambda: mo.spectroscopic_eqm(1.0, 10**160, 10**160),
+         f"the spectroscopic EQM at j = {10**160}, K = {10**160}"),
+        (lambda: mo.spectroscopic_eqm(1.0, 10**400, 1),
+         f"the spectroscopic EQM at j = {10**400}, K = 1"),
+        (lambda: mo.spectroscopic_eqm(1.0, 8e153, 8e153),
+         "the spectroscopic EQM at j = 8e+153, K = 8e+153"),
+        (lambda: mo.beam_model_eqm(10**200),
+         f"<r^2> of the diameter-model beam at L = {10**200}"),
+        (lambda: mo.beam_model_eqm(10**400),
+         f"<r^2> of the diameter-model beam at L = {10**400}"),
+    ], ids=["tmp-B-squared-overflows", "tmp-b-inf", "qs-K-squared-overflows",
+            "qs-j-past-float", "qs-nan", "model-r2-overflows", "model-L-past-float"])
+    def test_values_past_the_float_range_rejected(self, call, what):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == f"{what} is beyond the float range"
+
 
 class TestMomentSet:
     def test_signs_and_bounds(self):

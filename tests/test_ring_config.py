@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oamsim import ring_config as rc
-from oamsim.constants import C, E_CHARGE, LAMBDA_BAR_C, M2_FIELD_T, M_E, M_E_C2_EV
+from oamsim.constants import C, E_CHARGE, HBAR, LAMBDA_BAR_C, M2_FIELD_T, M_E, M_E_C2_EV
 from oamsim.errors import DomainError
 
 
@@ -115,6 +115,24 @@ class TestFrozenSetup:
 def test_non_finite_inputs_rejected(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("B, l_z, message", [
+    (1e-310, 0, "beam waist at B = 1e-310 T is beyond the float range: |e B| underflows to 0"),
+    (-1e-306, 3, "beam waist at B = -1e-306 T is beyond the float range: "
+                 "|e B| underflows to 0"),
+    (1e-303, 10**21, f"<r^2> of the Landau state at B = 1e-303 T, n_r = 0, l_z = {10**21} "
+                     "is beyond the float range"),
+], ids=["B-underflow", "negative-B-underflow", "mean-r2-overflow"])
+def test_landau_geometry_past_the_float_range_rejected(B, l_z, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        rc.landau_geometry(B, 0, l_z)
+
+
+def test_landau_geometry_near_the_float_range_keeps_its_formula():
+    geo = rc.landau_geometry(1e-303, 0, 1)
+    w_m = 2.0 * math.sqrt(HBAR / (E_CHARGE * 1e-303))
+    assert (geo.w_m, geo.mean_r2) == (w_m, 0.5 * w_m**2 * 2)
 
 
 class TestLarmorOmega:

@@ -103,7 +103,7 @@ def test_rotation_about_z_on_corotating(L, kind):
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     a, b = dy.evolve_oracle(scn), dy.evolve_oracle(turned)
     assert_close(b.P, b.Pt, a.P @ rot.T, rot @ a.Pt @ rot.T)
-    pz, turned_pz = (dy.closed_form_resonance(x).P[:, 2] for x in (scn, turned))
+    pz, turned_pz = (dy.closed_form(x).P[:, 2] for x in (scn, turned))
     assert np.max(np.abs(turned_pz - pz)) <= BOUND
 
 
@@ -121,7 +121,7 @@ def test_time_scaling_on_linear_drive(L, kind):
 
     a, b = dy.evolve_oracle(scenario(1.0)), dy.evolve_oracle(scenario(k))
     assert_close(b.P, b.Pt, a.P, a.Pt)
-    pz, scaled_pz = (dy.closed_form_resonance(scenario(x)).P[:, 2] for x in (1.0, k))
+    pz, scaled_pz = (dy.closed_form(scenario(x)).P[:, 2] for x in (1.0, k))
     assert np.max(np.abs(scaled_pz - pz)) <= BOUND
 
 
