@@ -12,17 +12,15 @@ from .errors import ConfigError, ConvergenceError, DomainError
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "am_core": ("AmOperators", "PolarizationState",
-                "build_operators", "coherent_state", "initial_polarization_closed",
-                "polarization_tensor", "polarization_vector", "tensor_mixture"),
+    "am_core": ("AmOperators", "build_operators", "coherent_state", "polarization_tensor",
+                "polarization_vector", "tensor_mixture"),
     "dynamics": ("ComparisonReport", "DynamicsScenario", "PolarizationSeries",
                  "ScanResult", "SplittingTable", "build_hamiltonian", "closed_form",
                  "evolve_oracle", "level_splitting", "oracle_vs_closed_form",
                  "quadrupole_coefficient_frozen", "quadrupole_coupling", "resonance_scan"),
     "moments": ("EcqmTensor", "MomentSet", "beam_diameter", "delta_omega_estimate",
-                "ecqm", "eqm_scale_check", "intrinsic_eqm", "moment_set",
-                "quadrupole_tensor_operator", "spectroscopic_eqm", "tmp_coefficient",
-                "tmp_electron", "tmp_energy_shift"),
+                "ecqm", "intrinsic_eqm", "moment_set", "quadrupole_tensor_operator",
+                "spectroscopic_eqm", "tmp_coefficient", "tmp_electron"),
     "ring_config": ("Kinematics", "LandauGeometry", "RingSetup", "field_gradients",
                     "frozen_residual", "frozen_setup", "kinematics", "landau_geometry",
                     "larmor_omega"),

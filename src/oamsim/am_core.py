@@ -98,13 +98,6 @@ class AmOperators(NamedTuple):
         return out
 
 
-class PolarizationState(NamedTuple):
-    """Vector polarization P (rho, phi, z) and symmetric 3x3 tensor Pt."""
-
-    P: np.ndarray
-    Pt: np.ndarray
-
-
 def build_operators(L):
     """Construct the angular-momentum algebra for integer L >= 1.
 
@@ -266,17 +259,3 @@ def polarization_tensor(beam, ops, traceless=False):
     weights, members = beam
     return _ensemble_polarization(weights, np.asarray(members)[None], ops, traceless)[1][0]
 
-
-def initial_polarization_closed(theta, psi, kind):
-    """Classical-limit initial polarization for a beam aimed along n(theta, psi).
-
-    n = (sin(th) cos(ps), sin(th) sin(ps), cos(th)) is the vector part for
-    kind="vector" and zero for kind="tensor".  Both have the traceless tensor
-    P_ij = (3 n_i n_j - delta_ij)/2, e.g. P_rz = 3/4 sin(2 th) cos(ps); the
-    unit-trace convention of polarization_tensor adds delta_ij/3.
-    """
-    if kind not in ("vector", "tensor"):
-        raise DomainError(f"kind must be 'vector' or 'tensor', got {kind!r}")
-    n = np.array([np.sin(theta) * np.cos(psi), np.sin(theta) * np.sin(psi), np.cos(theta)])
-    pt = 1.5 * np.outer(n, n) - 0.5 * np.eye(3)
-    return PolarizationState(P=n if kind == "vector" else np.zeros(3), Pt=pt)

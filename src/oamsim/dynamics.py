@@ -12,10 +12,11 @@ The resonance drive comes in two models: ``linear``, the physical oscillation
     (A/2) [ (Lx^2 - Ly^2) cos(omega t + phi) + {Lx, Ly} sin(omega t + phi) ],
 
 which is static in the frame rotating at omega/2 and needs no rotating-wave
-truncation.  The closed forms are the L = 1 formulas evaluated at every L.
-They are exact only at L = 1, the resonance form only for the corotating
-drive; at L > 1 they are off by more than a constant factor (ROADMAP.md
-items 6 and 9).  Every mode is one instance of
+truncation.  The tmp closed form is exact at every L.  The frozen and
+resonance closed forms are the L = 1 formulas evaluated at every L.  They
+are exact only at L = 1, the resonance form only for the corotating drive;
+at L > 1 they are off by more than a constant factor (ROADMAP.md items 6
+and 9).  Every mode is one instance of
 
     H(t) = sum_k a_k f_k(omega t + phi) H_k,
 
@@ -43,7 +44,8 @@ from .am_core import (OBSERVABLES, PARITY_BLOCKS, TENSOR_PAIRS, _ensemble_polari
 # kept importable from dynamics: perfbench's tracer self-test patches it here
 from .am_core import polarization_tensor  # noqa: F401
 from .constants import HBAR
-from .errors import ConvergenceError, DomainError, require_budget, require_int
+from .errors import (ConvergenceError, DomainError, require_budget, require_finite,
+                     require_int)
 from .ring_config import field_gradients
 
 # the numeric series columns, in CSV and JSON order; the tensor follows TENSOR_PAIRS
@@ -70,6 +72,9 @@ _CF4_WEIGHTS = (0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0)
 # float64 arrays of a kernel call's sample count that resonance_scan,
 # _peak_samples and _resonance_pz hold at once (about 10 per sample, measured)
 _SCAN_ARRAYS = 10
+# float64 arrays of the sample count that closed_form holds at once, the
+# grid and P included (tmp 11, resonance 10, frozen 6 to 7, measured)
+_CLOSED_FORM_ARRAYS = 12
 # the scan's peak search needs its margin above this share of |K0| + R + 1 +
 # R omega' t_end (4096 ulp); rounding in P_z and in the sample phases is
 # estimated at about 20 ulp of that scale
@@ -132,9 +137,15 @@ class DynamicsScenario:
             raise DomainError("the scenario's phases overflow: |Hamiltonian| * t_end "
                               "plus the angles' multiples is not a finite float")
 
-    def times(self):
-        """The steps sample times from 0 to t_end; a grid over the budget is refused first."""
+    def times(self, arrays=1):
+        """The steps sample times from 0 to t_end; a grid over the budget is refused first.
+
+        arrays counts the float64 arrays of the grid's length that the caller
+        holds at once, the grid included; they are refused next, before any
+        is allocated.
+        """
         require_budget(f"the {self.steps} sample times", self.steps * 8)
+        require_budget(f"{arrays} arrays of the {self.steps} samples", arrays * self.steps * 8)
         return np.linspace(0.0, self.t_end, self.steps)
 
 
@@ -213,10 +224,13 @@ def quadrupole_coupling(Qs, L, gradient):
 
     gradient is the quasielectric field gradient G in V/m^2: dEr/dR for a
     level splitting, the amplitude of the oscillating gradient for a
-    resonance drive.
+    resonance drive.  A denominator past the float range (from about
+    L = 4.7e153, where Qs can still be finite) is a DomainError.
     """
     require_int("L", L, 1)
-    return -Qs * gradient / (8.0 * L**2 * HBAR)
+    denominator = require_finite(f"the quadrupole coupling's 8 L^2 hbar at L = {L}",
+                                 lambda: 8.0 * L**2 * HBAR)
+    return -Qs * gradient / denominator
 
 
 def quadrupole_coefficient_frozen(Qs, L, setup):
@@ -581,10 +595,13 @@ def evolve_oracle(scn, rtol=_ORACLE_RTOL, max_halvings=20, fixed_substeps=None,
 def closed_form(scn):
     """The closed form of the scenario's mode; NaN marks the components it does not define.
 
-    tmp: TMP beating of an initially tensor-polarized beam,
+    tmp: TMP beating of an initially tensor-polarized beam, exact at every L
+    (one-axis twisting about z, the mean over the member and its antipode),
 
-        P_rho = -1/2 sin(2 theta) sin(Omega t + psi) sin(b t),
-        P_phi = +1/2 sin(2 theta) cos(Omega t + psi) sin(b t),  P_z = 0.
+        env   = sin(theta) Im[(cos(b t) + i cos(theta) sin(b t))^(2L - 1)],
+        P_rho = -env sin(Omega t + psi),  P_phi = env cos(Omega t + psi),  P_z = 0;
+
+    at L = 1, env = 1/2 sin(2 theta) sin(b t).
 
     frozen: P_z under the frozen-OAM quadrupole interaction,
 
@@ -598,19 +615,22 @@ def closed_form(scn):
                         sin(w't/2) cos(2 psi - phi) + cos(w't/2) sin(2 psi - phi) ]
         vector:  adds (1 - 2 A^2/omega'^2 sin^2(w't/2)) cos(theta).
 
-    Each is the L = 1 formula evaluated at every L, exact only at L = 1
-    (ROADMAP.md item 6).  The resonance form is exact there only for the
-    corotating drive model; the linear drive obeys it within rotating-wave
-    corrections of order A/omega.  At L > 1 the resonance line is (2L - 1)
-    times wider and peaks higher than the formula says (ROADMAP.md item 9).
+    The frozen and resonance forms are the L = 1 formulas evaluated at every
+    L, exact only at L = 1 (ROADMAP.md item 6).  The resonance form is exact
+    there only for the corotating drive model; the linear drive obeys it
+    within rotating-wave corrections of order A/omega.  At L > 1 the
+    resonance line is (2L - 1) times wider and peaks higher than the formula
+    says (ROADMAP.md item 9).
     No closed form defines the tensor: Pt is a read-only NaN view.
     """
     if scn.mode == "tmp" and scn.kind != "tensor":
         raise DomainError("the TMP closed form describes a tensor-polarized beam")
-    times = scn.times()
+    times = scn.times(_CLOSED_FORM_ARRAYS)
     p = np.full((len(times), 3), np.nan)
     if scn.mode == "tmp":
-        env = 0.5 * np.sin(2.0 * scn.theta) * np.sin(scn.b * times)
+        bt = scn.b * times
+        twist = np.cos(bt) + 1j * (np.cos(scn.theta) * np.sin(bt))
+        env = np.sin(scn.theta) * (twist ** (2 * scn.L - 1)).imag
         arg = scn.Omega * times + scn.psi
         p[:, 0] = -env * np.sin(arg)
         p[:, 1] = env * np.cos(arg)

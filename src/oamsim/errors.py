@@ -26,6 +26,21 @@ def require_int(name, value, minimum):
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def require_finite(what, compute):
+    """compute(), refused as a DomainError naming what when it leaves the float range.
+
+    A Python int or a float ** raises OverflowError there, and float
+    arithmetic gives inf or NaN; either is refused.
+    """
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is beyond the float range")
+    return value
+
+
 def require_budget(what, need, of=None):
     """Raise ConvergenceError, naming what and of, if need bytes exceed the 1 GiB budget."""
     if need > _BUDGET_BYTES:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .constants import (ALPHA, E_SIGNED, FM, GAUSSIAN_B2_J_PER_M3, HBAR,
                         HBAR_C_EV_M, LAMBDA_BAR_C)
-from .errors import ConfigError, DomainError, require_int
+from .errors import ConfigError, DomainError, require_finite, require_int
 from .ring_config import landau_geometry
 
 
@@ -47,21 +47,6 @@ class EcqmTensor(NamedTuple):
         return np.array(self.rows)
 
 
-def _in_float_range(what, compute):
-    """compute(), refused as a DomainError naming what when it leaves the float range.
-
-    A Python int or a float ** raises OverflowError there, and float
-    arithmetic gives inf or NaN; either is refused.
-    """
-    try:
-        value = compute()
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"{what} is beyond the float range")
-    return value
-
-
 def tmp_electron():
     """Tensor magnetic polarizability e^2 hbar^2/(8 m^3) in fm^3.
 
@@ -80,25 +65,8 @@ def tmp_coefficient(B):
     coefficient beyond the float range is a DomainError.
     """
     beta_t_m3 = tmp_electron() * FM**3
-    return _in_float_range(f"the TMP coefficient at B = {B} T",
-                           lambda: -beta_t_m3 * GAUSSIAN_B2_J_PER_M3 * B**2 / HBAR)
-
-
-def tmp_energy_shift(beta_T_fm3, L, B, angle):
-    """Energy shift -beta_T (L . B)^2 in angular-frequency units [rad/s].
-
-    angle is the angle between L and B; the projection L B cos(angle) enters
-    squared.  Uses the same Gaussian-to-SI conversion as tmp_coefficient.
-    """
-    require_int("L", L, 1)
-    if not (math.isfinite(B) and B >= 0):
-        raise DomainError(f"B must be finite and >= 0, got {B}")
-    for name, value in (("beta_T", beta_T_fm3), ("angle", angle)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    beta_t_m3 = beta_T_fm3 * FM**3
-    proj_sq = (L * B * math.cos(angle)) ** 2
-    return -beta_t_m3 * GAUSSIAN_B2_J_PER_M3 * proj_sq / HBAR
+    return require_finite(f"the TMP coefficient at B = {B} T",
+                          lambda: -beta_t_m3 * GAUSSIAN_B2_J_PER_M3 * B**2 / HBAR)
 
 
 def load_radial_density(path):
@@ -217,7 +185,7 @@ def spectroscopic_eqm(Q0, j, K):
         raise DomainError(f"j must be >= 1/2, got {j}")
     if abs(K) > j:
         raise DomainError(f"|K| = {abs(K)} exceeds j = {j}")
-    return _in_float_range(
+    return require_finite(
         f"the spectroscopic EQM at j = {j}, K = {K}",
         lambda: (3.0 * K**2 - j * (j + 1.0)) / ((j + 1.0) * (2.0 * j + 3.0)) * Q0)
 
@@ -281,24 +249,14 @@ def beam_diameter(L):
     return 10.0e-9 * (L / 50.0)
 
 
-def eqm_scale_check(L, R0):
-    """Length scale <r^2>/R0 [m] with the diameter-model <r^2> of beam_model_eqm.
-
-    Order-of-magnitude only; compare against the reduced Compton wavelength.
-    """
-    if not (math.isfinite(R0) and R0 > 0):
-        raise DomainError(f"R0 must be finite and positive, got {R0}")
-    return beam_model_eqm(L)[0] / R0
-
-
 def beam_model_eqm(L):
     """(<r^2>, Q0, Qs) of the diameter-model beam, with <r^2> = (d(L)/2)^2.
 
     Qs is evaluated in the stretched configuration j = K = L.  An L whose
     <r^2> or Qs leaves the float range is a DomainError.
     """
-    mean_r2 = _in_float_range(f"<r^2> of the diameter-model beam at L = {L}",
-                              lambda: (0.5 * beam_diameter(L)) ** 2)
+    mean_r2 = require_finite(f"<r^2> of the diameter-model beam at L = {L}",
+                             lambda: (0.5 * beam_diameter(L)) ** 2)
     q0 = intrinsic_eqm(mean_r2)
     return mean_r2, q0, spectroscopic_eqm(q0, L, L)
 

@@ -7,10 +7,11 @@ electric and magnetic forces on the electron are oppositely directed.
 """
 
 import math
+import numbers
 from typing import NamedTuple
 
 from .constants import C, E_CHARGE, HBAR, M_E, gamma_from_kinetic_energy
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 
 class Kinematics(NamedTuple):
@@ -124,6 +125,12 @@ def field_gradients(setup):
     return dbz_dr, der_dr
 
 
+def _integral(value):
+    """Whether value is a whole number; an integer is finite, and math.isfinite
+    overflows past the float range."""
+    return isinstance(value, numbers.Integral) or (math.isfinite(value) and int(value) == value)
+
+
 def landau_geometry(B, n_r, l_z):
     """Beam waist and mean square radius of a Landau state.
 
@@ -138,14 +145,12 @@ def landau_geometry(B, n_r, l_z):
     if E_CHARGE * abs(B) == 0:    # |B| below about 1.5e-305 T
         raise DomainError(f"beam waist at B = {B} T is beyond the float range: "
                           "|e B| underflows to 0")
-    if not (math.isfinite(n_r) and n_r >= 0 and int(n_r) == n_r):
+    if not (_integral(n_r) and n_r >= 0):
         raise DomainError(f"radial quantum number must be an integer >= 0, got {n_r}")
-    if not (math.isfinite(l_z) and int(l_z) == l_z):
+    if not _integral(l_z):
         raise DomainError(f"l_z must be an integer, got {l_z}")
     w_m = 2.0 * math.sqrt(HBAR / (E_CHARGE * abs(B)))
-    mean_r2 = 0.5 * w_m**2 * (2 * int(n_r) + abs(int(l_z)) + 1)
-    if not math.isfinite(mean_r2):
-        raise DomainError(f"<r^2> of the Landau state at B = {B} T, n_r = {n_r}, l_z = {l_z} "
-                          "is beyond the float range")
+    mean_r2 = require_finite(f"<r^2> of the Landau state at B = {B} T, n_r = {n_r}, l_z = {l_z}",
+                             lambda: 0.5 * w_m**2 * (2 * int(n_r) + abs(int(l_z)) + 1))
     return LandauGeometry(B=float(B), w_m=w_m, mean_r2=mean_r2,
                           n_r=int(n_r), l_z=int(l_z))

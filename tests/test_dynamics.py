@@ -176,13 +176,12 @@ class TestScenarioValidation:
     lambda v: dy.quadrupole_coupling(1e-35, v, 1e6),
     lambda v: mo.beam_diameter(v),
     lambda v: mo.delta_omega_estimate(v, 1e6),
-    lambda v: mo.tmp_energy_shift(5.25e4, v, 1.0, 0.0),
     lambda v: dy.DynamicsScenario(mode="tmp", L=1, steps=v),
     # 0 halvings is allowed, so that case tries -1
     lambda v: dy.evolve_oracle(resonance_scn(steps=8, drive="linear"), max_halvings=v or -1),
     lambda v: dy.evolve_oracle(resonance_scn(steps=8, drive="linear"), fixed_substeps=v),
 ], ids=["scenario-L", "operators-L", "frozen-coefficient-L", "resonance-coefficient-L",
-        "beam-diameter-L", "delta-omega-L", "tmp-shift-L", "steps",
+        "beam-diameter-L", "delta-omega-L", "steps",
         "max-halvings", "fixed-substeps"])
 def test_integer_arguments_rejected(call, value):
     with pytest.raises(DomainError, match="must be an integer >="):
@@ -205,6 +204,23 @@ def test_time_grid_budget_checked_before_allocation(steps, bounded, monkeypatch)
     with pytest.raises(ConvergenceError, match="GiB budget") as err:
         scn.times()
     assert str(err.value) == (f"the {steps} sample times need {steps * 8 / 2**30:.3g} GiB, "
+                              "over the 1 GiB budget")
+
+
+@pytest.mark.parametrize("scn", [tmp_scn(steps=10**8), frozen_scn(steps=10**8),
+                                 frozen_scn(steps=10**8, kind="vector"),
+                                 dy.DynamicsScenario(mode="resonance", L=1, Omega=0.25, A=1.0,
+                                                     omega_drive=0.5, steps=10**8)],
+                         ids=["tmp", "frozen", "frozen-vector", "resonance"])
+def test_closed_form_budget_checked_before_allocation(scn, monkeypatch):
+    # the grid alone (0.75 GiB) fits the budget; the closed form's arrays do not
+    def no_array(*args, **kwargs):
+        raise AssertionError("array allocated")
+    monkeypatch.setattr(np, "linspace", no_array)
+    monkeypatch.setattr(np, "full", no_array)
+    with pytest.raises(ConvergenceError) as err:
+        dy.closed_form(scn)
+    assert str(err.value) == ("12 arrays of the 100000000 samples need 8.94 GiB, "
                               "over the 1 GiB budget")
 
 
@@ -346,6 +362,13 @@ class TestQuadrupoleCoefficients:
         a = dy.quadrupole_coefficient_frozen(qs, L, s)
         ratio = abs(2 * a) * L**2 / (s.Omega * L)
         assert -6.5 < math.log10(ratio) < -4.5
+
+    @pytest.mark.parametrize("L", [5 * 10**153, 10**200], ids=["5e153", "1e200"])
+    def test_denominator_past_the_float_range_rejected(self, L):
+        # 8 L^2 hbar overflows from about L = 4.7e153, where Qs is still finite
+        with pytest.raises(DomainError, match=f"^the quadrupole coupling's 8 L\\^2 hbar at "
+                                              f"L = {L} is beyond the float range$"):
+            dy.quadrupole_coupling(1.6e-35, L, 1.0e6)
 
     def test_resonance_coefficient_sign(self):
         a = dy.quadrupole_coupling(1.6e-35, 10, 1.0e6)
@@ -861,6 +884,13 @@ class TestClosedFormTmp:
         ratio = (np.max(np.abs(rep.oracle.P[:, 1]))
                  / np.max(np.abs(dy.closed_form(scn).P[:, 1])))
         assert ratio == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 20, 100])
+    @pytest.mark.parametrize("b", [0.7, -0.7])
+    def test_exact_at_every_L(self, L, b):
+        # one-axis twisting: the closed form is the oracle's at every L
+        scn = tmp_scn(L=L, Omega=3.0, b=b, theta=1.1, psi=0.3, t_end=2.0, steps=401)
+        assert dy.oracle_vs_closed_form(scn).max_abs_deviation <= 1e-10
 
     def test_spectral_lines_at_omega_pm_b(self):
         scn = tmp_scn(steps=8192, t_end=32 * 2 * np.pi)

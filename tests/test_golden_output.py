@@ -70,7 +70,7 @@ CASES = {
     "resonance-json": ("simulate", RESONANCE_DOC, "json",
                        "7a049848729f183bd801fb76d834f7162d1f2f43dedbfa1d1b90e3757431116b"),
     "tmp-csv": ("simulate", TMP_DOC, "csv",
-                "1a3549e9f81caff303dcd6617f42a42628eab224b5c581bbb51e44d882e8bb78"),
+                "1016607220e803531234249848bc96bfacbc99e57049b228fa0e397a793b20fb"),
     "wide-scan-csv": ("scan", WIDE_SCAN_DOC, "csv",
                       "26101fed3c006f36ea8d3fdd27aeab4d686e4e6ed218041b1968aad7a68fd50f"),
     "coarse-scan-csv": ("scan", COARSE_SCAN_DOC, "csv",

@@ -24,33 +24,16 @@ class TestTmpPolarizability:
         assert 2.6e5 < ratio < 2.8e5
 
 
-class TestTmpEnergyShift:
-    def test_zero_field(self):
-        assert mo.tmp_energy_shift(5.25e4, 10, 0.0, 0.0) == 0.0
-
-    def test_perpendicular(self):
-        assert abs(mo.tmp_energy_shift(5.25e4, 100, 1.0, math.pi / 2)) < 1e-15
-
+class TestTmpCoefficient:
     def test_dual_route_conversion(self):
-        # package route (SI, 4*pi/mu_0) against frozen cgs arithmetic
-        value = mo.tmp_energy_shift(mo.tmp_electron(), 100, 1.0, 0.0)
+        # package route (SI, 4*pi/mu_0) against frozen cgs arithmetic, at L = 100 along B = 1 T
+        value = mo.tmp_coefficient(1.0) * 100**2
         beta_cm3 = mo.tmp_electron() * 1e-39      # fm^3 -> cm^3
         b_gauss_sq = (1.0e4) ** 2                 # (1 T)^2 in G^2
         hbar_cgs = 1.054571817e-27                # erg s
         cgs = -beta_cm3 * b_gauss_sq * 100**2 / hbar_cgs
         assert value == pytest.approx(cgs, rel=1e-9)
         assert value == pytest.approx(-4.9803e4, rel=1e-4)
-
-    def test_matches_dynamics_coefficient(self):
-        b = mo.tmp_coefficient(1.0)
-        assert mo.tmp_energy_shift(mo.tmp_electron(), 100, 1.0, 0.0) == pytest.approx(
-            b * 100**2, rel=1e-12)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(DomainError):
-            mo.tmp_energy_shift(5.25e4, 0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            mo.tmp_energy_shift(5.25e4, 1, -1.0, 0.0)
 
 
 class TestIntrinsicEqm:
@@ -312,23 +295,19 @@ class TestScaleEstimates:
         assert mo.delta_omega_estimate(1000, 1e6) == pytest.approx(0.1)
 
     def test_eqm_scale_worked_numbers(self):
-        assert mo.eqm_scale_check(100, 0.5) == pytest.approx(2e-16, rel=1e-12)
-        assert mo.eqm_scale_check(50, 0.5) == pytest.approx(5e-17, rel=1e-12)
+        # the length scale <r^2>/R0 of the diameter-model beam
+        assert mo.beam_model_eqm(100)[0] / 0.5 == pytest.approx(2e-16, rel=1e-12)
+        assert mo.beam_model_eqm(50)[0] / 0.5 == pytest.approx(5e-17, rel=1e-12)
 
     def test_diameter_model(self):
         assert mo.beam_diameter(50) == pytest.approx(10e-9)
         assert mo.beam_diameter(100) == pytest.approx(20e-9)
 
     def test_compton_comparison(self):
-        ratio = mo.eqm_scale_check(100, 0.5) / LAMBDA_BAR_C
+        ratio = mo.beam_model_eqm(100)[0] / 0.5 / LAMBDA_BAR_C
         assert 1e-4 < ratio < 1e-3
 
     @pytest.mark.parametrize("call", [
-        lambda: mo.eqm_scale_check(3, math.nan), lambda: mo.eqm_scale_check(3, math.inf),
-        lambda: mo.tmp_energy_shift(5e4, 2, math.nan, 0.0),
-        lambda: mo.tmp_energy_shift(5e4, 2, math.inf, 0.0),
-        lambda: mo.tmp_energy_shift(5e4, 2, 1.0, math.nan),
-        lambda: mo.tmp_energy_shift(math.nan, 2, 1.0, 0.0),
         lambda: mo.delta_omega_estimate(3, math.nan), lambda: mo.delta_omega_estimate(3, math.inf),
         lambda: mo.spectroscopic_eqm(1.0, math.nan, 1),
         lambda: mo.spectroscopic_eqm(1.0, math.inf, 1),
@@ -339,10 +318,9 @@ class TestScaleEstimates:
         lambda: mo.ecqm([0, math.nan, 1], [0, 0, 0.5], 6.0e5),
         lambda: mo.ecqm([0, 0, 1], [0, 0, math.inf], 6.0e5),
         lambda: mo.intrinsic_eqm(math.nan), lambda: mo.intrinsic_eqm(-1.0e-18),
-    ], ids=["scale-R0-nan", "scale-R0-inf", "tmp-B-nan", "tmp-B-inf", "tmp-angle-nan",
-            "tmp-beta-nan", "delta-omega-nan", "delta-omega-inf", "qs-j-nan", "qs-j-inf",
-            "qs-K-nan", "qs-K-inf", "ecqm-energy-nan", "ecqm-energy-inf", "ecqm-L-nan",
-            "ecqm-s-inf", "q0-r2-nan", "q0-r2-negative"])
+    ], ids=["delta-omega-nan", "delta-omega-inf", "qs-j-nan", "qs-j-inf", "qs-K-nan",
+            "qs-K-inf", "ecqm-energy-nan", "ecqm-energy-inf", "ecqm-L-nan", "ecqm-s-inf",
+            "q0-r2-nan", "q0-r2-negative"])
     def test_non_finite_scalars_rejected(self, call):
         with pytest.raises(DomainError, match="finite"):
             call()

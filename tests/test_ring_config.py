@@ -129,6 +129,16 @@ def test_landau_geometry_past_the_float_range_rejected(B, l_z, message):
         rc.landau_geometry(B, 0, l_z)
 
 
+@pytest.mark.parametrize("n_r, l_z", [(0, 10**400), (0, -10**400), (10**400, 0)],
+                         ids=["l_z", "negative-l_z", "n_r"])
+def test_landau_geometry_integers_past_the_float_range_rejected(n_r, l_z):
+    # an integer is finite; its <r^2> is not a float
+    message = (f"<r^2> of the Landau state at B = 1.0 T, n_r = {n_r}, l_z = {l_z} "
+               "is beyond the float range")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        rc.landau_geometry(1.0, n_r, l_z)
+
+
 def test_landau_geometry_near_the_float_range_keeps_its_formula():
     geo = rc.landau_geometry(1e-303, 0, 1)
     w_m = 2.0 * math.sqrt(HBAR / (E_CHARGE * 1e-303))
